@@ -77,13 +77,10 @@ from .trainers import (
     StepSchedule,
     TrainConfig,
     TrainTrace,
+    lockstep,
     step_size,
     trades_surrogate_loss,
     train,
-    train_fast,
-    train_free,
-    train_free_trades,
-    train_vanilla,
 )
 
 __version__ = "0.1.0"

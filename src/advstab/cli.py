@@ -15,21 +15,21 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bounds import BoundInputs, RegionSampler, estimate_constants, estimate_psi, bound_fast, bound_free, bound_vanilla
 from .checks import run_all_checks
 from .experiments import (
+    BOUND_BUILDERS,
     ExperimentConfig,
+    bound_inputs,
     run_free_trades_comparison,
     run_gap_experiment,
     run_transfer_experiment,
     run_vs_n_experiment,
 )
 from .reportio import emit_report
-from .rng import stream
 from .stability import coupled_run, make_neighbor
 from .synth import SyntheticSpec, draw_replacement, make_synthetic
 from .threat import AttackConfig, PerturbationSet
-from .trainers import FAST, FREE, FREE_TRADES, TRADES_SEQ, VANILLA, StepSchedule, TrainConfig, train
+from .trainers import FREE_TRADES, RULES, TRADES_SEQ, StepSchedule, TrainConfig, train
 
 _DEFAULT_CONFIG = {
     "model": {"kind": "mlp", "hidden_dim": 16, "class_count": 2, "bounded_loss": False},
@@ -108,11 +108,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args, overrides: dict | None = None) -> ExperimentConfig:
+    """The --config file, merged with ``overrides``, then the common flags."""
     raw = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text())
-    cfg = config_from_dict(raw)
+    cfg = config_from_dict(_merge(raw, overrides or {}))
     train_over = {}
     if args.seed is not None:
         train_over["seed"] = args.seed
@@ -165,8 +166,7 @@ def cmd_vs_n(args) -> int:
 
 def cmd_transfer(args) -> int:
     cfg_a = _load_config(args)
-    raw_b = json.loads(Path(args.config_b).read_text()) if args.config_b else {}
-    cfg_b = config_from_dict(_merge(json.loads(Path(args.config).read_text()) if args.config else {}, raw_b))
+    cfg_b = _load_config(args, json.loads(Path(args.config_b).read_text()) if args.config_b else {})
     res = run_transfer_experiment(cfg_a, cfg_b)
     payload = {
         "accuracy": {f"{s}->{t}": v for (s, t), v in res.accuracy.items()},
@@ -223,24 +223,12 @@ def cmd_stability(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    train_ds, test_ds = make_synthetic(cfg.data)
+    train_ds, _ = make_synthetic(cfg.data)
     model = cfg.build_model()
     tc = cfg.effective_train_config()
-    w, trace = train(model, train_ds, tc)
-    sampler = RegionSampler.from_envelope(trace.w_low, trace.w_high, tc.pset, train_ds)
-    psi_est = estimate_psi(trace)
-    consts = estimate_constants(model, sampler, stream(cfg.eval_seed, 31), probes=args.probes, psi=psi_est.psi)
-    inputs = BoundInputs(
-        n=train_ds.n,
-        b=tc.batch_size,
-        T=tc.total_iterations,
-        m=tc.free_steps,
-        c=tc.schedule.c,
-        eps=tc.pset.radius,
-        constants=consts,
-        alpha_delta=tc.resolved_attack_lr,
-        fast_step=tc.resolved_fast_step,
-    )
+    _, trace = train(model, train_ds, tc)
+    inputs, psi_est = bound_inputs(model, train_ds, tc, trace, cfg.eval_seed, args.probes)
+    consts = inputs.constants
     payload = {
         "constants": {
             "lipschitz": consts.lipschitz,
@@ -250,11 +238,7 @@ def cmd_bounds(args) -> int:
             "psi_degenerate": psi_est.degenerate,
             "region": consts.region,
         },
-        "bounds": {
-            "vanilla": bound_vanilla(inputs).to_dict(),
-            "free": bound_free(inputs).to_dict(),
-            "fast": bound_fast(inputs).to_dict(),
-        },
+        "bounds": {rule: build(inputs).to_dict() for rule, build in BOUND_BUILDERS.items()},
         "schedule_vanishing": tc.schedule.vanishing,
     }
     out = Path(args.out)
@@ -282,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--algorithm", choices=[VANILLA, FREE, FAST, FREE_TRADES, TRADES_SEQ], default=None)
+        p.add_argument("--algorithm", choices=list(RULES), default=None)
         p.add_argument("--iterations", type=int, default=None)
 
     p = sub.add_parser("gap", help="generalization-gap curve for one algorithm")

@@ -26,7 +26,7 @@ from .models import SmoothModel, make_model
 from .rng import stream
 from .synth import SyntheticSpec, make_synthetic
 from .threat import AttackConfig, empirical_robust_risk, pgd_attack_batch
-from .trainers import FAST, FREE, FREE_TRADES, TRADES_SEQ, VANILLA, TrainConfig, train
+from .trainers import FAST, FREE, FREE_TRADES, TRADES_SEQ, VANILLA, TrainConfig, TrainTrace, train
 
 __all__ = [
     "ExperimentConfig",
@@ -37,6 +37,8 @@ __all__ = [
     "TransferReport",
     "PairedGapReport",
     "run_gap_experiment",
+    "bound_inputs",
+    "BOUND_BUILDERS",
     "run_vs_n_experiment",
     "run_transfer_experiment",
     "run_free_trades_comparison",
@@ -90,17 +92,8 @@ class ExperimentConfig:
         cfg = self.train
         if self.budget_axis == "updates":
             return cfg
-        per_update = {
-            VANILLA: cfg.inner_attack.steps + 1,
-            TRADES_SEQ: cfg.inner_attack.steps + 1,
-            FAST: 2,
-            FREE: 1,
-            FREE_TRADES: 1,
-        }[cfg.algorithm]
-        T = cfg.total_iterations // per_update
-        if cfg.algorithm in (FREE, FREE_TRADES):
-            T = max(cfg.free_steps, T - (T % cfg.free_steps))
-        return replace(cfg, total_iterations=max(1, T))
+        T, m = cfg.total_iterations // cfg.oracle_per_update, cfg.inner_steps
+        return replace(cfg, total_iterations=max(m, T - T % m))
 
 
 @dataclass
@@ -239,10 +232,8 @@ def _checkpoint_marks(tc: TrainConfig, cadence: int) -> list:
     marks = list(range(cadence, T + 1, cadence))
     if not marks or marks[-1] != T:
         marks.append(T)
-    if tc.algorithm in (FREE, FREE_TRADES):
-        m = tc.free_steps
-        marks = sorted({max(m, mk - (mk % m)) for mk in marks})
-    return marks
+    m = tc.inner_steps
+    return sorted({max(m, mk - mk % m) for mk in marks})
 
 
 def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
@@ -262,6 +253,8 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
         trial_cfg = tc.with_seed(tc.seed + k)
         marks = _checkpoint_marks(trial_cfg, cadence)
         w, trace = train(model, train_ds, trial_cfg, snapshot_at=marks)
+        if k == 0:
+            first_trace = trace
         checkpoints = [
             _evaluate(model, trace.snapshots[mk], train_ds, test_ds, trial_cfg.pset, cfg.eval_attack, cfg.eval_seed, mk)
             for mk in marks
@@ -279,12 +272,36 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
         )
 
     if cfg.attach_bounds:
-        _attach_bounds(cfg, report, model, train_ds)
+        _attach_bounds(cfg, tc, report, model, train_ds, first_trace)
     return report
 
 
-def _attach_bounds(cfg: ExperimentConfig, report: GapReport, model, train_ds):
-    tc = cfg.effective_train_config()
+# the closed-form bound for each update rule
+BOUND_BUILDERS = {VANILLA: bound_vanilla, FREE: bound_free, FAST: bound_fast}
+
+
+def bound_inputs(model: SmoothModel, train_ds, tc: TrainConfig, trace: TrainTrace, eval_seed: int, probes: int):
+    """Estimate the constants over the weight envelope of ``trace``, with psi
+    from its perturbation-gradient norms, and pack them with ``tc``'s
+    schedule into the bound formulas' inputs. Returns (BoundInputs, PsiEstimate)."""
+    sampler = RegionSampler.from_envelope(trace.w_low, trace.w_high, tc.pset, train_ds)
+    psi = estimate_psi(trace)
+    consts = estimate_constants(model, sampler, stream(eval_seed, 31), probes=probes, psi=psi.psi)
+    inputs = BoundInputs(
+        n=train_ds.n,
+        b=tc.batch_size,
+        T=tc.total_iterations,
+        m=tc.free_steps,
+        c=tc.schedule.c,
+        eps=tc.pset.radius,
+        constants=consts,
+        alpha_delta=tc.resolved_attack_lr,
+        fast_step=tc.resolved_fast_step,
+    )
+    return inputs, psi
+
+
+def _attach_bounds(cfg: ExperimentConfig, tc: TrainConfig, report: GapReport, model, train_ds, trace: TrainTrace):
     if not tc.schedule.vanishing:
         report.notes.append("bounds_not_applicable: constant step schedule")
         return
@@ -292,33 +309,19 @@ def _attach_bounds(cfg: ExperimentConfig, report: GapReport, model, train_ds):
         report.notes.append("bounds_not_applicable: bounds are stated for L2 balls")
         return
     try:
-        # constants over the envelope of the last trial's run
-        w, trace = train(model, train_ds, tc.with_seed(tc.seed))
-        sampler = RegionSampler.from_envelope(trace.w_low, trace.w_high, tc.pset, train_ds)
-        psi = estimate_psi(trace).psi
-        consts = estimate_constants(model, sampler, stream(cfg.eval_seed, 31), probes=800, psi=psi)
-        inputs = BoundInputs(
-            n=train_ds.n,
-            b=tc.batch_size,
-            T=tc.total_iterations,
-            m=tc.free_steps,
-            c=tc.schedule.c,
-            eps=tc.pset.radius,
-            constants=consts,
-            alpha_delta=tc.resolved_attack_lr,
-            fast_step=tc.resolved_fast_step,
+        # constants over the envelope of the first trial's run
+        inputs, _ = bound_inputs(model, train_ds, tc, trace, cfg.eval_seed, probes=800)
+        rep = BOUND_BUILDERS[tc.rule](inputs).with_measured_gap(float(np.mean(report.final_risk_gaps())))
+    except (ValueError, OverflowError) as exc:  # a failed estimate must not sink the experiment
+        report.notes.append(f"bounds_attachment_failed: {type(exc).__name__}: {exc}")
+        return
+    report.bounds.append(rep)
+    consts = inputs.constants
+    report.notes.append(
+        "constants: L={:.6g} L_w={:.6g} beta={:.6g} psi={:.6g}".format(
+            consts.lipschitz, consts.lipschitz_w, consts.beta, consts.psi
         )
-        builders = {VANILLA: bound_vanilla, TRADES_SEQ: bound_vanilla, FREE: bound_free, FREE_TRADES: bound_free, FAST: bound_fast}
-        rep = builders[tc.algorithm](inputs)
-        gap = float(np.mean(report.final_risk_gaps()))
-        report.bounds.append(rep.with_measured_gap(gap))
-        report.notes.append(
-            "constants: L={:.6g} L_w={:.6g} beta={:.6g} psi={:.6g}".format(
-                consts.lipschitz, consts.lipschitz_w, consts.beta, consts.psi
-            )
-        )
-    except Exception as exc:  # estimation must not sink the experiment
-        report.notes.append(f"bounds_attachment_failed: {exc}")
+    )
 
 
 @dataclass
@@ -340,10 +343,8 @@ class VsNReport:
 # between -1 and 0 depending on its stability exponent
 _PREDICTED_RATES = {
     VANILLA: "n^(-lambda/(lambda+1)) with lambda = beta*c (exponent in (-1, 0))",
-    TRADES_SEQ: "n^(-lambda/(lambda+1)) with lambda = beta*c (exponent in (-1, 0))",
     FAST: "n^(-1) at fixed iteration count",
     FREE: "n^(-1) at fixed iteration count",
-    FREE_TRADES: "n^(-1) at fixed iteration count",
 }
 
 
@@ -367,7 +368,7 @@ def run_vs_n_experiment(cfg: ExperimentConfig, n_values) -> VsNReport:
         slope=slope,
         slope_se=slope_se,
         spearman=spearman,
-        predicted_rate=_PREDICTED_RATES[cfg.train.algorithm],
+        predicted_rate=_PREDICTED_RATES[cfg.train.rule],
     )
 
 

@@ -1,12 +1,13 @@
 """Coupled runs on neighboring datasets and growth-recursion verification.
 
 A neighboring pair is two datasets of equal size that differ at exactly one
-index. A coupled run advances a trajectory on each dataset in lockstep,
-consuming bit-identical randomness from the training plan: one shared
-initialization, one shared batch-index stream, shared perturbation
-initializations, and shared attack restarts. Before the first step whose
-batch contains the differing index, the two trajectories are the same
-float-for-float, so every recorded divergence is exactly zero.
+index. A coupled run advances a trajectory on each dataset through
+``trainers.lockstep``, the same loop ``train`` uses, so each half equals
+``train`` on its dataset bit for bit. Both halves consume one randomness
+plan: one shared initialization, one shared batch-index stream, shared
+perturbation initializations, and shared attack restarts. Before the first
+step whose batch contains the differing index, the two trajectories are the
+same float-for-float, so every recorded divergence is exactly zero.
 
 The verifiers check the per-step divergence recursions path-wise against
 estimated constants inflated by a configurable factor:
@@ -42,23 +43,7 @@ from .errors import ConfigError, DimensionError, TraceError
 from .models import Dataset, LabeledSample, SmoothModel
 from .rng import stream
 from .threat import AttackConfig, PerturbationSet, pgd_attack_batch
-from .trainers import (
-    FAST,
-    FREE,
-    FREE_TRADES,
-    STREAM_ATTACK,
-    STREAM_DELTA,
-    STREAM_INIT,
-    TRADES_SEQ,
-    VANILLA,
-    StepSchedule,
-    TrainConfig,
-    batch_indices,
-    fast_batch_step,
-    free_inner_iteration,
-    step_size,
-    vanilla_batch_step,
-)
+from .trainers import FAST, FREE, RULES, VANILLA, StepSchedule, TrainConfig, lockstep
 
 __all__ = [
     "NeighborPair",
@@ -149,78 +134,43 @@ def _mean_row_distance(Da: np.ndarray, Db: np.ndarray) -> float:
 
 
 def coupled_run(model: SmoothModel, pair: NeighborPair, cfg: TrainConfig, batch_plan: np.ndarray | None = None) -> StabilityTrace:
-    """Advance two trajectories in lockstep through one randomness plan.
+    """Advance a trajectory on each dataset of ``pair`` in lockstep through
+    one randomness plan, recording their divergence.
 
     ``batch_plan`` (n_steps, b) overrides the batch-index stream, which lets
     tests pin exactly when the differing index is drawn.
     """
-    if pair.data_a.n != pair.data_b.n:
-        raise DimensionError("neighboring datasets must have equal size")
-    lam = cfg.trades_lambda if cfg.algorithm in (FREE_TRADES, TRADES_SEQ) else None
-    n, b = pair.data_a.n, cfg.batch_size
-    if b > n:
-        raise ConfigError(f"batch_size {b} exceeds dataset size {n}")
-    m = cfg.free_steps if cfg.algorithm in (FREE, FREE_TRADES) else 1
+    m = cfg.inner_steps
     n_steps = cfg.total_iterations // m
-    if batch_plan is not None:
-        batch_plan = np.asarray(batch_plan, dtype=np.int64)
-        if batch_plan.shape != (n_steps, b):
-            raise ConfigError(f"batch_plan must have shape ({n_steps}, {b})")
-
-    wa = model.init_params(stream(cfg.seed, STREAM_INIT))
-    wb = wa.copy()
-
+    free = cfg.rule == FREE
     alpha_w = np.zeros(n_steps)
     d_w = np.zeros(n_steps + 1)
     s_count = np.zeros(n_steps, dtype=np.int64)
     min_gd = np.full(n_steps, np.inf)
-    inner_w = inner_d = None
-    if cfg.algorithm in (FREE, FREE_TRADES):
-        inner_w = np.zeros((n_steps, m + 1))
-        inner_d = np.zeros((n_steps, m + 1))
+    inner_w = np.zeros((n_steps, m + 1)) if free else None
+    inner_d = np.zeros((n_steps, m + 1)) if free else None
 
-    for t in range(1, n_steps + 1):
-        idx = batch_plan[t - 1] if batch_plan is not None else batch_indices(cfg.seed, t, n, b)
-        s_count[t - 1] = int((idx == pair.differing_index).sum())
-        Xa, ya = pair.data_a.X[idx], pair.data_a.y[idx]
-        Xb, yb = pair.data_b.X[idx], pair.data_b.y[idx]
-        aw = step_size(cfg.schedule, t)
-        alpha_w[t - 1] = aw
-
-        if cfg.algorithm in (VANILLA, TRADES_SEQ):
-            wa, sa = vanilla_batch_step(
-                model, Xa, ya, wa, aw, cfg.pset, cfg.inner_attack, stream(cfg.seed, STREAM_ATTACK, t), lam=lam
-            )
-            wb, sb = vanilla_batch_step(
-                model, Xb, yb, wb, aw, cfg.pset, cfg.inner_attack, stream(cfg.seed, STREAM_ATTACK, t), lam=lam
-            )
-            min_gd[t - 1] = min(sa["min_grad_delta_norm"], sb["min_grad_delta_norm"])
-        elif cfg.algorithm == FAST:
-            delta0 = cfg.pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b)
-            wa, sa = fast_batch_step(model, Xa, ya, wa, aw, cfg.resolved_fast_step, cfg.pset, delta0)
-            wb, sb = fast_batch_step(model, Xb, yb, wb, aw, cfg.resolved_fast_step, cfg.pset, delta0)
-            min_gd[t - 1] = min(sa["min_grad_delta_norm"], sb["min_grad_delta_norm"])
-        else:  # free / free-TRADES, per-iteration granularity
-            deltas = cfg.pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b)
-            da, db = deltas.copy(), deltas.copy()
-            inner_w[t - 1, 0] = np.linalg.norm(wa - wb)
-            inner_d[t - 1, 0] = _mean_row_distance(da, db)
-            lo = np.inf
-            for i in range(1, m + 1):
-                wa, da, sa = free_inner_iteration(model, Xa, ya, wa, da, aw, cfg.resolved_attack_lr, cfg.pset, lam=lam)
-                wb, db, sb = free_inner_iteration(model, Xb, yb, wb, db, aw, cfg.resolved_attack_lr, cfg.pset, lam=lam)
-                inner_w[t - 1, i] = np.linalg.norm(wa - wb)
-                inner_d[t - 1, i] = _mean_row_distance(da, db)
-                lo = min(lo, sa["min_grad_delta_norm"], sb["min_grad_delta_norm"])
-            min_gd[t - 1] = lo
-
+    updates = lockstep(model, [pair.data_a, pair.data_b], cfg, batch_plan)
+    wa, wb = next(updates)[4]
+    for t, i, aw, idx, (wa, wb), deltas, (sa, sb) in updates:
+        if i == 1:
+            alpha_w[t - 1] = aw
+            s_count[t - 1] = int((idx == pair.differing_index).sum())
+        min_gd[t - 1] = min(min_gd[t - 1], sa["min_grad_delta_norm"], sb["min_grad_delta_norm"])
         d_w[t] = np.linalg.norm(wa - wb)
+        if free:
+            inner_w[t - 1, i] = d_w[t]
+            inner_d[t - 1, i] = _mean_row_distance(*deltas)
+    if free:
+        # column 0 is the state after the step's perturbation draw: the carried
+        # weight distance, and zero perturbation distance (both halves share the draw)
+        inner_w[:, 0] = d_w[:-1]
 
     return StabilityTrace(
         algorithm=cfg.algorithm,
         seed=cfg.seed,
-        n=n,
-        b=b,
+        n=pair.data_a.n,
+        b=cfg.batch_size,
         eps=cfg.pset.radius,
         norm=cfg.pset.norm,
         n_steps=n_steps,
@@ -231,8 +181,8 @@ def coupled_run(model: SmoothModel, pair: NeighborPair, cfg: TrainConfig, batch_
         min_grad_delta=min_gd,
         w_final_a=wa,
         w_final_b=wb,
-        alpha_delta=cfg.resolved_attack_lr if cfg.algorithm in (FREE, FREE_TRADES) else None,
-        fast_step=cfg.resolved_fast_step if cfg.algorithm == FAST else None,
+        alpha_delta=cfg.resolved_attack_lr if free else None,
+        fast_step=cfg.resolved_fast_step if cfg.rule == FAST else None,
         d_w_inner=inner_w,
         d_delta_inner=inner_d,
         schedule=cfg.schedule,
@@ -288,19 +238,23 @@ def _require_l2(trace: StabilityTrace):
         raise ConfigError("growth recursions are stated for L2 perturbation sets")
 
 
+def _require_rule(trace: StabilityTrace, rule: str):
+    if RULES[trace.algorithm] != rule:
+        raise TraceError(f"expected a {rule}-rule trace, got {trace.algorithm!r}")
+
+
 def _check_constants(**kwargs):
     for name, value in kwargs.items():
         if value is None or value <= 0:
             raise ConfigError(f"estimated constant {name} must be positive, got {value}")
 
 
-def verify_growth_vanilla(trace: StabilityTrace, beta_hat: float, L_hat: float, eps: float, schedule: StepSchedule | None = None) -> GrowthReport:
+def verify_growth_vanilla(trace: StabilityTrace, beta_hat: float, L_hat: float, eps: float) -> GrowthReport:
     """Check, for every step, the divergence growth bound with the supplied
     constants; encounter steps use the mixed batch-split bound."""
     _require_l2(trace)
     _check_constants(beta_hat=beta_hat, L_hat=L_hat)
-    if trace.algorithm not in (VANILLA, TRADES_SEQ):
-        raise TraceError(f"expected a vanilla-style trace, got {trace.algorithm!r}")
+    _require_rule(trace, VANILLA)
     rep = GrowthReport(algorithm=trace.algorithm)
     b = trace.b
     for t in range(1, trace.n_steps + 1):
@@ -323,14 +277,12 @@ def verify_growth_fast(
     psi_hat: float,
     eps: float,
     fast_step: float | None = None,
-    schedule: StepSchedule | None = None,
 ) -> GrowthReport:
     """Fast-variant growth check: the expansion factor gains the
     single-step attack term; no additive source off the encounter steps."""
     _require_l2(trace)
     _check_constants(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
-    if trace.algorithm != FAST:
-        raise TraceError(f"expected a fast trace, got {trace.algorithm!r}")
+    _require_rule(trace, FAST)
     s = trace.fast_step if fast_step is None else fast_step
     rep = GrowthReport(algorithm=trace.algorithm)
     inflate = 1.0 + s * eps * psi_hat * beta_hat
@@ -358,21 +310,16 @@ def verify_growth_free(
     L_hat: float,
     psi_hat: float,
     eps: float,
-    alpha_delta: float | None = None,
-    schedule: StepSchedule | None = None,
-    m: int | None = None,
 ) -> GrowthReport:
     """Free-variant checks: the per-inner-iteration two-row inequality with
     the expansion matrix, plus the per-outer-step closed-form contraction of
     the offset weight distance. Needs per-iteration granularity."""
     _require_l2(trace)
     _check_constants(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
-    if trace.algorithm not in (FREE, FREE_TRADES):
-        raise TraceError(f"expected a free trace, got {trace.algorithm!r}")
+    _require_rule(trace, FREE)
     if trace.d_w_inner is None or trace.d_delta_inner is None:
         raise TraceError("free growth verification needs per-iteration records")
-    ad = trace.alpha_delta if alpha_delta is None else alpha_delta
-    m = trace.m if m is None else m
+    ad, m = trace.alpha_delta, trace.m
     rep = GrowthReport(algorithm=trace.algorithm)
     row_d = ad * eps * psi_hat * beta_hat
 

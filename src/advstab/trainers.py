@@ -1,13 +1,17 @@
-"""The four training loops: vanilla, free, fast, and free-TRADES (plus a
+"""Adversarial training: vanilla, free, fast, and free-TRADES (plus a
 sequential-TRADES reference), with step-size schedules and a fully
 deterministic per-step randomness plan.
+
+Each algorithm follows one of three update rules (``RULES``): the TRADES
+variants swap the surrogate loss into the vanilla and free rules. One
+loop, ``lockstep``, advances any number of trajectories through the same
+rule and the same randomness; ``train`` runs it on a single dataset, and
+the stability module's coupled runs drive it over a neighboring pair.
 
 Randomness plan. All draws are addressed by (cfg.seed, stream kind, step):
 initialization, mini-batch indices, perturbation initializations, and
 attack restarts each live on their own stream. Because streams are
-re-creatable at any address, a run is a pure function of (cfg, dataset),
-and the stability module can advance two runs on neighboring datasets
-through bit-identical randomness simply by addressing the same plan.
+re-creatable at any address, a run is a pure function of (cfg, dataset).
 
 Mini-batches are drawn uniformly WITH replacement over sample indices at
 every step, so the probability a fixed index appears in the step-t batch
@@ -38,11 +42,8 @@ __all__ = [
     "step_size",
     "trades_surrogate_loss",
     "trades_batch_loss_and_grads",
-    "train_vanilla",
-    "train_free",
-    "train_fast",
-    "train_free_trades",
-    "train_trades_seq",
+    "RULES",
+    "lockstep",
     "train",
     "default_fast_step",
 ]
@@ -59,7 +60,9 @@ FAST = "fast"
 FREE_TRADES = "free_trades"
 TRADES_SEQ = "trades_seq"
 
-_ALGORITHMS = (VANILLA, FREE, FAST, FREE_TRADES, TRADES_SEQ)
+# The update rule each algorithm follows. The TRADES variants are exactly the
+# algorithms that borrow another algorithm's rule.
+RULES = {VANILLA: VANILLA, TRADES_SEQ: VANILLA, FAST: FAST, FREE: FREE, FREE_TRADES: FREE}
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ class TrainConfig:
     inner_attack: AttackConfig = field(default_factory=AttackConfig)
 
     def __post_init__(self):
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in RULES:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
@@ -122,13 +125,34 @@ class TrainConfig:
             raise ConfigError("total_iterations must be >= 0")
         if self.free_steps < 1:
             raise ConfigError("free_steps must be >= 1")
-        if self.algorithm in (FREE, FREE_TRADES) and self.total_iterations % self.free_steps != 0:
+        if self.total_iterations % self.inner_steps != 0:
             raise ConfigError(
                 f"total_iterations={self.total_iterations} must be divisible by free_steps={self.free_steps}"
             )
-        if self.algorithm in (FREE_TRADES, TRADES_SEQ):
-            if self.trades_lambda is None or self.trades_lambda <= 0:
-                raise ConfigError("trades_lambda must be a positive float for TRADES variants")
+        if self.rule == FREE and self.schedule.kind == "vanishing_c_over_mt" and self.schedule.m != self.free_steps:
+            raise ConfigError(f"c/(m t) schedule m={self.schedule.m} must equal free_steps={self.free_steps}")
+        if self.algorithm != self.rule and (self.trades_lambda is None or self.trades_lambda <= 0):
+            raise ConfigError("trades_lambda must be a positive float for TRADES variants")
+
+    @property
+    def rule(self) -> str:
+        """The update rule: 'vanilla', 'fast' or 'free'."""
+        return RULES[self.algorithm]
+
+    @property
+    def lam(self) -> float | None:
+        """The TRADES surrogate weight, or None for the plain loss."""
+        return self.trades_lambda if self.algorithm != self.rule else None
+
+    @property
+    def inner_steps(self) -> int:
+        """Weight updates per batch draw: free_steps under the free rule, else 1."""
+        return self.free_steps if self.rule == FREE else 1
+
+    @property
+    def oracle_per_update(self) -> int:
+        """Gradient-oracle calls per weight update."""
+        return {VANILLA: self.inner_attack.steps + 1, FAST: 2, FREE: 1}[self.rule]
 
     @property
     def resolved_attack_lr(self) -> float:
@@ -269,7 +293,7 @@ def trades_surrogate_loss(
 
 
 # ---------------------------------------------------------------------------
-# single-step building blocks (shared by trainers and coupled runs)
+# single-step building blocks (the updates lockstep applies)
 # ---------------------------------------------------------------------------
 
 
@@ -351,8 +375,71 @@ def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam
 
 
 # ---------------------------------------------------------------------------
-# training drivers
+# the lockstep loop
 # ---------------------------------------------------------------------------
+
+
+def _validate(model: SmoothModel, dataset: Dataset, cfg: TrainConfig):
+    if dataset.input_dim != model.input_dim or dataset.input_dim != cfg.pset.dim:
+        raise DimensionError("model, dataset, and perturbation set disagree on the input dimension")
+    if cfg.batch_size > dataset.n:
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {dataset.n}")
+
+
+def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndarray | None = None):
+    """Advance one trajectory per dataset through one randomness plan.
+
+    All trajectories share the initialization, the batch indices, the
+    perturbation starts and the attack restarts, so trajectories on equal
+    datasets stay equal float for float. ``batch_plan`` (n_steps, b)
+    overrides the batch-index stream, which lets tests pin exactly when a
+    given index is drawn.
+
+    The first item yielded is the shared initialization; each later item
+    follows one weight update of every trajectory:
+    ``(step, iteration, alpha_w, batch, weights, deltas, stats)``, where
+    ``weights`` and ``stats`` hold one entry per trajectory and ``deltas``
+    holds the free rule's carried perturbations (None under the other
+    rules). The initialization item has step 0 and no batch or stats.
+    """
+    datasets = list(datasets)
+    for dataset in datasets:
+        _validate(model, dataset, cfg)
+    n, b, m, rule, pset, lam = datasets[0].n, cfg.batch_size, cfg.inner_steps, cfg.rule, cfg.pset, cfg.lam
+    if any(dataset.n != n for dataset in datasets):
+        raise DimensionError("lockstep datasets must have equal size")
+    n_steps = cfg.total_iterations // m
+    if batch_plan is not None:
+        batch_plan = np.asarray(batch_plan, dtype=np.int64)
+        if batch_plan.shape != (n_steps, b):
+            raise ConfigError(f"batch_plan must have shape ({n_steps}, {b})")
+
+    ws = [model.init_params(stream(cfg.seed, STREAM_INIT))] * len(datasets)
+    stats = [None] * len(datasets)
+    yield 0, 0, 0.0, None, tuple(ws), None, None
+    for t in range(1, n_steps + 1):
+        idx = batch_plan[t - 1] if batch_plan is not None else batch_indices(cfg.seed, t, n, b)
+        batches = [(dataset.X[idx], dataset.y[idx]) for dataset in datasets]
+        aw = step_size(cfg.schedule, t)
+        if rule == FREE:
+            deltas = [pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b)] * len(datasets)
+            for i in range(1, m + 1):
+                for j, (X, y) in enumerate(batches):
+                    ws[j], deltas[j], stats[j] = free_inner_iteration(
+                        model, X, y, ws[j], deltas[j], aw, cfg.resolved_attack_lr, pset, lam=lam
+                    )
+                yield t, i, aw, idx, tuple(ws), tuple(deltas), tuple(stats)
+            continue
+        if rule == FAST:
+            delta0 = pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b)
+        for j, (X, y) in enumerate(batches):
+            if rule == VANILLA:
+                ws[j], stats[j] = vanilla_batch_step(
+                    model, X, y, ws[j], aw, pset, cfg.inner_attack, stream(cfg.seed, STREAM_ATTACK, t), lam=lam
+                )
+            else:
+                ws[j], stats[j] = fast_batch_step(model, X, y, ws[j], aw, cfg.resolved_fast_step, pset, delta0)
+        yield t, 1, aw, idx, tuple(ws), None, tuple(stats)
 
 
 class _Tracker:
@@ -403,104 +490,15 @@ class _Tracker:
         )
 
 
-def _validate(model: SmoothModel, dataset: Dataset, cfg: TrainConfig):
-    if dataset.input_dim != model.input_dim or dataset.input_dim != cfg.pset.dim:
-        raise DimensionError("model, dataset, and perturbation set disagree on the input dimension")
-    if cfg.batch_size > dataset.n:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {dataset.n}")
-
-
-def train_vanilla(model, dataset, cfg, snapshot_at=None):
-    if cfg.algorithm not in (VANILLA, TRADES_SEQ):
-        raise ConfigError("config algorithm must be 'vanilla' or 'trades_seq'")
-    _validate(model, dataset, cfg)
-    lam = cfg.trades_lambda if cfg.algorithm == TRADES_SEQ else None
-    w = model.init_params(stream(cfg.seed, STREAM_INIT))
-    tracker = _Tracker(cfg.algorithm, cfg.seed, w, snapshot_at)
-    for t in range(1, cfg.total_iterations + 1):
-        idx = batch_indices(cfg.seed, t, dataset.n, cfg.batch_size)
-        aw = step_size(cfg.schedule, t)
-        w, stats = vanilla_batch_step(
-            model,
-            dataset.X[idx],
-            dataset.y[idx],
-            w,
-            aw,
-            cfg.pset,
-            cfg.inner_attack,
-            stream(cfg.seed, STREAM_ATTACK, t),
-            lam=lam,
-        )
-        tracker.push(w, t, t, 1, aw, idx, stats)
-    return w, tracker.trace(w)
-
-
-def train_trades_seq(model, dataset, cfg, snapshot_at=None):
-    """Sequential TRADES: a full inner attack on the surrogate per step."""
-    if cfg.algorithm != TRADES_SEQ:
-        raise ConfigError("config algorithm must be 'trades_seq'")
-    return train_vanilla(model, dataset, cfg, snapshot_at)
-
-
-def train_fast(model, dataset, cfg, snapshot_at=None):
-    if cfg.algorithm != FAST:
-        raise ConfigError("config algorithm must be 'fast'")
-    _validate(model, dataset, cfg)
-    w = model.init_params(stream(cfg.seed, STREAM_INIT))
-    tracker = _Tracker(cfg.algorithm, cfg.seed, w, snapshot_at)
-    for t in range(1, cfg.total_iterations + 1):
-        idx = batch_indices(cfg.seed, t, dataset.n, cfg.batch_size)
-        aw = step_size(cfg.schedule, t)
-        delta0 = cfg.pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=cfg.batch_size)
-        w, stats = fast_batch_step(
-            model, dataset.X[idx], dataset.y[idx], w, aw, cfg.resolved_fast_step, cfg.pset, delta0
-        )
-        tracker.push(w, t, t, 1, aw, idx, stats)
-    return w, tracker.trace(w)
-
-
-def train_free(model, dataset, cfg, snapshot_at=None):
-    if cfg.algorithm not in (FREE, FREE_TRADES):
-        raise ConfigError("config algorithm must be 'free' or 'free_trades'")
-    _validate(model, dataset, cfg)
-    lam = cfg.trades_lambda if cfg.algorithm == FREE_TRADES else None
-    m = cfg.free_steps
-    w = model.init_params(stream(cfg.seed, STREAM_INIT))
-    tracker = _Tracker(cfg.algorithm, cfg.seed, w, snapshot_at)
-    update = 0
-    for t in range(1, cfg.total_iterations // m + 1):
-        idx = batch_indices(cfg.seed, t, dataset.n, cfg.batch_size)
-        X, yb = dataset.X[idx], dataset.y[idx]
-        aw = step_size(cfg.schedule, t)
-        deltas = cfg.pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=cfg.batch_size)
-        for i in range(1, m + 1):
-            w, deltas, stats = free_inner_iteration(
-                model, X, yb, w, deltas, aw, cfg.resolved_attack_lr, cfg.pset, lam=lam
-            )
-            update += 1
-            tracker.push(w, update, t, i, aw, idx, stats)
-    return w, tracker.trace(w)
-
-
-def train_free_trades(model, dataset, cfg, snapshot_at=None):
-    if cfg.algorithm != FREE_TRADES:
-        raise ConfigError("config algorithm must be 'free_trades'")
-    return train_free(model, dataset, cfg, snapshot_at)
-
-
-_DRIVERS = {
-    VANILLA: train_vanilla,
-    FREE: train_free,
-    FAST: train_fast,
-    FREE_TRADES: train_free_trades,
-    TRADES_SEQ: train_trades_seq,
-}
-
-
 def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=None):
-    """Dispatch on cfg.algorithm; returns (final weights, TrainTrace).
+    """Run ``cfg.algorithm`` on one dataset; returns (final weights, TrainTrace).
 
     ``snapshot_at`` collects weight copies at the given global update
     indices into ``trace.snapshots`` for checkpoint evaluation.
     """
-    return _DRIVERS[cfg.algorithm](model, dataset, cfg, snapshot_at)
+    updates = lockstep(model, [dataset], cfg)
+    (w,) = next(updates)[4]
+    tracker = _Tracker(cfg.algorithm, cfg.seed, w, snapshot_at)
+    for update, (t, i, aw, idx, (w,), _, (stats,)) in enumerate(updates, start=1):
+        tracker.push(w, update, t, i, aw, idx, stats)
+    return w, tracker.trace(w)

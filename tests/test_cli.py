@@ -84,6 +84,29 @@ def test_transfer_command(tmp_path):
     assert set(report["accuracy"]) == {"a->a", "a->b", "b->a", "b->b"}
 
 
+def test_transfer_flags_reach_both_configs(tmp_path, monkeypatch):
+    from advstab import cli
+    from advstab.experiments import TransferReport
+
+    seen = []
+
+    def capture(cfg_a, cfg_b):
+        seen.extend([cfg_a, cfg_b])
+        return TransferReport(accuracy={}, per_trial=[], clean_accuracy={})
+
+    monkeypatch.setattr(cli, "run_transfer_experiment", capture)
+    cfg = _write_cfg(tmp_path)
+    cfg_b = tmp_path / "b.json"
+    cfg_b.write_text(json.dumps({"train": {"algorithm": "fast", "seed": 8}}))
+    flags = ["--seed", "31", "--iterations", "12", "--trials", "3"]
+    code = main(["transfer", "--config", str(cfg), "--config-b", str(cfg_b), "--out", str(tmp_path / "out")] + flags)
+    assert code == 0
+    cfg_a, cfg_b = seen
+    assert cfg_b.train.algorithm == "fast"
+    for c in (cfg_a, cfg_b):
+        assert (c.train.seed, c.train.total_iterations, c.trials) == (31, 12, 3)
+
+
 def test_free_trades_command(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "out"

@@ -14,7 +14,7 @@ from advstab.experiments import (
 from advstab.reportio import emit_report, load_report, report_to_dict
 from advstab.synth import SyntheticSpec
 from advstab.threat import AttackConfig, PerturbationSet
-from advstab.trainers import StepSchedule, TrainConfig
+from advstab.trainers import StepSchedule, TrainConfig, train
 
 
 def _cfg(algorithm="vanilla", eps=0.3, T=30, trials=2, dim=4, n_train=40, **kw):
@@ -91,6 +91,40 @@ def test_bounds_attached_only_for_vanishing_schedules():
     assert len(rep_van.bounds) == 1
     b = rep_van.bounds[0]
     assert b.bound_value > 0 and b.measured_gap is not None and b.ratio is not None
+
+
+def test_bounds_reuse_first_trial_trace(monkeypatch):
+    from advstab import experiments
+
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(args[2].seed)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", counting_train)
+    rep = run_gap_experiment(_cfg(trials=2, schedule=StepSchedule("vanishing_c_over_t", c=0.5)))
+    assert len(rep.bounds) == 1
+    assert calls == [100, 101]  # one run per trial; the bounds reuse trial 0's envelope
+
+
+def test_bounds_estimation_errors_become_typed_notes(monkeypatch):
+    from advstab import experiments
+
+    def failing(*args, **kwargs):
+        raise ConfigError("probes must be positive")
+
+    monkeypatch.setattr(experiments, "estimate_constants", failing)
+    rep = run_gap_experiment(_cfg(trials=1, schedule=StepSchedule("vanishing_c_over_t", c=0.5)))
+    assert rep.bounds == []
+    assert "bounds_attachment_failed: ConfigError: probes must be positive" in rep.notes
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not an estimation failure")
+
+    monkeypatch.setattr(experiments, "estimate_constants", broken)
+    with pytest.raises(RuntimeError):
+        run_gap_experiment(_cfg(trials=1, schedule=StepSchedule("vanishing_c_over_t", c=0.5)))
 
 
 def test_budget_axis_oracle_calls_rescales_iterations():

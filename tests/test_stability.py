@@ -16,7 +16,7 @@ from advstab.stability import (
 )
 from advstab.synth import SyntheticSpec, make_synthetic
 from advstab.threat import AttackConfig, PerturbationSet
-from advstab.trainers import StepSchedule, TrainConfig
+from advstab.trainers import StepSchedule, TrainConfig, train
 
 
 def _setup(n=30, dim=5, seed=3):
@@ -395,3 +395,46 @@ def test_uniform_stability_respects_lipschitz_cap():
         w2 = w + delta_w
         est = estimate_uniform_stability(w, w2, model, pts, pset, atk, stream(97, trial))
         assert est <= Lw * np.linalg.norm(w - w2) + 1e-3
+
+
+# -- each half of a coupled run is a standalone train run ------------------------
+
+
+@pytest.mark.parametrize(
+    "algorithm,kw",
+    [
+        ("vanilla", {}),
+        ("trades_seq", dict(trades_lambda=0.5)),
+        ("fast", {}),
+        ("free", dict(free_steps=4, schedule=StepSchedule("vanishing_c_over_mt", c=0.5, m=4))),
+        ("free_trades", dict(free_steps=4, trades_lambda=0.5, schedule=StepSchedule("vanishing_c_over_mt", c=0.5, m=4))),
+    ],
+)
+def test_coupled_halves_equal_standalone_train(algorithm, kw):
+    data, model = _setup(n=40)
+    T = 60
+    base = TrainConfig(
+        algorithm,
+        PerturbationSet("l2", 0.3, 5),
+        kw.pop("schedule", StepSchedule("vanishing_c_over_t", c=0.5)),
+        8,
+        T,
+        0,
+        inner_attack=AttackConfig(steps=3, step_size=1.0),
+        **kw,
+    )
+    for k in range(5):
+        cfg = base.with_seed(60 + k)
+        pair = make_neighbor(data, (7 * k + 2) % data.n, _replacement(value=1.5 - k, y=k % 2))
+        trace = coupled_run(model, pair, cfg)
+        wa, tr_a = train(model, pair.data_a, cfg, snapshot_at=range(1, T + 1))
+        wb, tr_b = train(model, pair.data_b, cfg, snapshot_at=range(1, T + 1))
+        assert np.array_equal(trace.w_final_a, wa)
+        assert np.array_equal(trace.w_final_b, wb)
+        m = trace.m
+        assert trace.d_w[0] == 0.0
+        for t in range(1, trace.n_steps + 1):
+            assert trace.d_w[t] == np.linalg.norm(tr_a.snapshots[t * m] - tr_b.snapshots[t * m]), t
+        per_update = np.minimum(tr_a.min_grad_delta_series(), tr_b.min_grad_delta_series())
+        assert np.array_equal(trace.min_grad_delta, per_update.reshape(trace.n_steps, m).min(axis=1))
+        assert trace.first_divergence_step() is not None

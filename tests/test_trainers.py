@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,6 @@ from advstab.trainers import (
     trades_batch_loss_and_grads,
     trades_surrogate_loss,
     train,
-    train_free,
-    train_vanilla,
     vanilla_batch_step,
 )
 
@@ -81,11 +81,35 @@ def test_trades_requires_lambda():
         _cfg("free_trades", T=8, free_steps=4)
 
 
+def test_free_rejects_schedule_m_other_than_free_steps():
+    for algorithm, kw in (("free", {}), ("free_trades", dict(trades_lambda=0.5))):
+        with pytest.raises(ConfigError):
+            _cfg(algorithm, T=8, free_steps=4, schedule=StepSchedule("vanishing_c_over_mt", c=0.5, m=2), **kw)
+        _cfg(algorithm, T=8, free_steps=4, schedule=StepSchedule("vanishing_c_over_mt", c=0.5, m=4), **kw)
+    # the c/(m t) schedule's m binds only the free rule
+    _cfg("vanilla", schedule=StepSchedule("vanishing_c_over_mt", c=0.5, m=2))
+
+
+def test_rule_properties_derive_from_algorithm():
+    expected = {
+        "vanilla": ("vanilla", None, 1, 4),
+        "trades_seq": ("vanilla", 0.5, 1, 4),
+        "fast": ("fast", None, 1, 2),
+        "free": ("free", None, 4, 1),
+        "free_trades": ("free", 0.5, 4, 1),
+    }
+    for algorithm, facts in expected.items():
+        cfg = _cfg(algorithm, T=8, free_steps=4, trades_lambda=0.5)
+        assert (cfg.rule, cfg.lam, cfg.inner_steps, cfg.oracle_per_update) == facts, algorithm
+        with pytest.raises(TypeError):
+            replace(cfg, rule="free")
+
+
 def test_batch_larger_than_dataset_rejected():
     data = _data(n=5)
     cfg = _cfg("vanilla", T=2, batch_size=8)
     with pytest.raises(ConfigError):
-        train_vanilla(_mlp(), data, cfg)
+        train(_mlp(), data, cfg)
 
 
 # -- determinism and accounting ----------------------------------------------
@@ -138,7 +162,7 @@ def test_t_zero_returns_initialization():
     data = _data()
     model = _mlp()
     cfg = _cfg("vanilla", T=0)
-    w, trace = train_vanilla(model, data, cfg)
+    w, trace = train(model, data, cfg)
     assert np.array_equal(w, model.init_params(stream(cfg.seed, STREAM_INIT)))
     assert len(trace.records) == 0
 
@@ -182,7 +206,7 @@ def test_free_m1_is_one_simultaneous_update_per_step():
     data = _data()
     model = _mlp()
     cfg = _cfg("free", T=6, free_steps=1, schedule=StepSchedule("constant", c=0.3))
-    w, trace = train_free(model, data, cfg)
+    w, trace = train(model, data, cfg)
     # replay by hand with the shared building block
     w_ref = model.init_params(stream(cfg.seed, STREAM_INIT))
     for t in range(1, 7):
@@ -213,8 +237,8 @@ def test_free_m4_vs_m2_both_reach_T_updates():
     data = _data()
     a = _cfg("free", T=8, free_steps=4)
     b = _cfg("free", T=8, free_steps=2)
-    _, tr_a = train_free(_mlp(), data, a)
-    _, tr_b = train_free(_mlp(), data, b)
+    _, tr_a = train(_mlp(), data, a)
+    _, tr_b = train(_mlp(), data, b)
     assert len(tr_a.records) == len(tr_b.records) == 8
     assert [r.loss for r in tr_a.records] != [r.loss for r in tr_b.records]
 
@@ -383,7 +407,7 @@ def test_free_uses_one_evaluation_per_inner_iteration():
     data = _data()
     probe = CountingModel(_mlp())
     cfg = _cfg("free", T=8, free_steps=4)
-    train_free(probe, data, cfg)
+    train(probe, data, cfg)
     assert len(probe.calls) == 8
 
 
@@ -408,7 +432,7 @@ def test_vanilla_oracle_calls_per_step_is_K_plus_1():
     probe = CountingModel(_mlp())
     K = 4
     cfg = _cfg("vanilla", T=5, inner_attack=AttackConfig(steps=K, step_size=1.0))
-    train_vanilla(probe, data, cfg)
+    train(probe, data, cfg)
     assert len(probe.calls) == 5 * (K + 1)
 
 
@@ -427,7 +451,7 @@ def test_stored_deltas_stay_feasible_along_free_runs():
 def test_trace_serialization_fields():
     data = _data()
     cfg = _cfg("free", T=8, free_steps=4)
-    _, trace = train_free(_mlp(), data, cfg)
+    _, trace = train(_mlp(), data, cfg)
     rows = list(trace.to_records())
     assert len(rows) == 8
     assert set(rows[0]) == {"t", "step", "iteration", "alpha_w", "batch", "grad_w_norm", "min_grad_delta_norm", "loss"}
@@ -464,5 +488,5 @@ def test_descent_on_smooth_objective():
     model = _mlp()
     for seed in range(20):
         cfg = _cfg("vanilla", eps=0.05, T=40, seed=seed, schedule=StepSchedule("constant", c=0.3))
-        _, trace = train_vanilla(model, data, cfg)
+        _, trace = train(model, data, cfg)
         assert trace.records[-1].loss < trace.records[0].loss
