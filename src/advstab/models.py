@@ -12,7 +12,9 @@ the logits plus a closure that pulls an upstream logits gradient back to
 (total weight gradient, per-row input gradient). All loss variants (plain
 adversarial loss, bounded squashed loss, the consistency surrogate in
 ``trainers``) are built on it, which is what lets simultaneous-update
-algorithms obtain both gradients from one evaluation point.
+algorithms obtain both gradients from one evaluation point. An attack needs
+only the input gradient, so the closure can skip the weight gradient, and
+``attack_loss_and_grad`` is the unchecked oracle built on that.
 
 An optional bounded-loss mode squashes the cross-entropy through
 ``u -> u / (1 + u)`` so loss values lie in [0, 1]; the squashing is smooth
@@ -98,13 +100,27 @@ class Dataset:
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
-    m = Z.max(axis=1, keepdims=True)
-    s = Z - m
-    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+    # the ufunc reductions are what Z.max and .sum call, minus their dispatch
+    s = Z - np.maximum.reduce(Z, axis=1, keepdims=True)
+    return s - np.log(np.add.reduce(np.exp(s), axis=1, keepdims=True))
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(Z))
+
+
+def _softmax_head(Z: np.ndarray, y: np.ndarray, bounded: bool):
+    """Per-row cross-entropy of logits ``Z`` (squashed when ``bounded``) and
+    its gradient with respect to ``Z``. Returns ``(losses (B,), G (B, C))``."""
+    rows = np.arange(Z.shape[0])
+    LS = _log_softmax(Z)
+    raw = -LS[rows, y]
+    G = np.exp(LS)
+    G[rows, y] -= 1.0
+    if bounded:
+        G *= (1.0 / (1.0 + raw) ** 2)[:, None]
+        return raw / (1.0 + raw), G
+    return raw, G
 
 
 class SmoothModel:
@@ -130,6 +146,8 @@ class SmoothModel:
         upstream (B, C) logits gradient to ``(grad_w_total, grad_U)`` with
         shapes (param_dim,) and (B, d). ``grad_w_total`` sums over rows;
         rows of ``grad_U`` are independent per-sample input gradients.
+        ``vjp(G, weights=False)`` skips the weight gradient and returns
+        ``(None, grad_U)`` with the same ``grad_U``.
         """
         raise NotImplementedError
 
@@ -144,6 +162,14 @@ class SmoothModel:
         if w.shape != (self.param_dim,):
             raise DimensionError(f"weight vector must have shape ({self.param_dim},), got {w.shape}")
         return w
+
+    def _check_labels(self, y, rows: int) -> np.ndarray:
+        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+        if y.shape != (rows,):
+            raise DimensionError("labels and inputs disagree on batch size")
+        if np.any(y < 0) or np.any(y >= self.class_count):
+            raise ValueError("label out of range")
+        return y
 
     def _perturbed(self, X: np.ndarray, deltas) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -192,24 +218,25 @@ class SmoothModel:
         """
         w = self._check_w(w)
         U = self._perturbed(X, deltas)
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        if y.shape[0] != U.shape[0]:
-            raise DimensionError("labels and inputs disagree on batch size")
-        if np.any(y < 0) or np.any(y >= self.class_count):
-            raise ValueError("label out of range")
+        y = self._check_labels(y, U.shape[0])
         Z, vjp = self.logits_and_vjp(w, U)
-        B = Z.shape[0]
-        LS = _log_softmax(Z)
-        raw = -LS[np.arange(B), y]
-        G = np.exp(LS)
-        G[np.arange(B), y] -= 1.0
-        if self.bounded:
-            losses = raw / (1.0 + raw)
-            G *= (1.0 / (1.0 + raw) ** 2)[:, None]
-        else:
-            losses = raw
+        losses, G = _softmax_head(Z, y, self.bounded)
         gw_total, gU = vjp(G)
-        return losses, gw_total / B, gU
+        return losses, gw_total / Z.shape[0], gU
+
+    def attack_loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas: np.ndarray):
+        """The attack-only oracle: per-sample losses and perturbation
+        gradients at ``X + deltas``, equal bit for bit to the first and last
+        outputs of ``batch_loss_and_grads``, without the weight gradient.
+
+        Nothing is checked: ``w`` must be a float64 (param_dim,) vector,
+        ``X`` and ``deltas`` float64 (B, input_dim) matrices and ``y`` B
+        in-range labels. ``pgd_attack_batch`` validates them once on entry.
+        Returns ``(losses (B,), grad_delta (B, d))``.
+        """
+        Z, vjp = self.logits_and_vjp(w, X + deltas)
+        losses, G = _softmax_head(Z, y, self.bounded)
+        return losses, vjp(G, weights=False)[1]
 
     # -- single-sample operations --------------------------------------------
 
@@ -249,11 +276,11 @@ class SoftmaxLinear(SmoothModel):
         W, b = self.unpack(w)
         Z = U @ W.T + b
 
-        def vjp(G):
-            gW = G.T @ U
-            gb = G.sum(axis=0)
+        def vjp(G, weights=True):
             gU = G @ W
-            return np.concatenate([gW.ravel(), gb]), gU
+            if not weights:
+                return None, gU
+            return np.concatenate([(G.T @ U).ravel(), G.sum(axis=0)]), gU
 
         return Z, vjp
 
@@ -302,15 +329,13 @@ class TwoLayerTanhMLP(SmoothModel):
         H = np.tanh(U @ W1.T + b1)
         Z = H @ W2.T + b2
 
-        def vjp(G):
-            gW2 = G.T @ H
-            gb2 = G.sum(axis=0)
-            gH = G @ W2
-            gA = gH * (1.0 - H * H)  # tanh'
-            gW1 = gA.T @ U
-            gb1 = gA.sum(axis=0)
+        def vjp(G, weights=True):
+            gA = (G @ W2) * (1.0 - H * H)  # tanh'
             gU = gA @ W1
-            return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2]), gU
+            if not weights:
+                return None, gU
+            gw = [(gA.T @ U).ravel(), gA.sum(axis=0), (G.T @ H).ravel(), G.sum(axis=0)]
+            return np.concatenate(gw), gU
 
         return Z, vjp
 
@@ -346,9 +371,9 @@ class ScalarLogistic(SmoothModel):
         z = U @ w
         Z = np.stack([np.zeros_like(z), z], axis=1)
 
-        def vjp(G):
+        def vjp(G, weights=True):
             g1 = G[:, 1]
-            return g1 @ U, np.outer(g1, w)
+            return (g1 @ U if weights else None), np.outer(g1, w)
 
         return Z, vjp
 

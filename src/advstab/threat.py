@@ -8,10 +8,10 @@ sign(0) := +1 as a deterministic tie-break). The attack update is
 
     delta <- project_onto_set(delta + step * project_extreme(grad))
 
-applied for K iterations from a zero or uniform start, best-of-restarts by
-final loss. A gradient that is exactly zero at some iterate leaves that
-iterate unchanged for the step; the standalone L2 extreme projection still
-raises on a zero vector to surface misuse.
+(``ascend_rows``) applied for K iterations from a zero or uniform start,
+best-of-restarts by final loss. A gradient that is exactly zero at some
+iterate leaves that iterate unchanged for the step; the standalone L2
+extreme projection still raises on a zero vector to surface misuse.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "AttackConfig",
     "project_onto_set",
     "project_extreme",
+    "ascend_rows",
     "projgrad_identity_check",
     "pgd_attack",
     "pgd_attack_batch",
@@ -102,23 +103,44 @@ def _check_vec(g: np.ndarray, pset: PerturbationSet) -> np.ndarray:
     return g
 
 
+def _row_norms(G: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, shape (B, 1): the arithmetic of
+    ``np.linalg.norm(G, axis=1, keepdims=True)`` without its dispatch."""
+    return np.sqrt(np.add.reduce(G * G, axis=1, keepdims=True))
+
+
 def project_rows(G: np.ndarray, pset: PerturbationSet) -> np.ndarray:
     """Euclidean projection of each row onto the ball."""
     if pset.norm == L2:
-        norms = np.linalg.norm(G, axis=1, keepdims=True)
-        scale = np.ones_like(norms)
-        over = norms[:, 0] > pset.radius
-        scale[over] = pset.radius / norms[over]
-        return G * scale
+        norms = _row_norms(G)
+        return G * np.divide(pset.radius, norms, out=np.ones_like(norms), where=norms > pset.radius)
     return np.clip(G, -pset.radius, pset.radius)
 
 
-def extreme_rows(G: np.ndarray, pset: PerturbationSet) -> np.ndarray:
-    """Nearest extreme point of the ball per row; rows must be nonzero for L2."""
+def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None = None) -> np.ndarray:
+    """Nearest extreme point of the ball per row; rows must be nonzero for L2.
+    ``norms`` (B, 1) passes the row norms of ``G`` when the caller has them."""
     if pset.norm == L2:
-        norms = np.linalg.norm(G, axis=1, keepdims=True)
+        if norms is None:
+            norms = _row_norms(G)
         return pset.radius * G / norms
     return np.where(G >= 0.0, pset.radius, -pset.radius)
+
+
+def ascend_rows(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet) -> np.ndarray:
+    """One projected ascent step per row, as a new array:
+    ``project_rows(D + rate * extreme_rows(G))``. A row whose gradient is
+    exactly zero stays where it is, and a zero rate returns an unchanged
+    copy of ``D``."""
+    norms = _row_norms(G)
+    live = norms[:, 0] > 0.0
+    if rate == 0.0 or not live.any():
+        return D.copy()
+    if live.all():
+        return project_rows(D + rate * extreme_rows(G, pset, norms), pset)
+    out = D.copy()
+    out[live] = project_rows(D[live] + rate * extreme_rows(G[live], pset, norms[live]), pset)
+    return out
 
 
 def project_onto_set(g: np.ndarray, pset: PerturbationSet) -> np.ndarray:
@@ -172,17 +194,21 @@ def pgd_attack_batch(
     """Vectorized projected-gradient ascent over a batch of samples.
 
     ``loss_grad_fn(deltas) -> (losses, grad_deltas)`` defaults to the plain
-    adversarial loss; pass a surrogate to attack a different objective.
+    adversarial loss through the model's attack-only oracle; pass a
+    surrogate to attack a different objective. ``w``, ``X`` and ``y`` are
+    checked once here, since they stay fixed for the whole attack.
     Returns ``(deltas, n_grad_calls, n_loss_calls)``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    w = model._check_w(w)
+    X = model._perturbed(X, None)
+    y = model._check_labels(y, X.shape[0])
+    if pset.dim != model.input_dim:
+        raise DimensionError(f"perturbation set dimension {pset.dim} does not match inputs {model.input_dim}")
     B = X.shape[0]
     if loss_grad_fn is None:
 
         def loss_grad_fn(D):
-            losses, _, Gd = model.batch_loss_and_grads(w, X, y, D)
-            return losses, Gd
+            return model.attack_loss_and_grad(w, X, y, D)
 
     step = cfg.resolved_step(pset)
     grad_calls = 0
@@ -195,14 +221,8 @@ def pgd_attack_batch(
         else:
             D = pset.sample_uniform(rng, size=B)
         for _ in range(cfg.steps):
-            _, Gd = loss_grad_fn(D)
-            grad_calls += 1
-            norms = np.linalg.norm(Gd, axis=1)
-            live = norms > 0.0  # zero gradient: leave the iterate unchanged
-            if live.any():
-                stepped = D[live] + step * extreme_rows(Gd[live], pset)
-                D = D.copy()
-                D[live] = project_rows(stepped, pset)
+            D = ascend_rows(D, loss_grad_fn(D)[1], step, pset)
+        grad_calls += cfg.steps
         if cfg.restarts == 1:
             return D, grad_calls, loss_calls
         losses, _ = loss_grad_fn(D)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .models import Dataset, LabeledSample, SmoothModel, _log_softmax
 from .rng import stream
-from .threat import AttackConfig, PerturbationSet, extreme_rows, pgd_attack_batch, project_rows
+from .threat import AttackConfig, PerturbationSet, ascend_rows, pgd_attack_batch
 
 __all__ = [
     "StepSchedule",
@@ -229,6 +229,25 @@ def batch_indices(seed: int, t: int, n: int, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _trades_clean_head(Zc, y):
+    """Clean log-probabilities, probabilities and cross-entropy."""
+    lp = _log_softmax(Zc)
+    return lp, np.exp(lp), -lp[np.arange(Zc.shape[0]), y]
+
+
+def _trades_perturbed_head(Za, lp, p, ce, lam, bounded):
+    """Surrogate losses and their gradient on the perturbed logits ``Za``,
+    plus what the clean-side gradient needs: the perturbed
+    log-probabilities and the bounded rescale (None when unbounded)."""
+    lq = _log_softmax(Za)
+    raw = ce + (p * (lp - lq)).sum(axis=1) / lam
+    Ga = (np.exp(lq) - p) / lam
+    if not bounded:
+        return raw, Ga, lq, None
+    scale = (1.0 / (1.0 + raw) ** 2)[:, None]
+    return raw / (1.0 + raw), Ga * scale, lq, scale
+
+
 def trades_batch_loss_and_grads(
     model: SmoothModel,
     w: np.ndarray,
@@ -254,32 +273,35 @@ def trades_batch_loss_and_grads(
     w = model._check_w(w)
     Zc, vjp_c = model.logits_and_vjp(w, X)
     Za, vjp_a = model.logits_and_vjp(w, X + D)
-    lp = _log_softmax(Zc)
-    lq = _log_softmax(Za)
-    p = np.exp(lp)
-    q = np.exp(lq)
-    ce = -lp[np.arange(B), y]
-    kl = (p * (lp - lq)).sum(axis=1)
-    raw = ce + kl / lam
+    lp, p, ce = _trades_clean_head(Zc, y)
+    losses, Ga, lq, scale = _trades_perturbed_head(Za, lp, p, ce, lam, model.bounded)
 
-    # upstream gradients on the two logit blocks
+    # upstream gradient on the clean logits
     Gc = p.copy()
     Gc[np.arange(B), y] -= 1.0
     diff = lp - lq
     jac = p * (diff - (p * diff).sum(axis=1, keepdims=True))  # softmax Jacobian applied to diff
     Gc += jac / lam
-    Ga = (q - p) / lam
-
-    if model.bounded:
-        losses = raw / (1.0 + raw)
-        scale = (1.0 / (1.0 + raw) ** 2)[:, None]
+    if scale is not None:
         Gc = Gc * scale
-        Ga = Ga * scale
-    else:
-        losses = raw
     gw_c, _ = vjp_c(Gc)
     gw_a, gU_a = vjp_a(Ga)
     return losses, (gw_c + gw_a) / B, gU_a
+
+
+def _trades_attack_objective(model, w, X, y, lam):
+    """``D -> (surrogate losses, grad_deltas)`` for the inner attack, equal bit
+    for bit to ``trades_batch_loss_and_grads``. The clean pass does not depend
+    on ``D``, so it runs once; the perturbation gradient flows through the
+    perturbed pass only, so no weight gradient is computed."""
+    lp, p, ce = _trades_clean_head(model.logits_and_vjp(w, X)[0], y)
+
+    def objective(D):
+        Za, vjp_a = model.logits_and_vjp(w, X + D)
+        losses, Ga, _, _ = _trades_perturbed_head(Za, lp, p, ce, lam, model.bounded)
+        return losses, vjp_a(Ga, weights=False)[1]
+
+    return objective
 
 
 def trades_surrogate_loss(
@@ -303,30 +325,13 @@ def _loss_grads(model, w, X, y, D, lam):
     return trades_batch_loss_and_grads(model, w, X, y, D, lam)
 
 
-def _ascend_rows(deltas: np.ndarray, Gd: np.ndarray, rate: float, pset: PerturbationSet) -> np.ndarray:
-    """One projected ascent update per row; zero-gradient rows stay put."""
-    norms = np.linalg.norm(Gd, axis=1)
-    live = norms > 0.0
-    out = deltas.copy()
-    if rate != 0.0 and live.any():
-        out[live] = project_rows(deltas[live] + rate * extreme_rows(Gd[live], pset), pset)
-    return out
-
-
 def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, lam=None):
     """Attack every sample in the batch, then one weight step at the
     attacked points. Returns (new_w, stats)."""
-    if lam is None:
-        deltas, grad_calls, loss_calls = pgd_attack_batch(model, w, X, y, pset, attack_cfg, attack_rng)
-    else:
-
-        def surrogate(D):
-            losses, _, Gd = trades_batch_loss_and_grads(model, w, X, y, D, lam)
-            return losses, Gd
-
-        deltas, grad_calls, loss_calls = pgd_attack_batch(
-            model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=surrogate
-        )
+    objective = None if lam is None else _trades_attack_objective(model, w, X, y, lam)
+    deltas, grad_calls, loss_calls = pgd_attack_batch(
+        model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=objective
+    )
     losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
     new_w = w - alpha_w * mean_gw
     stats = {
@@ -341,8 +346,8 @@ def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, la
 
 def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start):
     """One projected attack step from a random start, then one weight step."""
-    _, _, Gd0 = model.batch_loss_and_grads(w, X, y, delta_start)
-    deltas = _ascend_rows(delta_start, Gd0, fast_step_size, pset)
+    _, Gd0 = model.attack_loss_and_grad(w, X, y, delta_start)
+    deltas = ascend_rows(delta_start, Gd0, fast_step_size, pset)
     losses, mean_gw, _ = model.batch_loss_and_grads(w, X, y, deltas)
     new_w = w - alpha_w * mean_gw
     stats = {
@@ -363,7 +368,7 @@ def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam
     Returns (new_w, new_deltas, stats)."""
     losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
     new_w = w - alpha_w * mean_gw
-    new_deltas = _ascend_rows(deltas, Gd, alpha_delta, pset)
+    new_deltas = ascend_rows(deltas, Gd, alpha_delta, pset)
     stats = {
         "loss": float(losses.mean()),
         "grad_w_norm": float(np.linalg.norm(mean_gw)),
@@ -384,6 +389,13 @@ def _validate(model: SmoothModel, dataset: Dataset, cfg: TrainConfig):
         raise DimensionError("model, dataset, and perturbation set disagree on the input dimension")
     if cfg.batch_size > dataset.n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {dataset.n}")
+    model._check_labels(dataset.y, dataset.n)  # the gradient oracles trust labels from here on
+
+
+def _require_finite(w: np.ndarray, update: int, trajectory: int) -> np.ndarray:
+    if not np.isfinite(w).all():
+        raise FloatingPointError(f"update {update} made the weights of trajectory {trajectory} non-finite")
+    return w
 
 
 def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndarray | None = None):
@@ -401,6 +413,9 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     ``weights`` and ``stats`` hold one entry per trajectory and ``deltas``
     holds the free rule's carried perturbations (None under the other
     rules). The initialization item has step 0 and no batch or stats.
+
+    Raises ``FloatingPointError`` at the first update that makes a
+    trajectory's weights non-finite, naming the update and the trajectory.
     """
     datasets = list(datasets)
     for dataset in datasets:
@@ -425,20 +440,22 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
             deltas = [pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b)] * len(datasets)
             for i in range(1, m + 1):
                 for j, (X, y) in enumerate(batches):
-                    ws[j], deltas[j], stats[j] = free_inner_iteration(
+                    w, deltas[j], stats[j] = free_inner_iteration(
                         model, X, y, ws[j], deltas[j], aw, cfg.resolved_attack_lr, pset, lam=lam
                     )
+                    ws[j] = _require_finite(w, (t - 1) * m + i, j)
                 yield t, i, aw, idx, tuple(ws), tuple(deltas), tuple(stats)
             continue
         if rule == FAST:
             delta0 = pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b)
         for j, (X, y) in enumerate(batches):
             if rule == VANILLA:
-                ws[j], stats[j] = vanilla_batch_step(
+                w, stats[j] = vanilla_batch_step(
                     model, X, y, ws[j], aw, pset, cfg.inner_attack, stream(cfg.seed, STREAM_ATTACK, t), lam=lam
                 )
             else:
-                ws[j], stats[j] = fast_batch_step(model, X, y, ws[j], aw, cfg.resolved_fast_step, pset, delta0)
+                w, stats[j] = fast_batch_step(model, X, y, ws[j], aw, cfg.resolved_fast_step, pset, delta0)
+            ws[j] = _require_finite(w, t, j)
         yield t, 1, aw, idx, tuple(ws), None, tuple(stats)
 
 
@@ -475,8 +492,6 @@ class _Tracker:
         )
 
     def trace(self, w):
-        if not np.isfinite(w).all():
-            raise FloatingPointError("training produced non-finite weights")
         return TrainTrace(
             algorithm=self.algorithm,
             seed=self.seed,

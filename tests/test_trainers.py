@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from advstab.errors import ConfigError
-from advstab.models import LabeledSample, SoftmaxLinear, TwoLayerTanhMLP
+from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhMLP
 from advstab.rng import stream
+from advstab.stability import coupled_run, make_neighbor
 from advstab.synth import SyntheticSpec, make_synthetic
 from advstab.threat import AttackConfig, PerturbationSet
 from advstab.trainers import (
@@ -389,18 +390,28 @@ def test_free_trades_lambda_limit_tracks_clean_sgd():
 
 
 class CountingModel:
-    """Wrapper counting gradient evaluations and their evaluation points."""
+    """Wrapper counting gradient evaluations and their evaluation points:
+    full-oracle calls in ``calls``, attack-only calls in ``attack_calls``,
+    and the order of both kinds in ``kinds``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
+        self.attack_calls = []
+        self.kinds = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def batch_loss_and_grads(self, w, X, y, deltas=None):
         self.calls.append((w.copy(), None if deltas is None else np.asarray(deltas).copy()))
+        self.kinds.append("full")
         return self.inner.batch_loss_and_grads(w, X, y, deltas)
+
+    def attack_loss_and_grad(self, w, X, y, deltas):
+        self.attack_calls.append((w.copy(), np.asarray(deltas).copy()))
+        self.kinds.append("attack")
+        return self.inner.attack_loss_and_grad(w, X, y, deltas)
 
 
 def test_free_uses_one_evaluation_per_inner_iteration():
@@ -409,6 +420,7 @@ def test_free_uses_one_evaluation_per_inner_iteration():
     cfg = _cfg("free", T=8, free_steps=4)
     train(probe, data, cfg)
     assert len(probe.calls) == 8
+    assert probe.attack_calls == []
 
 
 def test_simultaneity_gradients_share_evaluation_point():
@@ -433,7 +445,15 @@ def test_vanilla_oracle_calls_per_step_is_K_plus_1():
     K = 4
     cfg = _cfg("vanilla", T=5, inner_attack=AttackConfig(steps=K, step_size=1.0))
     train(probe, data, cfg)
-    assert len(probe.calls) == 5 * (K + 1)
+    # per step: K attack-only calls, then the one full call for the weight step
+    assert probe.kinds == (["attack"] * K + ["full"]) * 5
+
+
+def test_fast_oracle_calls_per_step_are_one_attack_only_and_one_full():
+    data = _data()
+    probe = CountingModel(_mlp())
+    train(probe, data, _cfg("fast", T=5))
+    assert probe.kinds == ["attack", "full"] * 5
 
 
 def test_stored_deltas_stay_feasible_along_free_runs():
@@ -490,3 +510,35 @@ def test_descent_on_smooth_objective():
         cfg = _cfg("vanilla", eps=0.05, T=40, seed=seed, schedule=StepSchedule("constant", c=0.3))
         _, trace = train(model, data, cfg)
         assert trace.records[-1].loss < trace.records[0].loss
+
+
+# -- validation at the training boundary --------------------------------------
+
+
+@pytest.mark.parametrize("bad_label", [-1, 2])
+@pytest.mark.parametrize("algorithm", ["vanilla", "fast", "free"])
+def test_out_of_range_labels_rejected_before_any_oracle_call(bad_label, algorithm):
+    data = _data()
+    y = data.y.copy()
+    y[3] = bad_label
+    bad = Dataset(data.X, y)
+    cfg = _cfg(algorithm, T=8, free_steps=4)
+    probe = CountingModel(_mlp())
+    with pytest.raises(ValueError, match="label"):
+        train(probe, bad, cfg)
+    # the good half of a pair does not hide a bad label in the other half
+    with pytest.raises(ValueError, match="label"):
+        coupled_run(probe, make_neighbor(data, 3, LabeledSample(x=data.X[3], y=bad_label)), cfg)
+    assert probe.kinds == []
+
+
+@pytest.mark.parametrize("algorithm", ["vanilla", "trades_seq", "fast", "free", "free_trades"])
+def test_non_finite_weights_fail_fast_naming_update_and_trajectory(algorithm):
+    data = _data()
+    model = SoftmaxLinear(input_dim=5, class_count=2)
+    cfg = _cfg(algorithm, T=40, free_steps=4, trades_lambda=1.0, schedule=StepSchedule("constant", c=1e308))
+    pair = make_neighbor(data, 3, data.sample(4))
+    with np.errstate(all="ignore"):
+        for run in (lambda: train(model, data, cfg), lambda: coupled_run(model, pair, cfg)):
+            with pytest.raises(FloatingPointError, match=r"update [1-3] made the weights of trajectory 0 non-finite"):
+                run()
