@@ -4,7 +4,8 @@ Subcommands: gap, vs-n, transfer, free-trades, stability, bounds, check.
 A JSON config file supplies the experiment fields; flags override the
 common ones. Outputs land in --out as report.json / trace.csv /
 plotdata_*.csv. Exit code 0 on success; failures print a machine-readable
-error object to stderr and exit nonzero.
+error object to stderr and exit nonzero. ``advstab --debug <command>``
+prints the full traceback of a failure before that error object.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -259,6 +261,7 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="advstab", description=__doc__)
+    parser.add_argument("--debug", action="store_true", help="print the full traceback of a failure")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -308,6 +311,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # machine-readable failure
+        if args.debug:
+            traceback.print_exc()
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
 

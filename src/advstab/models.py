@@ -16,6 +16,14 @@ algorithms obtain both gradients from one evaluation point. An attack needs
 only the input gradient, so the closure can skip the weight gradient, and
 ``attack_loss_and_grad`` is the unchecked oracle built on that.
 
+Run axis. Every batched operation also accepts a leading run axis: weights
+of shape (..., param_dim) and inputs of shape (..., B, d) with the same
+leading shape, and labels of shape (..., B). One NumPy call then advances
+R same-shape runs, and run r of the stack equals that run alone bit for
+bit: the matrix products are taken per run, and every reduction runs along
+the same axis as in the unstacked case. Without a run axis the operations
+are exactly the single-run ones.
+
 An optional bounded-loss mode squashes the cross-entropy through
 ``u -> u / (1 + u)`` so loss values lie in [0, 1]; the squashing is smooth
 and its chain rule is applied analytically. Off by default; turn it on for
@@ -101,25 +109,45 @@ class Dataset:
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
     # the ufunc reductions are what Z.max and .sum call, minus their dispatch
-    s = Z - np.maximum.reduce(Z, axis=1, keepdims=True)
-    return s - np.log(np.add.reduce(np.exp(s), axis=1, keepdims=True))
+    s = Z - np.maximum.reduce(Z, axis=-1, keepdims=True)
+    return s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(Z))
 
 
+def _label_rows(A: np.ndarray, y: np.ndarray):
+    """``A`` as rows (N, C) and the index of each row's label entry. A stack
+    (..., B, C) is flattened, to a view of ``A`` when it is contiguous."""
+    if A.ndim > 2:
+        A, y = A.reshape(-1, A.shape[-1]), y.reshape(-1)
+    return A, (np.arange(A.shape[0]), y)
+
+
+def _logit_losses(Z: np.ndarray, y: np.ndarray, bounded: bool) -> np.ndarray:
+    """Per-row cross-entropy of logits ``Z`` (..., B, C) at labels ``y``
+    (..., B), squashed when ``bounded``."""
+    LS, at = _label_rows(_log_softmax(Z), y)
+    raw = -LS[at]
+    if Z.ndim > 2:
+        raw = raw.reshape(y.shape)
+    return raw / (1.0 + raw) if bounded else raw
+
+
 def _softmax_head(Z: np.ndarray, y: np.ndarray, bounded: bool):
     """Per-row cross-entropy of logits ``Z`` (squashed when ``bounded``) and
-    its gradient with respect to ``Z``. Returns ``(losses (B,), G (B, C))``."""
-    rows = np.arange(Z.shape[0])
-    LS = _log_softmax(Z)
-    raw = -LS[rows, y]
+    its gradient with respect to ``Z``, computed on the flattened rows.
+    Returns ``(losses (..., B), G (..., B, C))``."""
+    LS, at = _label_rows(_log_softmax(Z), y)
+    raw = -LS[at]
     G = np.exp(LS)
-    G[rows, y] -= 1.0
+    G[at] -= 1.0
     if bounded:
         G *= (1.0 / (1.0 + raw) ** 2)[:, None]
-        return raw / (1.0 + raw), G
+        raw = raw / (1.0 + raw)
+    if Z.ndim > 2:
+        return raw.reshape(y.shape), G.reshape(Z.shape)
     return raw, G
 
 
@@ -140,14 +168,17 @@ class SmoothModel:
     # -- architecture-specific ------------------------------------------------
 
     def logits_and_vjp(self, w: np.ndarray, U: np.ndarray):
-        """Forward pass on perturbed inputs ``U`` of shape (B, d).
+        """Forward pass on perturbed inputs ``U`` of shape (..., B, d) with
+        weights ``w`` of shape (..., param_dim), the same leading run shape.
 
-        Returns ``(Z, vjp)`` where ``Z`` is (B, C) and ``vjp(G)`` maps an
-        upstream (B, C) logits gradient to ``(grad_w_total, grad_U)`` with
-        shapes (param_dim,) and (B, d). ``grad_w_total`` sums over rows;
-        rows of ``grad_U`` are independent per-sample input gradients.
-        ``vjp(G, weights=False)`` skips the weight gradient and returns
-        ``(None, grad_U)`` with the same ``grad_U``.
+        Returns ``(Z, vjp)`` where ``Z`` is (..., B, C) and ``vjp(G)`` maps an
+        upstream (..., B, C) logits gradient to ``(grad_w_total, grad_U)``
+        with shapes (..., param_dim) and (..., B, d). ``grad_w_total`` sums
+        over the rows of each run; rows of ``grad_U`` are independent
+        per-sample input gradients. ``vjp(G, weights=False)`` skips the
+        weight gradient and returns ``(None, grad_U)`` with the same
+        ``grad_U``. Run r of a stack equals the unstacked call on run r bit
+        for bit.
         """
         raise NotImplementedError
 
@@ -159,28 +190,38 @@ class SmoothModel:
 
     def _check_w(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.param_dim,):
-            raise DimensionError(f"weight vector must have shape ({self.param_dim},), got {w.shape}")
+        if w.ndim < 1 or w.shape[-1] != self.param_dim:
+            raise DimensionError(f"weight vector must have shape (..., {self.param_dim}), got {w.shape}")
         return w
 
-    def _check_labels(self, y, rows: int) -> np.ndarray:
+    def _check_labels(self, y, shape: tuple) -> np.ndarray:
+        """Integer labels of the given shape (the inputs' shape minus the
+        feature axis), each in ``[0, class_count)``."""
         y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        if y.shape != (rows,):
+        if y.shape != shape:
             raise DimensionError("labels and inputs disagree on batch size")
-        if np.any(y < 0) or np.any(y >= self.class_count):
+        if (y < 0).any() or (y >= self.class_count).any():
             raise ValueError("label out of range")
         return y
 
     def _perturbed(self, X: np.ndarray, deltas) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.input_dim:
-            raise DimensionError(f"inputs must have dimension {self.input_dim}, got {X.shape[1]}")
+        if X.shape[-1] != self.input_dim:
+            raise DimensionError(f"inputs must have dimension {self.input_dim}, got {X.shape[-1]}")
         if deltas is None:
             return X
         D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
         if D.shape != X.shape:
             raise DimensionError(f"deltas shape {D.shape} does not match inputs {X.shape}")
         return X + D
+
+    def _inputs(self, w, X, deltas):
+        """Checked weights and perturbed inputs, agreeing on the run axis."""
+        w = self._check_w(w)
+        U = self._perturbed(X, deltas)
+        if w.shape[:-1] != U.shape[:-2]:
+            raise DimensionError(f"weights {w.shape} and inputs {U.shape} disagree on the run axis")
+        return w, U
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         """Gaussian init with stddev 1/sqrt(fan_in) per weight matrix, zero biases."""
@@ -195,44 +236,44 @@ class SmoothModel:
         raise NotImplementedError
 
     def logits_batch(self, w: np.ndarray, X: np.ndarray, deltas=None) -> np.ndarray:
-        w = self._check_w(w)
-        U = self._perturbed(X, deltas)
+        w, U = self._inputs(w, X, deltas)
         Z, _ = self.logits_and_vjp(w, U)
         return Z
 
     def predict_batch(self, w: np.ndarray, X: np.ndarray, deltas=None) -> np.ndarray:
-        return self.logits_batch(w, X, deltas).argmax(axis=1)
+        return self.logits_batch(w, X, deltas).argmax(axis=-1)
 
     def loss_batch(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None) -> np.ndarray:
-        """Per-sample loss values, shape (B,)."""
-        Z = self.logits_batch(w, X, deltas)
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        raw = -_log_softmax(Z)[np.arange(Z.shape[0]), y]
-        return raw / (1.0 + raw) if self.bounded else raw
+        """Per-sample loss values, shape (..., B)."""
+        w, U = self._inputs(w, X, deltas)
+        y = self._check_labels(y, U.shape[:-1])
+        Z, _ = self.logits_and_vjp(w, U)
+        return _logit_losses(Z, y, self.bounded)
 
     def batch_loss_and_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None):
         """One shared evaluation yielding losses, mean weight gradient, and
         per-sample perturbation gradients.
 
-        Returns ``(losses (B,), mean_grad_w (param_dim,), grad_delta (B, d))``.
+        Returns ``(losses (..., B), mean_grad_w (..., param_dim), grad_delta
+        (..., B, d))``; the mean is over the B rows of each run.
         """
-        w = self._check_w(w)
-        U = self._perturbed(X, deltas)
-        y = self._check_labels(y, U.shape[0])
+        w, U = self._inputs(w, X, deltas)
+        y = self._check_labels(y, U.shape[:-1])
         Z, vjp = self.logits_and_vjp(w, U)
         losses, G = _softmax_head(Z, y, self.bounded)
         gw_total, gU = vjp(G)
-        return losses, gw_total / Z.shape[0], gU
+        return losses, gw_total / Z.shape[-2], gU
 
     def attack_loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas: np.ndarray):
         """The attack-only oracle: per-sample losses and perturbation
         gradients at ``X + deltas``, equal bit for bit to the first and last
         outputs of ``batch_loss_and_grads``, without the weight gradient.
 
-        Nothing is checked: ``w`` must be a float64 (param_dim,) vector,
-        ``X`` and ``deltas`` float64 (B, input_dim) matrices and ``y`` B
-        in-range labels. ``pgd_attack_batch`` validates them once on entry.
-        Returns ``(losses (B,), grad_delta (B, d))``.
+        Nothing is checked: ``w`` must be float64 weights (..., param_dim),
+        ``X`` and ``deltas`` float64 (..., B, input_dim) inputs with the same
+        leading run shape (``deltas`` may be a broadcast view) and ``y``
+        (..., B) in-range labels. ``pgd_attack_batch`` validates them once
+        on entry. Returns ``(losses (..., B), grad_delta (..., B, d))``.
         """
         Z, vjp = self.logits_and_vjp(w, X + deltas)
         losses, G = _softmax_head(Z, y, self.bounded)
@@ -270,17 +311,18 @@ class SoftmaxLinear(SmoothModel):
 
     def unpack(self, w: np.ndarray):
         C, d = self.class_count, self.input_dim
-        return w[: C * d].reshape(C, d), w[C * d :]
+        return w[..., : C * d].reshape(w.shape[:-1] + (C, d)), w[..., C * d :]
 
     def logits_and_vjp(self, w, U):
         W, b = self.unpack(w)
-        Z = U @ W.T + b
+        Z = U @ W.swapaxes(-1, -2) + b[..., None, :]
 
         def vjp(G, weights=True):
             gU = G @ W
             if not weights:
                 return None, gU
-            return np.concatenate([(G.T @ U).ravel(), G.sum(axis=0)]), gU
+            gW = (G.swapaxes(-1, -2) @ U).reshape(G.shape[:-2] + (-1,))
+            return np.concatenate([gW, G.sum(axis=-2)], axis=-1), gU
 
         return Z, vjp
 
@@ -314,28 +356,35 @@ class TwoLayerTanhMLP(SmoothModel):
 
     def unpack(self, w: np.ndarray):
         d, h, C = self.input_dim, self.hidden_dim, self.class_count
+        lead = w.shape[:-1]
         i = 0
-        W1 = w[i : i + h * d].reshape(h, d)
+        W1 = w[..., i : i + h * d].reshape(lead + (h, d))
         i += h * d
-        b1 = w[i : i + h]
+        b1 = w[..., i : i + h]
         i += h
-        W2 = w[i : i + C * h].reshape(C, h)
+        W2 = w[..., i : i + C * h].reshape(lead + (C, h))
         i += C * h
-        b2 = w[i : i + C]
+        b2 = w[..., i : i + C]
         return W1, b1, W2, b2
 
     def logits_and_vjp(self, w, U):
         W1, b1, W2, b2 = self.unpack(w)
-        H = np.tanh(U @ W1.T + b1)
-        Z = H @ W2.T + b2
+        H = np.tanh(U @ W1.swapaxes(-1, -2) + b1[..., None, :])
+        Z = H @ W2.swapaxes(-1, -2) + b2[..., None, :]
 
         def vjp(G, weights=True):
             gA = (G @ W2) * (1.0 - H * H)  # tanh'
             gU = gA @ W1
             if not weights:
                 return None, gU
-            gw = [(gA.T @ U).ravel(), gA.sum(axis=0), (G.T @ H).ravel(), G.sum(axis=0)]
-            return np.concatenate(gw), gU
+            lead = G.shape[:-2] + (-1,)
+            gw = [
+                (gA.swapaxes(-1, -2) @ U).reshape(lead),
+                gA.sum(axis=-2),
+                (G.swapaxes(-1, -2) @ H).reshape(lead),
+                G.sum(axis=-2),
+            ]
+            return np.concatenate(gw, axis=-1), gU
 
         return Z, vjp
 
@@ -368,12 +417,13 @@ class ScalarLogistic(SmoothModel):
         return dict(input_dim=self.input_dim, bounded=self.bounded)
 
     def logits_and_vjp(self, w, U):
-        z = U @ w
-        Z = np.stack([np.zeros_like(z), z], axis=1)
+        z = (U @ w[..., None])[..., 0]
+        Z = np.stack([np.zeros_like(z), z], axis=-1)
 
         def vjp(G, weights=True):
-            g1 = G[:, 1]
-            return (g1 @ U if weights else None), np.outer(g1, w)
+            g1 = G[..., 1]
+            gU = g1[..., None] * w[..., None, :]  # the outer product per run
+            return ((g1[..., None, :] @ U)[..., 0, :] if weights else None), gU
 
         return Z, vjp
 

@@ -12,6 +12,11 @@ sign(0) := +1 as a deterministic tie-break). The attack update is
 best-of-restarts by final loss. A gradient that is exactly zero at some
 iterate leaves that iterate unchanged for the step; the standalone L2
 extreme projection still raises on a zero vector to surface misuse.
+
+The row operations work per row on the last axis, so they take any leading
+shape; ``pgd_attack_batch`` accepts the models' run axis (weights
+(R, param_dim), inputs (R, B, d)) and attacks R runs in one oracle call
+per step, all of them from one shared start per restart.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigError, DegenerateGradientError, DimensionError
-from .models import Dataset, LabeledSample, SmoothModel
+from .models import Dataset, LabeledSample, SmoothModel, _logit_losses
 
 __all__ = [
     "PerturbationSet",
@@ -104,22 +109,22 @@ def _check_vec(g: np.ndarray, pset: PerturbationSet) -> np.ndarray:
 
 
 def _row_norms(G: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, shape (B, 1): the arithmetic of
-    ``np.linalg.norm(G, axis=1, keepdims=True)`` without its dispatch."""
-    return np.sqrt(np.add.reduce(G * G, axis=1, keepdims=True))
+    """Euclidean norm of each row, shape (..., B, 1): the arithmetic of
+    ``np.linalg.norm(G, axis=-1, keepdims=True)`` without its dispatch."""
+    return np.sqrt(np.add.reduce(G * G, axis=-1, keepdims=True))
 
 
 def project_rows(G: np.ndarray, pset: PerturbationSet) -> np.ndarray:
     """Euclidean projection of each row onto the ball."""
     if pset.norm == L2:
         norms = _row_norms(G)
-        return G * np.divide(pset.radius, norms, out=np.ones_like(norms), where=norms > pset.radius)
+        return G * np.divide(pset.radius, norms, out=np.ones(norms.shape), where=norms > pset.radius)
     return np.clip(G, -pset.radius, pset.radius)
 
 
 def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None = None) -> np.ndarray:
     """Nearest extreme point of the ball per row; rows must be nonzero for L2.
-    ``norms`` (B, 1) passes the row norms of ``G`` when the caller has them."""
+    ``norms`` (..., B, 1) passes the row norms of ``G`` when the caller has them."""
     if pset.norm == L2:
         if norms is None:
             norms = _row_norms(G)
@@ -131,14 +136,17 @@ def ascend_rows(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet
     """One projected ascent step per row, as a new array:
     ``project_rows(D + rate * extreme_rows(G))``. A row whose gradient is
     exactly zero stays where it is, and a zero rate returns an unchanged
-    copy of ``D``."""
-    norms = _row_norms(G)
-    live = norms[:, 0] > 0.0
-    if rate == 0.0 or not live.any():
+    copy of ``D``. ``D`` and ``G`` have the same shape; ``D`` may be a
+    broadcast view."""
+    if rate == 0.0:
         return D.copy()
+    norms = _row_norms(G)
+    live = norms[..., 0] > 0.0
     if live.all():
         return project_rows(D + rate * extreme_rows(G, pset, norms), pset)
     out = D.copy()
+    if not live.any():
+        return out
     out[live] = project_rows(D[live] + rate * extreme_rows(G[live], pset, norms[live]), pset)
     return out
 
@@ -196,15 +204,17 @@ def pgd_attack_batch(
     ``loss_grad_fn(deltas) -> (losses, grad_deltas)`` defaults to the plain
     adversarial loss through the model's attack-only oracle; pass a
     surrogate to attack a different objective. ``w``, ``X`` and ``y`` are
-    checked once here, since they stay fixed for the whole attack.
-    Returns ``(deltas, n_grad_calls, n_loss_calls)``.
+    checked once here, since they stay fixed for the whole attack. With a
+    run axis (``w`` (R, param_dim), ``X`` (R, B, d), ``y`` (R, B)) every
+    run starts each restart from the same draw, so run r equals the attack
+    on run r alone with a copy of ``rng``.
+    Returns ``(deltas, n_grad_calls, n_loss_calls)``; the counts are per run.
     """
-    w = model._check_w(w)
-    X = model._perturbed(X, None)
-    y = model._check_labels(y, X.shape[0])
+    w, X = model._inputs(w, X, None)
+    y = model._check_labels(y, X.shape[:-1])
     if pset.dim != model.input_dim:
         raise DimensionError(f"perturbation set dimension {pset.dim} does not match inputs {model.input_dim}")
-    B = X.shape[0]
+    B = X.shape[-2]
     if loss_grad_fn is None:
 
         def loss_grad_fn(D):
@@ -217,9 +227,11 @@ def pgd_attack_batch(
     best_loss = None
     for _ in range(cfg.restarts):
         if cfg.init == "zero":
-            D = np.zeros((B, pset.dim))
+            D = np.zeros(X.shape)
         else:
             D = pset.sample_uniform(rng, size=B)
+            if D.shape != X.shape:  # one start shared by every run
+                D = np.broadcast_to(D, X.shape)
         for _ in range(cfg.steps):
             D = ascend_rows(D, loss_grad_fn(D)[1], step, pset)
         grad_calls += cfg.steps
@@ -231,7 +243,7 @@ def pgd_attack_batch(
             best_delta, best_loss = D, losses
         else:
             better = losses > best_loss
-            best_delta = np.where(better[:, None], D, best_delta)
+            best_delta = np.where(better[..., None], D, best_delta)
             best_loss = np.maximum(losses, best_loss)
     return best_delta, grad_calls, loss_calls
 
@@ -276,6 +288,7 @@ def empirical_robust_risk(
     if dataset.n < 1:
         raise DimensionError("dataset must be nonempty")
     deltas, _, _ = pgd_attack_batch(model, w, dataset.X, dataset.y, pset, cfg, rng)
-    losses = model.loss_batch(w, dataset.X, dataset.y, deltas)
-    preds = model.predict_batch(w, dataset.X, deltas)
-    return float(losses.mean()), float((preds == dataset.y).mean())
+    # one forward pass gives both the losses and the predictions
+    Z = model.logits_batch(w, dataset.X, deltas)
+    losses = _logit_losses(Z, dataset.y, model.bounded)
+    return float(losses.mean()), float((Z.argmax(axis=-1) == dataset.y).mean())

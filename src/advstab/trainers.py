@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .models import Dataset, LabeledSample, SmoothModel, _log_softmax
+from .models import Dataset, LabeledSample, SmoothModel, _label_rows, _log_softmax
 from .rng import stream
 from .threat import AttackConfig, PerturbationSet, ascend_rows, pgd_attack_batch
 
@@ -232,7 +232,9 @@ def batch_indices(seed: int, t: int, n: int, b: int) -> np.ndarray:
 def _trades_clean_head(Zc, y):
     """Clean log-probabilities, probabilities and cross-entropy."""
     lp = _log_softmax(Zc)
-    return lp, np.exp(lp), -lp[np.arange(Zc.shape[0]), y]
+    flat, at = _label_rows(lp, y)
+    ce = -flat[at]
+    return lp, np.exp(lp), (ce.reshape(y.shape) if Zc.ndim > 2 else ce)
 
 
 def _trades_perturbed_head(Za, lp, p, ce, lam, bounded):
@@ -240,11 +242,11 @@ def _trades_perturbed_head(Za, lp, p, ce, lam, bounded):
     plus what the clean-side gradient needs: the perturbed
     log-probabilities and the bounded rescale (None when unbounded)."""
     lq = _log_softmax(Za)
-    raw = ce + (p * (lp - lq)).sum(axis=1) / lam
+    raw = ce + (p * (lp - lq)).sum(axis=-1) / lam
     Ga = (np.exp(lq) - p) / lam
     if not bounded:
         return raw, Ga, lq, None
-    scale = (1.0 / (1.0 + raw) ** 2)[:, None]
+    scale = (1.0 / (1.0 + raw) ** 2)[..., None]
     return raw / (1.0 + raw), Ga * scale, lq, scale
 
 
@@ -259,18 +261,18 @@ def trades_batch_loss_and_grads(
     """Clean cross-entropy plus (1/lam) times the KL divergence from the
     clean to the perturbed predictive distribution, with analytic gradients.
 
-    Returns ``(losses, mean_grad_w, grad_deltas)`` like the plain loss; the
-    perturbation gradient flows only through the perturbed forward pass.
+    Returns ``(losses, mean_grad_w, grad_deltas)`` like the plain loss, and
+    takes the same run axis; the perturbation gradient flows only through
+    the perturbed forward pass.
     """
     if lam is None or lam <= 0:
         raise ConfigError("trades_lambda must be positive")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    w, X = model._inputs(w, X, None)
+    y = model._check_labels(y, X.shape[:-1])
     D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
     if D.shape != X.shape:
         raise DimensionError("deltas shape must match inputs")
-    B = X.shape[0]
-    w = model._check_w(w)
+    B = X.shape[-2]
     Zc, vjp_c = model.logits_and_vjp(w, X)
     Za, vjp_a = model.logits_and_vjp(w, X + D)
     lp, p, ce = _trades_clean_head(Zc, y)
@@ -278,9 +280,10 @@ def trades_batch_loss_and_grads(
 
     # upstream gradient on the clean logits
     Gc = p.copy()
-    Gc[np.arange(B), y] -= 1.0
+    flat, at = _label_rows(Gc, y)
+    flat[at] -= 1.0
     diff = lp - lq
-    jac = p * (diff - (p * diff).sum(axis=1, keepdims=True))  # softmax Jacobian applied to diff
+    jac = p * (diff - (p * diff).sum(axis=-1, keepdims=True))  # softmax Jacobian applied to diff
     Gc += jac / lam
     if scale is not None:
         Gc = Gc * scale
@@ -317,12 +320,39 @@ def trades_surrogate_loss(
 # ---------------------------------------------------------------------------
 # single-step building blocks (the updates lockstep applies)
 # ---------------------------------------------------------------------------
+#
+# Each step takes one run (``w`` (P,), ``X`` (B, d), ``y`` (B,)) or a stack of
+# runs on the models' run axis (``w`` (R, P), ``X`` (R, B, d), ``y`` (R, B));
+# the perturbations are (B, d) or (R, B, d) to match. The stats are one dict,
+# or a tuple of one dict per run.
 
 
 def _loss_grads(model, w, X, y, D, lam):
     if lam is None:
         return model.batch_loss_and_grads(w, X, y, D)
     return trades_batch_loss_and_grads(model, w, X, y, D, lam)
+
+
+def _stats(losses, mean_gw, Gd, oracle_calls, forward_calls):
+    """Step statistics: a dict for one run, a tuple of dicts for a stack.
+    The loss mean and the row norms reduce along each run's own last axis,
+    and the weight-gradient norm is the 1-D norm of each run's gradient, so
+    every run gets the numbers of the unstacked step bit for bit."""
+    loss = losses.mean(axis=-1)
+    min_gd = np.linalg.norm(Gd, axis=-1).min(axis=-1)
+    if mean_gw.ndim == 1:
+        return _run_stats(loss, mean_gw, min_gd, oracle_calls, forward_calls)
+    return tuple(_run_stats(*run, oracle_calls, forward_calls) for run in zip(loss, mean_gw, min_gd))
+
+
+def _run_stats(loss, mean_gw, min_gd, oracle_calls, forward_calls):
+    return {
+        "loss": float(loss),
+        "grad_w_norm": float(np.linalg.norm(mean_gw)),
+        "min_grad_delta_norm": float(min_gd),
+        "oracle_calls": oracle_calls,
+        "forward_calls": forward_calls,
+    }
 
 
 def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, lam=None):
@@ -333,32 +363,17 @@ def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, la
         model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=objective
     )
     losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
-    new_w = w - alpha_w * mean_gw
-    stats = {
-        "loss": float(losses.mean()),
-        "grad_w_norm": float(np.linalg.norm(mean_gw)),
-        "min_grad_delta_norm": float(np.linalg.norm(Gd, axis=1).min()),
-        "oracle_calls": grad_calls + 1,
-        "forward_calls": loss_calls,
-    }
-    return new_w, stats
+    return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd, grad_calls + 1, loss_calls)
 
 
 def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start):
-    """One projected attack step from a random start, then one weight step."""
+    """One projected attack step from a random start, then one weight step.
+    The rescaling identity is applied to the start-point gradients, so they
+    give the stats' min perturbation-gradient norm."""
     _, Gd0 = model.attack_loss_and_grad(w, X, y, delta_start)
     deltas = ascend_rows(delta_start, Gd0, fast_step_size, pset)
     losses, mean_gw, _ = model.batch_loss_and_grads(w, X, y, deltas)
-    new_w = w - alpha_w * mean_gw
-    stats = {
-        "loss": float(losses.mean()),
-        "grad_w_norm": float(np.linalg.norm(mean_gw)),
-        # the rescaling identity is applied to the start-point gradients
-        "min_grad_delta_norm": float(np.linalg.norm(Gd0, axis=1).min()),
-        "oracle_calls": 2,
-        "forward_calls": 0,
-    }
-    return new_w, stats
+    return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd0, 2, 0)
 
 
 def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam=None):
@@ -369,14 +384,7 @@ def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam
     losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
     new_w = w - alpha_w * mean_gw
     new_deltas = ascend_rows(deltas, Gd, alpha_delta, pset)
-    stats = {
-        "loss": float(losses.mean()),
-        "grad_w_norm": float(np.linalg.norm(mean_gw)),
-        "min_grad_delta_norm": float(np.linalg.norm(Gd, axis=1).min()),
-        "oracle_calls": 1,
-        "forward_calls": 0,
-    }
-    return new_w, new_deltas, stats
+    return new_w, new_deltas, _stats(losses, mean_gw, Gd, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +397,15 @@ def _validate(model: SmoothModel, dataset: Dataset, cfg: TrainConfig):
         raise DimensionError("model, dataset, and perturbation set disagree on the input dimension")
     if cfg.batch_size > dataset.n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds dataset size {dataset.n}")
-    model._check_labels(dataset.y, dataset.n)  # the gradient oracles trust labels from here on
+    model._check_labels(dataset.y, (dataset.n,))  # the gradient oracles trust labels from here on
 
 
-def _require_finite(w: np.ndarray, update: int, trajectory: int) -> np.ndarray:
-    if not np.isfinite(w).all():
+def _require_finite(W: np.ndarray, update: int) -> None:
+    """``W`` is one run's weights (P,) or a stack (R, P)."""
+    finite = np.isfinite(W).all(axis=-1)
+    if not finite.all():
+        trajectory = int(np.argmin(np.atleast_1d(finite)))
         raise FloatingPointError(f"update {update} made the weights of trajectory {trajectory} non-finite")
-    return w
 
 
 def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndarray | None = None):
@@ -406,6 +416,10 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     datasets stay equal float for float. ``batch_plan`` (n_steps, b)
     overrides the batch-index stream, which lets tests pin exactly when a
     given index is drawn.
+
+    With several datasets the trajectories ride the models' run axis: one
+    oracle call per step serves them all, and each shared draw is made
+    once. Each trajectory still equals a single-dataset run bit for bit.
 
     The first item yielded is the shared initialization; each later item
     follows one weight update of every trajectory:
@@ -429,34 +443,43 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
         if batch_plan.shape != (n_steps, b):
             raise ConfigError(f"batch_plan must have shape ({n_steps}, {b})")
 
-    ws = [model.init_params(stream(cfg.seed, STREAM_INIT))] * len(datasets)
-    stats = [None] * len(datasets)
-    yield 0, 0, 0.0, None, tuple(ws), None, None
+    # one trajectory keeps the unstacked shapes; several get a leading run axis
+    runs = len(datasets)
+    single = runs == 1
+
+    def stacked(arrays):
+        return arrays[0] if single else np.stack(arrays)
+
+    def per_run(A):
+        return (A,) if single else tuple(A)
+
+    def shared(draw):  # one draw for every trajectory
+        return draw if single else np.broadcast_to(draw, (runs,) + draw.shape)
+
+    X_all = stacked([dataset.X for dataset in datasets])
+    y_all = stacked([dataset.y for dataset in datasets])
+    W = stacked([model.init_params(stream(cfg.seed, STREAM_INIT))] * runs)
+    yield 0, 0, 0.0, None, per_run(W), None, None
     for t in range(1, n_steps + 1):
         idx = batch_plan[t - 1] if batch_plan is not None else batch_indices(cfg.seed, t, n, b)
-        batches = [(dataset.X[idx], dataset.y[idx]) for dataset in datasets]
+        X, y = X_all[..., idx, :], y_all[..., idx]
         aw = step_size(cfg.schedule, t)
         if rule == FREE:
-            deltas = [pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b)] * len(datasets)
+            D = shared(pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b))
             for i in range(1, m + 1):
-                for j, (X, y) in enumerate(batches):
-                    w, deltas[j], stats[j] = free_inner_iteration(
-                        model, X, y, ws[j], deltas[j], aw, cfg.resolved_attack_lr, pset, lam=lam
-                    )
-                    ws[j] = _require_finite(w, (t - 1) * m + i, j)
-                yield t, i, aw, idx, tuple(ws), tuple(deltas), tuple(stats)
+                W, D, stats = free_inner_iteration(model, X, y, W, D, aw, cfg.resolved_attack_lr, pset, lam=lam)
+                _require_finite(W, (t - 1) * m + i)
+                yield t, i, aw, idx, per_run(W), per_run(D), per_run(stats)
             continue
-        if rule == FAST:
-            delta0 = pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b)
-        for j, (X, y) in enumerate(batches):
-            if rule == VANILLA:
-                w, stats[j] = vanilla_batch_step(
-                    model, X, y, ws[j], aw, pset, cfg.inner_attack, stream(cfg.seed, STREAM_ATTACK, t), lam=lam
-                )
-            else:
-                w, stats[j] = fast_batch_step(model, X, y, ws[j], aw, cfg.resolved_fast_step, pset, delta0)
-            ws[j] = _require_finite(w, t, j)
-        yield t, 1, aw, idx, tuple(ws), None, tuple(stats)
+        if rule == VANILLA:
+            W, stats = vanilla_batch_step(
+                model, X, y, W, aw, pset, cfg.inner_attack, stream(cfg.seed, STREAM_ATTACK, t), lam=lam
+            )
+        else:
+            delta0 = shared(pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b))
+            W, stats = fast_batch_step(model, X, y, W, aw, cfg.resolved_fast_step, pset, delta0)
+        _require_finite(W, t)
+        yield t, 1, aw, idx, per_run(W), None, per_run(stats)
 
 
 class _Tracker:

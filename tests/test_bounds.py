@@ -50,10 +50,10 @@ class ConstantLossModel(SmoothModel):
         return dict(input_dim=self.input_dim)
 
     def logits_and_vjp(self, w, U):
-        Z = np.zeros((U.shape[0], 2))
+        Z = np.zeros(U.shape[:-1] + (2,))
 
-        def vjp(G):
-            return np.zeros(self.param_dim), np.zeros_like(U)
+        def vjp(G, weights=True):
+            return (np.zeros(w.shape) if weights else None), np.zeros_like(U)
 
         return Z, vjp
 
@@ -118,9 +118,10 @@ class QuadraticModel(SmoothModel):
         raise NotImplementedError
 
     def batch_loss_and_grads(self, w, X, y, deltas=None):
-        B = np.atleast_2d(X).shape[0]
-        loss = 0.5 * self.a * float(w[0]) ** 2
-        return np.full(B, loss), np.array([self.a * float(w[0])]) * B / B, np.zeros((B, self.input_dim))
+        rows = np.atleast_2d(X).shape[:-1]  # (..., B) on the run axis
+        w0 = np.asarray(w)[..., :1]
+        loss = 0.5 * self.a * w0**2
+        return np.broadcast_to(loss, rows), self.a * w0 * rows[-1] / rows[-1], np.zeros(rows + (self.input_dim,))
 
 
 def test_estimate_smoothness_quadratic_recovers_curvature():

@@ -150,6 +150,18 @@ def test_failure_is_machine_readable(tmp_path, capsys):
     assert "batch_size" in payload["message"]
 
 
+def test_debug_flag_prints_traceback_before_the_error_line(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, train={**_BASE["train"], "batch_size": 500})
+    args = ["gap", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert main(["--debug", *args]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("Traceback (most recent call last)")
+    assert any("ConfigError: batch_size" in line for line in err)
+    assert json.loads(err[-1])["error"] == "ConfigError"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "advstab", "gap", "--help"],

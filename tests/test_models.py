@@ -224,3 +224,17 @@ def test_make_model_dispatch():
     assert make_model("mlp", 5, hidden_dim=3).param_dim == 3 * 5 + 3 + 2 * 3 + 2
     with pytest.raises(ValueError):
         make_model("resnet", 5)
+
+
+@pytest.mark.parametrize("kind", ["softmax_linear", "mlp", "scalar_logistic"])
+def test_loss_batch_checks_labels(kind):
+    model = make_model(kind, input_dim=3, hidden_dim=4)
+    rng = stream(60, 0)
+    w = model.init_params(rng)
+    X = rng.standard_normal((4, 3))
+    with pytest.raises(ValueError, match="label"):
+        model.loss_batch(w, X[:1], [-1])  # would score the last class
+    with pytest.raises(ValueError, match="label"):
+        model.loss_batch(w, X[:1], [model.class_count])
+    with pytest.raises(DimensionError):
+        model.loss_batch(w, X, [0])  # one label is not broadcast to four rows

@@ -9,6 +9,7 @@ from advstab.threat import (
     PerturbationSet,
     empirical_robust_risk,
     pgd_attack,
+    pgd_attack_batch,
     project_extreme,
     project_onto_set,
     projgrad_identity_check,
@@ -211,6 +212,39 @@ def test_empirical_robust_risk_trivial_cases():
     r1, a1 = empirical_robust_risk(model, w, data, pset, det, stream(59, 0))
     r2, a2 = empirical_robust_risk(model, w, doubled, pset, det, stream(59, 0))
     assert r1 == pytest.approx(r2, abs=1e-12) and a1 == pytest.approx(a2, abs=1e-12)
+
+
+def _counting(model):
+    """A copy of ``model`` that counts its forward passes."""
+
+    class Counting(type(model)):
+        def logits_and_vjp(self, w, U):
+            self.forwards += 1
+            return super().logits_and_vjp(w, U)
+
+    counted = Counting(**model._ctor_args())
+    counted.forwards = 0
+    return counted
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("model", [SoftmaxLinear(input_dim=3, class_count=3), ScalarLogistic(input_dim=3)])
+def test_empirical_robust_risk_one_forward_pass_after_attack(model, bounded):
+    model = model.with_bounded(bounded)
+    rng = stream(62, 0)
+    w = model.init_params(rng) + rng.standard_normal(model.param_dim)
+    data = Dataset(rng.standard_normal((9, 3)), rng.integers(0, model.class_count, size=9))
+    pset = PerturbationSet("l2", 0.4, 3)
+    cfg = AttackConfig(steps=4, step_size=0.1, restarts=2)
+    # the two-call evaluation it replaces: an attack, then loss_batch and predict_batch
+    deltas = pgd_attack_batch(model, w, data.X, data.y, pset, cfg, stream(63, 0))[0]
+    old_risk = float(model.loss_batch(w, data.X, data.y, deltas).mean())
+    old_acc = float((model.predict_batch(w, data.X, deltas) == data.y).mean())
+    counted = _counting(model)
+    risk, acc = empirical_robust_risk(counted, w, data, pset, cfg, stream(63, 0))
+    assert risk == old_risk and acc == old_acc
+    # 4 steps x 2 restarts, the 2 restart losses, then one evaluation pass
+    assert counted.forwards == 4 * 2 + 2 + 1
 
 
 def test_attack_feasibility_everywhere():

@@ -542,3 +542,14 @@ def test_non_finite_weights_fail_fast_naming_update_and_trajectory(algorithm):
         for run in (lambda: train(model, data, cfg), lambda: coupled_run(model, pair, cfg)):
             with pytest.raises(FloatingPointError, match=r"update [1-3] made the weights of trajectory 0 non-finite"):
                 run()
+
+
+@pytest.mark.parametrize("bad", [[-1, 0, 1], [0, 2, 1], [0, 1]])
+def test_trades_oracle_checks_labels(bad):
+    model = _mlp()
+    rng = stream(61, 0)
+    w = model.init_params(rng)
+    X = rng.standard_normal((3, 5))
+    D = 0.1 * rng.standard_normal((3, 5))
+    with pytest.raises(ValueError, match="label" if len(bad) == 3 else "batch size"):
+        trades_batch_loss_and_grads(model, w, X, bad, D, 1.0)
