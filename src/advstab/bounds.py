@@ -54,8 +54,14 @@ __all__ = [
     "bound_free",
     "bound_fast",
     "expansivity_power",
+    "closed_form_contraction",
     "free_vs_vanilla_rate_ratio",
 ]
+
+# absolute widening of a visited weight envelope on each side
+ENVELOPE_MARGIN = 0.1
+# psi = 1 / max(smallest perturbation-gradient norm, PSI_FLOOR)
+PSI_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,11 +76,11 @@ class RegionSampler:
     y: np.ndarray
 
     @classmethod
-    def from_envelope(cls, w_low, w_high, pset, dataset: Dataset, margin: float = 0.1):
-        """Box around a visited weight envelope, widened by ``margin`` on
-        each side (absolute units)."""
-        lo = np.asarray(w_low, dtype=np.float64) - margin
-        hi = np.asarray(w_high, dtype=np.float64) + margin
+    def from_envelope(cls, w_low, w_high, pset, dataset: Dataset):
+        """Box around a visited weight envelope, widened by
+        ``ENVELOPE_MARGIN`` on each side."""
+        lo = np.asarray(w_low, dtype=np.float64) - ENVELOPE_MARGIN
+        hi = np.asarray(w_high, dtype=np.float64) + ENVELOPE_MARGIN
         return cls(w_low=lo, w_high=hi, pset=pset, X=dataset.X, y=dataset.y)
 
     def draw(self, rng: np.random.Generator):
@@ -246,22 +252,18 @@ def estimate_smoothness(
         P = W.shape[1]
         GW1, GD1 = _joint_grads(model, W, D, X, y)
         live = np.ones(k, dtype=bool)
-        ratios = [[] for _ in range(k)]  # per probe, in iteration order
         for _ in range(1 + int(power_iters)):
             GW2, GD2 = _joint_grads(model, W + pair_scale * V[:, :P], D + pair_scale * V[:, P:], X, y)
             diff = np.concatenate([GW2 - GW1, GD2 - GD1], axis=1)
             for i in np.flatnonzero(live):
                 nrm = float(np.linalg.norm(diff[i]))
-                ratios[i].append(nrm / pair_scale)
+                beta = max(beta, nrm / pair_scale)
                 if nrm == 0.0:
                     live[i] = False
                 else:
                     V[i] = diff[i] / nrm
             if not live.any():
                 break
-        for probe in ratios:
-            for ratio in probe:
-                beta = max(beta, ratio)
     return beta
 
 
@@ -274,16 +276,14 @@ class PsiEstimate:
     floor: float
 
 
-def estimate_psi(trace, floor: float = 1e-6) -> PsiEstimate:
+def estimate_psi(trace) -> PsiEstimate:
     """Reciprocal of the smallest per-sample perturbation-gradient norm seen
-    along a trace, floored to guard exact-zero degeneracies.
+    along a trace, floored at ``PSI_FLOOR`` to guard exact-zero degeneracies.
 
     Accepts a TrainTrace, a StabilityTrace, or a plain array of norms; the
     result carries the full min-norm time series and a degeneracy flag set
     when the floor engaged.
     """
-    if floor <= 0:
-        raise ConfigError("floor must be positive")
     if hasattr(trace, "min_grad_delta_series"):
         series = trace.min_grad_delta_series()
     elif hasattr(trace, "min_grad_delta"):
@@ -293,9 +293,9 @@ def estimate_psi(trace, floor: float = 1e-6) -> PsiEstimate:
     if series.size == 0:
         raise DimensionError("trace has no recorded perturbation-gradient norms")
     min_norm = float(series.min())
-    degenerate = min_norm < floor
-    psi = 1.0 / max(min_norm, floor)
-    return PsiEstimate(psi=psi, min_norm=min_norm, series=series, degenerate=degenerate, floor=floor)
+    degenerate = min_norm < PSI_FLOOR
+    psi = 1.0 / max(min_norm, PSI_FLOOR)
+    return PsiEstimate(psi=psi, min_norm=min_norm, series=series, degenerate=degenerate, floor=PSI_FLOOR)
 
 
 def estimate_constants(
@@ -368,17 +368,15 @@ def lambda_fast(beta: float, c: float, fast_step: float, eps: float, psi: float)
 
 @dataclass(frozen=True)
 class GrowthRecursion:
-    """Coefficients of the per-step divergence recursion: expansion nu,
-    source xi, and the conditioning step t0 used to split off the
-    pre-encounter phase."""
+    """Coefficients of the per-step divergence recursion: expansion nu and
+    source xi."""
 
     nu: float
     xi: float
-    t0: int = 1
 
     def __post_init__(self):
-        if self.nu <= 0 or self.xi < 0 or self.t0 < 1:
-            raise ConfigError("need nu > 0, xi >= 0, t0 >= 1")
+        if self.nu <= 0 or self.xi < 0:
+            raise ConfigError("need nu > 0, xi >= 0")
 
 
 @dataclass(frozen=True)
@@ -497,13 +495,6 @@ class ExpansivityMatrix:
         if self.alpha < 0 or self.r < 0:
             raise ConfigError("alpha and r must be nonnegative")
 
-    @classmethod
-    def from_rates(cls, alpha_w: float, beta: float, alpha_delta: float, eps: float, psi: float):
-        _positive(alpha_w=alpha_w, beta=beta)
-        _nonnegative(alpha_delta=alpha_delta, eps=eps)
-        _positive(psi=psi)
-        return cls(alpha=alpha_w * beta, r=alpha_delta * eps * psi / alpha_w)
-
     @property
     def entries(self) -> np.ndarray:
         a, r = self.alpha, self.r
@@ -523,6 +514,10 @@ def expansivity_power(matrix: ExpansivityMatrix, m: int):
     E = matrix.entries
     for _ in range(int(m)):
         power = power @ E
-    a, r = matrix.alpha, matrix.r
-    closed = (r + (1.0 + a * (r + 1.0)) ** m) / (r + 1.0)
-    return power, float(closed)
+    return power, float(closed_form_contraction(matrix.alpha, matrix.r, m))
+
+
+def closed_form_contraction(alpha: float, r: float, m: int) -> float:
+    """Top-left entry of the m-th power of the 2x2 expansion matrix:
+    (r + (1 + alpha*(r+1))^m) / (r + 1)."""
+    return (r + (1.0 + alpha * (r + 1.0)) ** m) / (r + 1.0)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: gap, vs-n, transfer, free-trades, stability, bounds, check.
-A JSON config file supplies the experiment fields; flags override the
-common ones. Outputs land in --out as report.json / trace.csv /
-plotdata_*.csv. Exit code 0 on success; failures print a machine-readable
-error object to stderr and exit nonzero. ``advstab --debug <command>``
+A JSON config file supplies the experiment fields, and a key the
+defaults do not list is a ConfigError; flags override the common ones.
+Outputs land in --out as report.json / trace.csv / plotdata_*.csv. Exit
+code 0 on success; failures print a machine-readable error object to
+stderr and exit nonzero. ``advstab --debug <command>``
 prints the full traceback of a failure before that error object.
 """
 
@@ -18,6 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checks import run_all_checks
+from .errors import ConfigError
 from .experiments import (
     BOUND_BUILDERS,
     ExperimentConfig,
@@ -56,73 +58,52 @@ _DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, extra: dict) -> dict:
+def _merge(base: dict, extra: dict, path: str = "") -> dict:
+    """``base`` overlaid with ``extra``, section by section. A key that
+    ``base`` lacks is rejected with its dotted path."""
     out = dict(base)
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in base:
+            raise ConfigError(f"unknown config key {path}{key}")
+        if isinstance(value, dict) and isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, f"{path}{key}.")
         else:
             out[key] = value
     return out
 
 
-def _attack_from(d: dict) -> AttackConfig:
-    return AttackConfig(
-        steps=d.get("steps", 10),
-        step_size=d.get("step_size"),
-        restarts=d.get("restarts", 1),
-        init=d.get("init", "uniform"),
-    )
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The experiment config of ``raw`` laid over ``_DEFAULT_CONFIG``, the
+    one list of the keys the CLI accepts."""
     cfg = _merge(_DEFAULT_CONFIG, raw)
     data = SyntheticSpec(**cfg["data"])
-    t = cfg["train"]
-    pset = PerturbationSet(t["norm"], t["eps"], cfg["data"]["dim"])
-    sched = StepSchedule(**t["schedule"])
+    t = dict(cfg["train"])
     train_cfg = TrainConfig(
-        algorithm=t["algorithm"],
-        pset=pset,
-        schedule=sched,
-        batch_size=t["batch_size"],
-        total_iterations=t["total_iterations"],
-        seed=t["seed"],
-        attack_lr=t.get("attack_lr"),
-        fast_step=t.get("fast_step"),
-        free_steps=t.get("free_steps", 4),
-        trades_lambda=t.get("trades_lambda"),
-        inner_attack=_attack_from(t.get("inner_attack", {})),
+        pset=PerturbationSet(t.pop("norm"), t.pop("eps"), data.dim),
+        schedule=StepSchedule(**t.pop("schedule")),
+        inner_attack=AttackConfig(**t.pop("inner_attack")),
+        **t,
     )
-    ev = cfg["eval"]
+    model, ev = dict(cfg["model"]), cfg["eval"]
     return ExperimentConfig(
-        model_kind=cfg["model"]["kind"],
-        hidden_dim=cfg["model"].get("hidden_dim", 16),
-        class_count=cfg["model"].get("class_count", 2),
-        bounded_loss=cfg["model"].get("bounded_loss", False),
+        model_kind=model.pop("kind"),
         data=data,
         train=train_cfg,
-        eval_attack=_attack_from(ev.get("attack", {})),
-        eval_seed=ev.get("seed", 9999),
-        checkpoint_every=ev.get("checkpoint_every"),
-        trials=cfg.get("trials", 1),
-        budget_axis=cfg.get("budget_axis", "updates"),
+        eval_attack=AttackConfig(**ev["attack"]),
+        eval_seed=ev["seed"],
+        checkpoint_every=ev["checkpoint_every"],
+        trials=cfg["trials"],
+        budget_axis=cfg["budget_axis"],
+        **model,
     )
 
 
 def _load_config(args, overrides: dict | None = None) -> ExperimentConfig:
     """The --config file, merged with ``overrides``, then the common flags."""
-    raw = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text())
-    cfg = config_from_dict(_merge(raw, overrides or {}))
-    train_over = {}
-    if args.seed is not None:
-        train_over["seed"] = args.seed
-    if args.algorithm is not None:
-        train_over["algorithm"] = args.algorithm
-    if args.iterations is not None:
-        train_over["total_iterations"] = args.iterations
+    raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    cfg = config_from_dict(_merge(_merge(_DEFAULT_CONFIG, raw), overrides or {}))
+    flags = {"seed": args.seed, "algorithm": args.algorithm, "total_iterations": args.iterations}
+    train_over = {key: value for key, value in flags.items() if value is not None}
     if train_over:
         cfg = replace(cfg, train=replace(cfg.train, **train_over))
     if args.trials is not None:
@@ -135,6 +116,15 @@ def _emit(reports, out: str):
     paths += emit_report(reports, "csv", out)
     for p in paths:
         print(p)
+
+
+def _write_json(out: str, name: str, payload, shown) -> None:
+    """Write ``payload`` to ``out/name``, print that path, then ``shown``."""
+    target = Path(out) / name
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(payload, indent=2))
+    print(target)
+    print(json.dumps(shown, indent=2))
 
 
 def cmd_gap(args) -> int:
@@ -159,10 +149,7 @@ def cmd_vs_n(args) -> int:
         "spearman": res.spearman,
         "predicted_rate": res.predicted_rate,
     }
-    target = Path(args.out) / "vs_n_summary.json"
-    target.write_text(json.dumps(payload, indent=2))
-    print(target)
-    print(json.dumps(payload, indent=2))
+    _write_json(args.out, "vs_n_summary.json", payload, payload)
     return 0
 
 
@@ -174,12 +161,7 @@ def cmd_transfer(args) -> int:
         "accuracy": {f"{s}->{t}": v for (s, t), v in res.accuracy.items()},
         "clean_accuracy": res.clean_accuracy,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "report.json"
-    target.write_text(json.dumps(payload, indent=2))
-    print(target)
-    print(json.dumps(payload, indent=2))
+    _write_json(args.out, "report.json", payload, payload)
     return 0
 
 
@@ -214,12 +196,7 @@ def cmd_stability(args) -> int:
                 "min_grad_delta_norm": float(trace.min_grad_delta.min()),
             }
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "report.json"
-    target.write_text(json.dumps({"algorithm": tc.algorithm, "pairs": rows}, indent=2))
-    print(target)
-    print(json.dumps(rows[: min(3, len(rows))], indent=2))
+    _write_json(args.out, "report.json", {"algorithm": tc.algorithm, "pairs": rows}, rows[: min(3, len(rows))])
     return 0
 
 
@@ -243,12 +220,7 @@ def cmd_bounds(args) -> int:
         "bounds": {rule: build(inputs).to_dict() for rule, build in BOUND_BUILDERS.items()},
         "schedule_vanishing": tc.schedule.vanishing,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "report.json"
-    target.write_text(json.dumps(payload, indent=2))
-    print(target)
-    print(json.dumps(payload["bounds"], indent=2))
+    _write_json(args.out, "report.json", payload, payload["bounds"])
     return 0
 
 

@@ -16,7 +16,7 @@ iteration budget so algorithms match on evaluations instead of updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -174,46 +174,22 @@ class GapReport:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    t = cfg.train
+    """The config in the layout the CLI reads: the dataclass fields, with the
+    perturbation set as the train section's ``norm`` and ``eps``."""
+    train = {}
+    for key, value in asdict(cfg.train).items():
+        if key == "pset":
+            train.update(norm=value["norm"], eps=value["radius"])
+        else:
+            train[key] = value
     return {
         "model_kind": cfg.model_kind,
         "hidden_dim": cfg.hidden_dim,
         "class_count": cfg.class_count,
         "bounded_loss": cfg.bounded_loss,
-        "data": {
-            "kind": cfg.data.kind,
-            "n_train": cfg.data.n_train,
-            "n_test": cfg.data.n_test,
-            "dim": cfg.data.dim,
-            "noise": cfg.data.noise,
-            "seed": cfg.data.seed,
-            "separation": cfg.data.separation,
-        },
-        "train": {
-            "algorithm": t.algorithm,
-            "norm": t.pset.norm,
-            "eps": t.pset.radius,
-            "schedule": {"kind": t.schedule.kind, "c": t.schedule.c, "m": t.schedule.m},
-            "batch_size": t.batch_size,
-            "total_iterations": t.total_iterations,
-            "seed": t.seed,
-            "attack_lr": t.attack_lr,
-            "fast_step": t.fast_step,
-            "free_steps": t.free_steps,
-            "trades_lambda": t.trades_lambda,
-            "inner_attack": {
-                "steps": t.inner_attack.steps,
-                "step_size": t.inner_attack.step_size,
-                "restarts": t.inner_attack.restarts,
-                "init": t.inner_attack.init,
-            },
-        },
-        "eval_attack": {
-            "steps": cfg.eval_attack.steps,
-            "step_size": cfg.eval_attack.step_size,
-            "restarts": cfg.eval_attack.restarts,
-            "init": cfg.eval_attack.init,
-        },
+        "data": asdict(cfg.data),
+        "train": train,
+        "eval_attack": asdict(cfg.eval_attack),
         "eval_seed": cfg.eval_seed,
         "checkpoint_every": cfg.resolved_checkpoint(),
         "trials": cfg.trials,
@@ -387,12 +363,24 @@ def _loglog_slope(n_values: np.ndarray, gaps: np.ndarray):
     return float(coef[0]), float("nan")
 
 
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    from scipy.stats import spearmanr
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``v``; tied values share the mean of their ranks."""
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(np.r_[starts, s.size])
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
 
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of the average ranks, the arithmetic of
+    ``scipy.stats.spearmanr``."""
     if np.unique(x).size < 2 or np.unique(y).size < 2:
         return float("nan")  # rank correlation undefined for constant input
-    return float(spearmanr(x, y).statistic)
+    ranked = np.stack([_average_ranks(x), _average_ranks(y)], axis=1)
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
 
 
 @dataclass

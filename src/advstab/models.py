@@ -100,12 +100,6 @@ class Dataset:
         y[i] = s.y
         return Dataset(X, y)
 
-    @classmethod
-    def from_samples(cls, samples) -> "Dataset":
-        X = np.stack([np.asarray(s.x, dtype=np.float64) for s in samples])
-        y = np.array([s.y for s in samples], dtype=np.int64)
-        return cls(X, y)
-
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
     # the ufunc reductions are what Z.max and .sum call, minus their dispatch

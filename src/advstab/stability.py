@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import _positive, closed_form_contraction
 from .errors import ConfigError, DimensionError, TraceError
 from .models import Dataset, LabeledSample, SmoothModel
 from .rng import stream
@@ -243,17 +244,11 @@ def _require_rule(trace: StabilityTrace, rule: str):
         raise TraceError(f"expected a {rule}-rule trace, got {trace.algorithm!r}")
 
 
-def _check_constants(**kwargs):
-    for name, value in kwargs.items():
-        if value is None or value <= 0:
-            raise ConfigError(f"estimated constant {name} must be positive, got {value}")
-
-
 def verify_growth_vanilla(trace: StabilityTrace, beta_hat: float, L_hat: float, eps: float) -> GrowthReport:
     """Check, for every step, the divergence growth bound with the supplied
     constants; encounter steps use the mixed batch-split bound."""
     _require_l2(trace)
-    _check_constants(beta_hat=beta_hat, L_hat=L_hat)
+    _positive(beta_hat=beta_hat, L_hat=L_hat)
     _require_rule(trace, VANILLA)
     rep = GrowthReport(algorithm=trace.algorithm)
     b = trace.b
@@ -281,7 +276,7 @@ def verify_growth_fast(
     """Fast-variant growth check: the expansion factor gains the
     single-step attack term; no additive source off the encounter steps."""
     _require_l2(trace)
-    _check_constants(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
+    _positive(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
     _require_rule(trace, FAST)
     s = trace.fast_step if fast_step is None else fast_step
     rep = GrowthReport(algorithm=trace.algorithm)
@@ -298,12 +293,6 @@ def verify_growth_fast(
     return rep
 
 
-def closed_form_contraction(alpha: float, r: float, m: int) -> float:
-    """Top-left entry of the m-th power of the 2x2 expansion matrix:
-    (r + (1 + alpha*(r+1))^m) / (r + 1)."""
-    return (r + (1.0 + alpha * (r + 1.0)) ** m) / (r + 1.0)
-
-
 def verify_growth_free(
     trace: StabilityTrace,
     beta_hat: float,
@@ -315,7 +304,7 @@ def verify_growth_free(
     the expansion matrix, plus the per-outer-step closed-form contraction of
     the offset weight distance. Needs per-iteration granularity."""
     _require_l2(trace)
-    _check_constants(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
+    _positive(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
     _require_rule(trace, FREE)
     if trace.d_w_inner is None or trace.d_delta_inner is None:
         raise TraceError("free growth verification needs per-iteration records")
@@ -376,7 +365,7 @@ def verify_stepwise_expectation(
     sched = t0.schedule
     if sched is None or sched.kind != "vanishing_c_over_mt":
         raise ConfigError("the expectation-level factor needs the c/(m t) schedule")
-    _check_constants(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
+    _positive(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
     D = np.stack([tr.d_w for tr in traces])  # (runs, n_steps + 1)
     runs = D.shape[0]
     off = 2.0 * L_hat / (t0.n * beta_hat)

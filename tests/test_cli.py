@@ -1,8 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from advstab.cli import main
+import pytest
+
+from advstab.cli import config_from_dict, main
+from advstab.errors import ConfigError
 
 _BASE = {
     "model": {"kind": "mlp", "hidden_dim": 5},
@@ -170,3 +175,58 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "--config" in proc.stdout
+
+
+# one misspelled key per config section, with the dotted path it is named by
+_UNKNOWN_KEYS = [
+    ({"trails": 3}, "trails"),
+    ({"model_kind": "softmax_linear"}, "model_kind"),
+    ({"model": {"hiden_dim": 32}}, "model.hiden_dim"),
+    ({"data": {"sead": 4}}, "data.sead"),
+    ({"train": {"fre_steps": 8}}, "train.fre_steps"),
+    ({"train": {"schedule": {"mm": 2}}}, "train.schedule.mm"),
+    ({"train": {"inner_attack": {"stpes": 2}}}, "train.inner_attack.stpes"),
+    ({"eval": {"sed": 1}}, "eval.sed"),
+    ({"eval": {"attack": {"stpes": 2}}}, "eval.attack.stpes"),
+]
+
+
+@pytest.mark.parametrize("extra, dotted", _UNKNOWN_KEYS)
+def test_unknown_config_key_is_rejected_with_its_dotted_path(tmp_path, capsys, extra, dotted):
+    with pytest.raises(ConfigError, match=f"unknown config key {dotted}$"):
+        config_from_dict(extra)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(extra))
+    assert main(["gap", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": f"unknown config key {dotted}"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_key_in_config_b_is_rejected(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    cfg_b = tmp_path / "b.json"
+    cfg_b.write_text(json.dumps({"train": {"algorithm": "fast", "fre_steps": 8}}))
+    code = main(["transfer", "--config", str(cfg), "--config-b", str(cfg_b), "--out", str(tmp_path / "out")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": "unknown config key train.fre_steps"}
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from advstab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_vs_n_runs_without_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cfg, out = _write_cfg(tmp_path), tmp_path / "out"
+    args = ["vs-n", "--config", str(cfg), "--out", str(out), "--n-values", "20,30,40"]
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((out / "vs_n_summary.json").read_text())
+    assert -1.0 <= summary["spearman"] <= 1.0

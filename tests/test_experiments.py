@@ -6,6 +6,8 @@ import pytest
 from advstab.errors import ConfigError, DimensionError
 from advstab.experiments import (
     ExperimentConfig,
+    _config_echo,
+    _spearman,
     run_free_trades_comparison,
     run_gap_experiment,
     run_transfer_experiment,
@@ -252,3 +254,117 @@ def test_oracle_call_counts_recorded():
     assert rep_v.trials[0].oracle_calls == 20 * 4  # K=3 -> 4 per update
     rep_f = run_gap_experiment(_cfg(algorithm="free", trials=1, T=20, train_kw=dict(free_steps=4)))
     assert rep_f.trials[0].oracle_calls == 20
+
+
+def _reference_echo(cfg):
+    """The config echo as written out field by field before it was derived
+    from the dataclasses; reports must keep this layout byte for byte."""
+    t = cfg.train
+    return {
+        "model_kind": cfg.model_kind,
+        "hidden_dim": cfg.hidden_dim,
+        "class_count": cfg.class_count,
+        "bounded_loss": cfg.bounded_loss,
+        "data": {
+            "kind": cfg.data.kind,
+            "n_train": cfg.data.n_train,
+            "n_test": cfg.data.n_test,
+            "dim": cfg.data.dim,
+            "noise": cfg.data.noise,
+            "seed": cfg.data.seed,
+            "separation": cfg.data.separation,
+        },
+        "train": {
+            "algorithm": t.algorithm,
+            "norm": t.pset.norm,
+            "eps": t.pset.radius,
+            "schedule": {"kind": t.schedule.kind, "c": t.schedule.c, "m": t.schedule.m},
+            "batch_size": t.batch_size,
+            "total_iterations": t.total_iterations,
+            "seed": t.seed,
+            "attack_lr": t.attack_lr,
+            "fast_step": t.fast_step,
+            "free_steps": t.free_steps,
+            "trades_lambda": t.trades_lambda,
+            "inner_attack": {
+                "steps": t.inner_attack.steps,
+                "step_size": t.inner_attack.step_size,
+                "restarts": t.inner_attack.restarts,
+                "init": t.inner_attack.init,
+            },
+        },
+        "eval_attack": {
+            "steps": cfg.eval_attack.steps,
+            "step_size": cfg.eval_attack.step_size,
+            "restarts": cfg.eval_attack.restarts,
+            "init": cfg.eval_attack.init,
+        },
+        "eval_seed": cfg.eval_seed,
+        "checkpoint_every": cfg.resolved_checkpoint(),
+        "trials": cfg.trials,
+        "budget_axis": cfg.budget_axis,
+    }
+
+
+def _every_field_set(algorithm):
+    """A config with every optional field away from its default."""
+    data = SyntheticSpec("xor_clusters", n_train=33, n_test=17, dim=3, noise=0.25, seed=5, separation=1.5)
+    train = TrainConfig(
+        algorithm,
+        PerturbationSet("linf", 0.125, 3),
+        StepSchedule("vanishing_c_over_mt", c=0.75, m=3),
+        batch_size=7,
+        total_iterations=27,
+        seed=13,
+        attack_lr=0.0625,
+        fast_step=0.1,
+        free_steps=3,
+        trades_lambda=0.5,
+        inner_attack=AttackConfig(steps=2, step_size=0.03, restarts=3, init="zero"),
+    )
+    return ExperimentConfig(
+        model_kind="linear",
+        data=data,
+        train=train,
+        eval_attack=AttackConfig(steps=5, step_size=0.02, restarts=2, init="zero"),
+        eval_seed=4,
+        checkpoint_every=9,
+        trials=3,
+        hidden_dim=11,
+        class_count=3,
+        bounded_loss=True,
+        budget_axis="oracle_calls",
+        attach_bounds=False,
+    )
+
+
+_ECHO_CASES = [_cfg(algorithm, T=32) for algorithm in ("vanilla", "fast", "free")]
+_ECHO_CASES += [_cfg(algorithm, T=32, train_kw={"trades_lambda": 1.0 / 6.0}) for algorithm in ("trades_seq", "free_trades")]
+_ECHO_CASES += [_every_field_set(algorithm) for algorithm in ("vanilla", "trades_seq", "fast", "free", "free_trades")]
+
+
+@pytest.mark.parametrize("cfg", _ECHO_CASES, ids=lambda c: f"{c.train.algorithm}-{c.train.pset.norm}-{c.train.schedule.kind}")
+def test_config_echo_equals_the_hand_written_layout(cfg):
+    echo = _config_echo(cfg)
+    assert echo == _reference_echo(cfg)
+    assert json.dumps(echo, indent=2) == json.dumps(_reference_echo(cfg), indent=2)
+
+
+def test_spearman_equals_scipy_bit_for_bit():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(5)
+    checked = 0
+    for trial in range(400):
+        k = int(rng.integers(2, 10))
+        if trial % 2:  # ties in both vectors
+            x = rng.integers(0, 4, size=k).astype(float)
+            y = np.round(rng.normal(size=k), 1)
+        else:  # distinct sizes against distinct gaps
+            x = np.sort(rng.choice(np.arange(20.0, 4000.0), size=k, replace=False))
+            y = rng.normal(size=k)
+        if np.unique(x).size < 2 or np.unique(y).size < 2:
+            assert np.isnan(_spearman(x, y))
+            continue
+        assert _spearman(x, y) == float(stats.spearmanr(x, y).statistic), (x, y)
+        checked += 1
+    assert checked > 300
