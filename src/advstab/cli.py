@@ -60,15 +60,15 @@ _DEFAULT_CONFIG = {
 
 def _merge(base: dict, extra: dict, path: str = "") -> dict:
     """``base`` overlaid with ``extra``, section by section. A key that
-    ``base`` lacks is rejected with its dotted path."""
+    ``base`` lacks, or a section that is not an object, is rejected with
+    its dotted path."""
+    if not isinstance(extra, dict):
+        raise ConfigError(f"config {path[:-1] or 'file'} must be an object, got {type(extra).__name__}")
     out = dict(base)
     for key, value in extra.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path}{key}")
-        if isinstance(value, dict) and isinstance(base[key], dict):
-            out[key] = _merge(base[key], value, f"{path}{key}.")
-        else:
-            out[key] = value
+        out[key] = _merge(base[key], value, f"{path}{key}.") if isinstance(base[key], dict) else value
     return out
 
 
@@ -99,16 +99,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _load_config(args, overrides: dict | None = None) -> ExperimentConfig:
-    """The --config file, merged with ``overrides``, then the common flags."""
+    """The --config file, merged with ``overrides``, then the common flags,
+    validated once as a whole."""
     raw = json.loads(Path(args.config).read_text()) if args.config else {}
-    cfg = config_from_dict(_merge(_merge(_DEFAULT_CONFIG, raw), overrides or {}))
-    flags = {"seed": args.seed, "algorithm": args.algorithm, "total_iterations": args.iterations}
-    train_over = {key: value for key, value in flags.items() if value is not None}
-    if train_over:
-        cfg = replace(cfg, train=replace(cfg.train, **train_over))
+    train = {"seed": args.seed, "algorithm": args.algorithm, "total_iterations": args.iterations}
+    flags = {"train": {key: value for key, value in train.items() if value is not None}}
     if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    return cfg
+        flags["trials"] = args.trials
+    return config_from_dict(_merge(_merge(_merge(_DEFAULT_CONFIG, raw), overrides or {}), flags))
 
 
 def _emit(reports, out: str):

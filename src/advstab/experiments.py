@@ -15,7 +15,10 @@ iteration budget so algorithms match on evaluations instead of updates.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -203,6 +206,44 @@ def _evaluate(model, w, train_ds, test_ds, pset, attack, eval_seed, iteration) -
     return CheckpointStat(iteration=iteration, train_risk=train_risk, train_acc=train_acc, test_risk=test_risk, test_acc=test_acc)
 
 
+def _cores() -> int:
+    """CPUs this process may run on; ``taskset`` narrows them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_order(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on the calling thread and up to
+    ``_cores() - 1`` workers, which NumPy's large calls let run at once.
+    Each call runs in a copy of the caller's context (so its ``np.errstate``
+    holds). After a failure no item starts, and the failure of the lowest
+    index is raised, as the plain loop would."""
+    results, errors = [None] * len(items), {}
+    indices, lock = iter(range(len(items))), threading.Lock()
+    context = contextvars.copy_context()
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = context.copy().run(fn, items[i])
+            except BaseException as exc:  # raised again below, on the calling thread
+                with lock:
+                    errors[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(_cores(), len(items)) - 1)]
+    for t in workers:
+        t.start()
+    work()
+    for t in workers:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _checkpoint_marks(tc: TrainConfig, cadence: int) -> list:
     T = tc.total_iterations
     marks = list(range(cadence, T + 1, cadence))
@@ -231,10 +272,10 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
         w, trace = train(model, train_ds, trial_cfg, snapshot_at=marks)
         if k == 0:
             first_trace = trace
-        checkpoints = [
-            _evaluate(model, trace.snapshots[mk], train_ds, test_ds, trial_cfg.pset, cfg.eval_attack, cfg.eval_seed, mk)
-            for mk in marks
-        ]
+        checkpoints = _in_order(
+            lambda mk: _evaluate(model, trace.snapshots[mk], train_ds, test_ds, trial_cfg.pset, cfg.eval_attack, cfg.eval_seed, mk),
+            marks,
+        )
         min_gd = trace.min_grad_delta_norm()
         report.trials.append(
             TrialResult(

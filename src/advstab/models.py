@@ -362,12 +362,19 @@ class TwoLayerTanhMLP(SmoothModel):
         return W1, b1, W2, b2
 
     def logits_and_vjp(self, w, U):
+        # in place, in the operand order of tanh(U @ W1^T + b1): the same bits
         W1, b1, W2, b2 = self.unpack(w)
-        H = np.tanh(U @ W1.swapaxes(-1, -2) + b1[..., None, :])
-        Z = H @ W2.swapaxes(-1, -2) + b2[..., None, :]
+        H = U @ W1.swapaxes(-1, -2)
+        H += b1[..., None, :]
+        np.tanh(H, out=H)
+        Z = H @ W2.swapaxes(-1, -2)
+        Z += b2[..., None, :]
 
         def vjp(G, weights=True):
-            gA = (G @ W2) * (1.0 - H * H)  # tanh'
+            d = H * H
+            np.subtract(1.0, d, out=d)  # tanh'
+            gA = G @ W2
+            gA *= d
             gU = gA @ W1
             if not weights:
                 return None, gU

@@ -29,9 +29,11 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _check_dim(dim: int) -> None:
+def _check_ball(dim: int, radius: float) -> None:
     if int(dim) < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
 
 
 def sample_uniform_l2_ball(rng: np.random.Generator, dim: int, radius: float, size: int | None = None) -> np.ndarray:
@@ -42,23 +44,29 @@ def sample_uniform_l2_ball(rng: np.random.Generator, dim: int, radius: float, si
     the outcome, so paired streams never desynchronize; rejection sampling
     is deliberately not used.
     """
-    _check_dim(dim)
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    n = 1 if size is None else int(size)
-    g = rng.standard_normal((n, dim))
-    u = rng.random((n, 1))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    out = (g / norms) * (radius * u ** (1.0 / dim))
-    return out[0] if size is None else out
+    _check_ball(dim, radius)
+    return _l2_ball(rng, dim, radius, size)
 
 
 def sample_uniform_linf_ball(rng: np.random.Generator, dim: int, radius: float, size: int | None = None) -> np.ndarray:
     """Uniform draw(s) from the L-infinity ball: each coordinate uniform on [-radius, radius]."""
-    _check_dim(dim)
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    _check_ball(dim, radius)
+    return _linf_ball(rng, dim, radius, size)
+
+
+def _l2_ball(rng, dim, radius, size):
+    n = 1 if size is None else int(size)
+    g = rng.standard_normal((n, dim))
+    u = rng.random((n, 1))
+    # the arithmetic of np.linalg.norm(g, axis=1, keepdims=True), without its dispatch
+    norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    g /= norms
+    g *= radius * u ** (1.0 / dim)
+    return g[0] if size is None else g
+
+
+def _linf_ball(rng, dim, radius, size):
     n = 1 if size is None else int(size)
     out = rng.uniform(-radius, radius, size=(n, dim)) if radius > 0 else np.zeros((n, dim))
     return out[0] if size is None else out

@@ -69,9 +69,10 @@ class PerturbationSet:
         return float(np.abs(v).max()) <= self.radius  # exact for clamps
 
     def sample_uniform(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        # the ball draws without their argument checks, which __post_init__ made
         if self.norm == L2:
-            return _rng.sample_uniform_l2_ball(rng, self.dim, self.radius, size)
-        return _rng.sample_uniform_linf_ball(rng, self.dim, self.radius, size)
+            return _rng._l2_ball(rng, self.dim, self.radius, size)
+        return _rng._linf_ball(rng, self.dim, self.radius, size)
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,17 @@ def _check_vec(g: np.ndarray, pset: PerturbationSet) -> np.ndarray:
 def _row_norms(G: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, shape (..., B, 1): the arithmetic of
     ``np.linalg.norm(G, axis=-1, keepdims=True)`` without its dispatch."""
-    return np.sqrt(np.add.reduce(G * G, axis=-1, keepdims=True))
+    s = np.add.reduce(G * G, axis=-1, keepdims=True)
+    return np.sqrt(s, out=s)
 
 
-def project_rows(G: np.ndarray, pset: PerturbationSet) -> np.ndarray:
-    """Euclidean projection of each row onto the ball."""
+def project_rows(G: np.ndarray, pset: PerturbationSet, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean projection of each row onto the ball, written to ``out``
+    when given (``out`` may be ``G``)."""
     if pset.norm == L2:
         norms = _row_norms(G)
-        return G * np.divide(pset.radius, norms, out=np.ones(norms.shape), where=norms > pset.radius)
-    return np.clip(G, -pset.radius, pset.radius)
+        return np.multiply(G, np.divide(pset.radius, norms, out=np.ones(norms.shape), where=norms > pset.radius), out=out)
+    return np.clip(G, -pset.radius, pset.radius, out=out)
 
 
 def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None = None) -> np.ndarray:
@@ -128,7 +131,8 @@ def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None 
     if pset.norm == L2:
         if norms is None:
             norms = _row_norms(G)
-        return pset.radius * G / norms
+        E = pset.radius * G
+        return np.divide(E, norms, out=E)
     return np.where(G >= 0.0, pset.radius, -pset.radius)
 
 
@@ -137,18 +141,20 @@ def ascend_rows(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet
     ``project_rows(D + rate * extreme_rows(G))``. A row whose gradient is
     exactly zero stays where it is, and a zero rate returns an unchanged
     copy of ``D``. ``D`` and ``G`` have the same shape; ``D`` may be a
-    broadcast view."""
+    broadcast view. Neither is written to."""
     if rate == 0.0:
         return D.copy()
     norms = _row_norms(G)
     live = norms[..., 0] > 0.0
-    if live.all():
-        return project_rows(D + rate * extreme_rows(G, pset, norms), pset)
-    out = D.copy()
-    if not live.any():
+    if not live.all():
+        out = D.copy()
+        if live.any():
+            out[live] = ascend_rows(D[live], G[live], rate, pset)
         return out
-    out[live] = project_rows(D[live] + rate * extreme_rows(G[live], pset, norms[live]), pset)
-    return out
+    E = extreme_rows(G, pset, norms)  # a new array, stepped and projected in place
+    E *= rate
+    E += D
+    return project_rows(E, pset, out=E)
 
 
 def project_onto_set(g: np.ndarray, pset: PerturbationSet) -> np.ndarray:

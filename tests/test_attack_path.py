@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from advstab.models import ScalarLogistic, SoftmaxLinear, TwoLayerTanhMLP, _log_softmax
-from advstab.rng import stream
+from advstab.rng import sample_uniform_l2_ball, stream
 from advstab.threat import PerturbationSet, ascend_rows
 from advstab.trainers import _trades_attack_objective, trades_batch_loss_and_grads
 
@@ -203,3 +203,43 @@ def test_ascend_rows_zero_gradient_and_zero_rate_return_unchanged_copies(norm):
         assert np.array_equal(out, D) and out is not D
     out = ascend_rows(D, G, 0.5, pset)
     assert not np.array_equal(out, D)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_ascend_rows_writes_to_neither_input(norm):
+    pset = PerturbationSet(norm, 0.7, 4)
+    rng = stream(304, 0)
+    start = pset.sample_uniform(rng, size=6)
+    D = np.broadcast_to(start, (3, 6, 4))  # a read-only view, as in a shared attack start
+    G = rng.standard_normal((3, 6, 4))
+    G[1, 2] = 0.0  # the masked path too
+    for g in (G, G[0]):
+        d = D if g.ndim == 3 else start
+        d_before, g_before = d.copy(), g.copy()
+        for rate in (0.0, 0.5):
+            out = ascend_rows(d, g, rate, pset)
+            assert not np.shares_memory(out, d) and not np.shares_memory(out, g)
+        assert np.array_equal(d, d_before) and np.array_equal(g, g_before)
+
+
+def _ref_l2_ball(rng, dim, radius, size):
+    """The L2 ball draw as it was computed through ``np.linalg.norm``."""
+    n = 1 if size is None else int(size)
+    g = rng.standard_normal((n, dim))
+    u = rng.random((n, 1))
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    out = (g / norms) * (radius * u ** (1.0 / dim))
+    return out[0] if size is None else out
+
+
+@pytest.mark.parametrize("dim", [1, 3, 20])
+def test_ball_draws_equal_the_linalg_norm_reference(dim):
+    for radius in (0.0, 0.5, 3.0):
+        pset = PerturbationSet("l2", radius, dim)
+        for size in (None, 1, 7):
+            for draw in (lambda rng: sample_uniform_l2_ball(rng, dim, radius, size), lambda rng: pset.sample_uniform(rng, size)):
+                got, want = stream(305, dim, size or 0), stream(305, dim, size or 0)
+                for _ in range(3):
+                    assert np.array_equal(draw(got), _ref_l2_ball(want, dim, radius, size))
+                assert got.random() == want.random()  # the same draws were consumed

@@ -213,6 +213,53 @@ def test_unknown_key_in_config_b_is_rejected(tmp_path, capsys):
     assert payload == {"error": "ConfigError", "message": "unknown config key train.fre_steps"}
 
 
+# a non-object value where the defaults hold a section
+_NOT_SECTIONS = [
+    ({"train": 5}, "config train must be an object, got int"),
+    ({"data": None}, "config data must be an object, got NoneType"),
+    ({"train": {"schedule": "constant"}}, "config train.schedule must be an object, got str"),
+    ({"eval": {"attack": [10]}}, "config eval.attack must be an object, got list"),
+    ([], "config file must be an object, got list"),
+]
+
+
+@pytest.mark.parametrize("raw, message", _NOT_SECTIONS)
+def test_non_object_section_is_rejected_with_its_dotted_path(tmp_path, capsys, raw, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["gap", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+def test_flags_apply_before_the_config_is_validated(tmp_path, monkeypatch):
+    # 30 iterations are not a multiple of the 4 free steps; the flag's 8 are
+    cfg = _write_cfg(tmp_path, train={**_BASE["train"], "algorithm": "free", "total_iterations": 30})
+    out = tmp_path / "out"
+    assert main(["gap", "--config", str(cfg), "--out", str(out), "--iterations", "8"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["train"]["total_iterations"] == 8
+    assert report["trials"][0]["checkpoints"][-1]["iteration"] == 8
+
+    from advstab import cli
+    from advstab.experiments import TransferReport
+
+    seen = []
+
+    def capture(cfg_a, cfg_b):
+        seen.extend([cfg_a, cfg_b])
+        return TransferReport(accuracy={}, per_trial=[], clean_accuracy={})
+
+    monkeypatch.setattr(cli, "run_transfer_experiment", capture)
+    cfg_b = tmp_path / "b.json"
+    cfg_b.write_text(json.dumps({"train": {"total_iterations": 30, "seed": 8}, "trials": 4}))
+    flags = ["--iterations", "8", "--seed", "31", "--trials", "2"]
+    assert main(["transfer", "--config", str(cfg), "--config-b", str(cfg_b), "--out", str(tmp_path / "t")] + flags) == 0
+    for c in seen:
+        assert (c.train.algorithm, c.train.total_iterations, c.train.seed, c.trials) == ("free", 8, 31, 2)
+
+
 _NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now fails

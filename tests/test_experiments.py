@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from advstab import experiments
 from advstab.errors import ConfigError, DimensionError
 from advstab.experiments import (
     ExperimentConfig,
@@ -368,3 +376,88 @@ def test_spearman_equals_scipy_bit_for_bit():
         assert _spearman(x, y) == float(stats.spearmanr(x, y).statistic), (x, y)
         checked += 1
     assert checked > 300
+
+
+# -- checkpoint evaluation on every CPU -------------------------------------------
+
+_PINNED_GAP = """
+import hashlib, json, os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from advstab.experiments import ExperimentConfig, run_gap_experiment
+from advstab.reportio import report_to_dict
+from advstab.synth import SyntheticSpec
+from advstab.threat import AttackConfig, PerturbationSet
+from advstab.trainers import StepSchedule, TrainConfig
+data = SyntheticSpec("two_gaussians", n_train=200, n_test=400, dim=8, noise=1.0, seed=5)
+train = TrainConfig("free", PerturbationSet("l2", 0.5, 8), StepSchedule("vanishing_c_over_mt", c=2.0, m=4), batch_size=20,
+                    total_iterations=80, seed=3, inner_attack=AttackConfig(steps=3))
+cfg = ExperimentConfig("mlp", data, train, eval_attack=AttackConfig(steps=5, restarts=2), checkpoint_every=8, trials=2, hidden_dim=8)
+report = json.dumps(report_to_dict(run_gap_experiment(cfg))).encode()
+print(len(os.sched_getaffinity(0)), len(json.loads(report)["trials"][1]["checkpoints"]), hashlib.sha256(report).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_gap_report_is_the_same_on_one_cpu_and_on_all(threads):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    runs = {}
+    for mode in ("pin", "all"):
+        done = subprocess.run([sys.executable, "-c", _PINNED_GAP, mode], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs[mode] = done.stdout.split()
+    assert runs["pin"][:2] == ["1", "10"]
+    assert runs["pin"][1:] == runs["all"][1:]
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_evaluation_failure_raises_the_lowest_failing_mark(monkeypatch, cores):
+    started, evaluate = [], experiments._evaluate
+
+    def failing(*args):
+        iteration = args[-1]
+        started.append(iteration)
+        if iteration == 3:
+            time.sleep(0.3)  # so that mark 5 fails first
+        if iteration in (3, 5):
+            raise ValueError(f"mark {iteration}")
+        time.sleep(0.01)
+        return evaluate(*args)
+
+    monkeypatch.setattr(experiments, "_evaluate", failing)
+    monkeypatch.setattr(experiments, "_cores", lambda: cores)
+    with pytest.raises(ValueError, match="^mark 3$"):
+        run_gap_experiment(replace(_cfg(T=24, trials=1), checkpoint_every=1))
+    if cores == 1:
+        assert started == [1, 2, 3]
+    else:
+        assert 5 in started and 24 not in started  # no mark starts after a failure
+
+
+def test_caller_errstate_reaches_the_worker_threads(monkeypatch):
+    monkeypatch.setattr(experiments, "_cores", lambda: 4)
+
+    def divide(i):
+        time.sleep(0.01)
+        with pytest.raises(FloatingPointError):
+            np.divide(np.ones(3), 0.0)
+        return threading.get_ident()
+
+    with np.errstate(all="raise"):
+        idents = experiments._in_order(divide, list(range(16)))
+    assert len(set(idents)) > 1
+
+
+def test_in_order_hands_out_every_index_once(monkeypatch):
+    monkeypatch.setattr(experiments, "_cores", lambda: 8)  # more threads than CPUs
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = experiments._in_order(lambda i: seen.append(i) or i * i, list(range(3000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [i * i for i in range(3000)]
+    assert sorted(seen) == list(range(3000))
