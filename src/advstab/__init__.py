@@ -57,6 +57,7 @@ from .stability import (
     coupled_run,
     estimate_uniform_stability,
     make_neighbor,
+    verify_growth,
     verify_growth_fast,
     verify_growth_free,
     verify_growth_vanilla,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gap, vs-n, transfer, free-trades, stability, bounds, check.
-A JSON config file supplies the experiment fields, and a key the
-defaults do not list is a ConfigError; flags override the common ones.
+A JSON config file supplies the experiment fields; a key the defaults do
+not list, or a value whose type does not fit its default, is a
+ConfigError. Flags override the common fields.
 Outputs land in --out as report.json / trace.csv / plotdata_*.csv. Exit
 code 0 on success; failures print a machine-readable error object to
 stderr and exit nonzero. ``advstab --debug <command>``
@@ -21,7 +22,6 @@ from pathlib import Path
 from .checks import run_all_checks
 from .errors import ConfigError
 from .experiments import (
-    BOUND_BUILDERS,
     ExperimentConfig,
     bound_inputs,
     run_free_trades_comparison,
@@ -30,7 +30,7 @@ from .experiments import (
     run_vs_n_experiment,
 )
 from .reportio import emit_report
-from .stability import coupled_run, make_neighbor
+from .stability import RULE_FACTS, coupled_run, make_neighbor
 from .synth import SyntheticSpec, draw_replacement, make_synthetic
 from .threat import AttackConfig, PerturbationSet
 from .trainers import FREE_TRADES, RULES, TRADES_SEQ, StepSchedule, TrainConfig, train
@@ -58,17 +58,34 @@ _DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, extra: dict, path: str = "") -> dict:
+# the JSON types a scalar may take, by the type of its default: ints pass
+# where floats are expected, and a null default stands for an optional number
+_SCALAR_TYPES = {
+    bool: ("a bool", (bool,)),
+    int: ("an int", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("a number or null", (int, float, type(None))),
+}
+
+
+def _merge(base: dict, extra: dict, path: str = "", defaults: dict = _DEFAULT_CONFIG) -> dict:
     """``base`` overlaid with ``extra``, section by section. A key that
-    ``base`` lacks, or a section that is not an object, is rejected with
-    its dotted path."""
+    ``base`` lacks, a section that is not an object, or a scalar whose type
+    does not fit its entry in ``defaults`` is rejected with its dotted path."""
     if not isinstance(extra, dict):
         raise ConfigError(f"config {path[:-1] or 'file'} must be an object, got {type(extra).__name__}")
     out = dict(base)
     for key, value in extra.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path}{key}")
-        out[key] = _merge(base[key], value, f"{path}{key}.") if isinstance(base[key], dict) else value
+        if isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, f"{path}{key}.", defaults[key])
+            continue
+        expected, types = _SCALAR_TYPES[type(defaults[key])]
+        if type(value) not in types:
+            raise ConfigError(f"config {path}{key} must be {expected}, got {type(value).__name__}")
+        out[key] = value
     return out
 
 
@@ -215,7 +232,7 @@ def cmd_bounds(args) -> int:
             "psi_degenerate": psi_est.degenerate,
             "region": consts.region,
         },
-        "bounds": {rule: build(inputs).to_dict() for rule, build in BOUND_BUILDERS.items()},
+        "bounds": {rule: facts.bound(inputs).to_dict() for rule, facts in RULE_FACTS.items()},
         "schedule_vanishing": tc.schedule.vanishing,
     }
     _write_json(args.out, "report.json", payload, payload["bounds"])

@@ -23,13 +23,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .bounds import BoundInputs, RegionSampler, bound_fast, bound_free, bound_vanilla, estimate_constants, estimate_psi
+from .bounds import BoundInputs, RegionSampler, estimate_constants, estimate_psi
 from .errors import ConfigError, DimensionError
 from .models import SmoothModel, make_model
 from .rng import stream
+from .stability import RULE_FACTS
 from .synth import SyntheticSpec, make_synthetic
 from .threat import AttackConfig, empirical_robust_risk, pgd_attack_batch
-from .trainers import FAST, FREE, FREE_TRADES, TRADES_SEQ, VANILLA, TrainConfig, TrainTrace, train
+from .trainers import FREE_TRADES, TRADES_SEQ, TrainConfig, TrainTrace, train
 
 __all__ = [
     "ExperimentConfig",
@@ -41,7 +42,6 @@ __all__ = [
     "PairedGapReport",
     "run_gap_experiment",
     "bound_inputs",
-    "BOUND_BUILDERS",
     "run_vs_n_experiment",
     "run_transfer_experiment",
     "run_free_trades_comparison",
@@ -68,6 +68,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ConfigError("checkpoint_every must be >= 1")
         if self.budget_axis not in ("updates", "oracle_calls"):
             raise ConfigError("budget_axis must be 'updates' or 'oracle_calls'")
         if self.data.dim != self.train.pset.dim:
@@ -84,8 +86,6 @@ class ExperimentConfig:
 
     def resolved_checkpoint(self) -> int:
         if self.checkpoint_every is not None:
-            if self.checkpoint_every < 1:
-                raise ConfigError("checkpoint_every must be >= 1")
             return self.checkpoint_every
         return max(1, self.data.n_train // self.train.batch_size)
 
@@ -293,10 +293,6 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
     return report
 
 
-# the closed-form bound for each update rule
-BOUND_BUILDERS = {VANILLA: bound_vanilla, FREE: bound_free, FAST: bound_fast}
-
-
 def bound_inputs(model: SmoothModel, train_ds, tc: TrainConfig, trace: TrainTrace, eval_seed: int, probes: int):
     """Estimate the constants over the weight envelope of ``trace``, with psi
     from its perturbation-gradient norms, and pack them with ``tc``'s
@@ -328,7 +324,7 @@ def _attach_bounds(cfg: ExperimentConfig, tc: TrainConfig, report: GapReport, mo
     try:
         # constants over the envelope of the first trial's run
         inputs, _ = bound_inputs(model, train_ds, tc, trace, cfg.eval_seed, probes=800)
-        rep = BOUND_BUILDERS[tc.rule](inputs).with_measured_gap(float(np.mean(report.final_risk_gaps())))
+        rep = RULE_FACTS[tc.rule].bound(inputs).with_measured_gap(float(np.mean(report.final_risk_gaps())))
     except (ValueError, OverflowError) as exc:  # a failed estimate must not sink the experiment
         report.notes.append(f"bounds_attachment_failed: {type(exc).__name__}: {exc}")
         return
@@ -355,16 +351,6 @@ class VsNReport:
         return np.array([r.mean_final_acc_gap() for r in self.reports])
 
 
-# predicted asymptotic decay of the gap in n at fixed iteration count; the
-# simultaneous variant's exponent is the full -1, the sequential one's sits
-# between -1 and 0 depending on its stability exponent
-_PREDICTED_RATES = {
-    VANILLA: "n^(-lambda/(lambda+1)) with lambda = beta*c (exponent in (-1, 0))",
-    FAST: "n^(-1) at fixed iteration count",
-    FREE: "n^(-1) at fixed iteration count",
-}
-
-
 def run_vs_n_experiment(cfg: ExperimentConfig, n_values) -> VsNReport:
     """One gap experiment per training-set size at fixed T, plus the fitted
     log-log slope of the mean gap against n and its Spearman correlation."""
@@ -385,7 +371,7 @@ def run_vs_n_experiment(cfg: ExperimentConfig, n_values) -> VsNReport:
         slope=slope,
         slope_se=slope_se,
         spearman=spearman,
-        predicted_rate=_PREDICTED_RATES[cfg.train.rule],
+        predicted_rate=RULE_FACTS[cfg.train.rule].predicted_rate,
     )
 
 

@@ -9,8 +9,11 @@ perturbation initializations, and shared attack restarts. Before the first
 step whose batch contains the differing index, the two trajectories are the
 same float-for-float, so every recorded divergence is exactly zero.
 
-The verifiers check the per-step divergence recursions path-wise against
-estimated constants inflated by a configurable factor:
+``verify_growth(trace, consts)`` checks the per-step divergence recursion
+of the trace's update rule path-wise against estimated constants, inflated
+or deflated by the caller, at the trace's radius. It dispatches through
+``RULE_FACTS``, the one table of each rule's bound builder, growth verifier
+and predicted gap rate; ``verify_growth_*`` are its per-rule verifiers:
 
   vanilla   d_t <= (1 + a*beta) d_{t-1} + 2*eps*a*beta     (differing index absent)
   fast      d_t <= (1 + a*beta*(1 + s*eps*psi*beta)) d_{t-1}
@@ -36,10 +39,11 @@ All of this is stated for L2 balls; the verifiers refuse L-inf traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import _positive, closed_form_contraction
+from .bounds import ConstantEstimates, _positive, bound_fast, bound_free, bound_vanilla, closed_form_contraction
 from .errors import ConfigError, DimensionError, TraceError
 from .models import Dataset, LabeledSample, SmoothModel
 from .rng import stream
@@ -52,6 +56,8 @@ __all__ = [
     "GrowthReport",
     "make_neighbor",
     "coupled_run",
+    "RULE_FACTS",
+    "verify_growth",
     "verify_growth_vanilla",
     "verify_growth_free",
     "verify_growth_fast",
@@ -265,22 +271,14 @@ def verify_growth_vanilla(trace: StabilityTrace, beta_hat: float, L_hat: float, 
     return rep
 
 
-def verify_growth_fast(
-    trace: StabilityTrace,
-    beta_hat: float,
-    L_hat: float,
-    psi_hat: float,
-    eps: float,
-    fast_step: float | None = None,
-) -> GrowthReport:
+def verify_growth_fast(trace: StabilityTrace, beta_hat: float, L_hat: float, psi_hat: float, eps: float) -> GrowthReport:
     """Fast-variant growth check: the expansion factor gains the
     single-step attack term; no additive source off the encounter steps."""
     _require_l2(trace)
     _positive(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
     _require_rule(trace, FAST)
-    s = trace.fast_step if fast_step is None else fast_step
     rep = GrowthReport(algorithm=trace.algorithm)
-    inflate = 1.0 + s * eps * psi_hat * beta_hat
+    inflate = 1.0 + trace.fast_step * eps * psi_hat * beta_hat
     for t in range(1, trace.n_steps + 1):
         a = trace.alpha_w[t - 1]
         prev, cur = trace.d_w[t - 1], trace.d_w[t]
@@ -340,6 +338,32 @@ def verify_growth_free(
         if lhs > rhs * (1.0 + _REL_GUARD) + _ABS_GUARD:
             rep.stepwise_violations += 1
     return rep
+
+
+class RuleFacts(NamedTuple):
+    bound: Callable  # BoundInputs -> BoundReport
+    verify: Callable  # (StabilityTrace, ConstantEstimates) -> GrowthReport, at the trace's radius
+    predicted_rate: str  # decay of the gap in n at a fixed iteration count
+
+
+# What the analysis states for each update rule, in report order. The
+# verifiers are looked up by name when called, so a wrapped module-level
+# ``verify_growth_*`` is what the table runs. The simultaneous rules' gap
+# exponent is the full -1; the sequential rule's sits between -1 and 0.
+RULE_FACTS = {
+    VANILLA: RuleFacts(
+        bound_vanilla,
+        lambda tr, k: verify_growth_vanilla(tr, k.beta, k.lipschitz, tr.eps),
+        "n^(-lambda/(lambda+1)) with lambda = beta*c (exponent in (-1, 0))",
+    ),
+    FREE: RuleFacts(bound_free, lambda tr, k: verify_growth_free(tr, k.beta, k.lipschitz, k.psi, tr.eps), "n^(-1) at fixed iteration count"),
+    FAST: RuleFacts(bound_fast, lambda tr, k: verify_growth_fast(tr, k.beta, k.lipschitz, k.psi, tr.eps), "n^(-1) at fixed iteration count"),
+}
+
+
+def verify_growth(trace: StabilityTrace, consts: ConstantEstimates) -> GrowthReport:
+    """The growth check of ``trace``'s update rule under the constants ``consts``."""
+    return RULE_FACTS[RULES[trace.algorithm]].verify(trace, consts)
 
 
 def verify_stepwise_expectation(

@@ -125,6 +125,10 @@ class TrainConfig:
             raise ConfigError("total_iterations must be >= 0")
         if self.free_steps < 1:
             raise ConfigError("free_steps must be >= 1")
+        if self.attack_lr is not None and self.attack_lr < 0:
+            raise ConfigError(f"attack_lr must be nonnegative, got {self.attack_lr}")
+        if self.fast_step is not None and self.fast_step < 0:
+            raise ConfigError(f"fast_step must be nonnegative, got {self.fast_step}")
         if self.total_iterations % self.inner_steps != 0:
             raise ConfigError(
                 f"total_iterations={self.total_iterations} must be divisible by free_steps={self.free_steps}"

@@ -6,11 +6,13 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the lines stream.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from advstab.bounds import (
+    ConstantEstimates,
     RegionSampler,
     TrajectorySampler,
     estimate_lipschitz,
@@ -32,9 +34,7 @@ from advstab.stability import (
     coupled_run,
     estimate_uniform_stability,
     make_neighbor,
-    verify_growth_fast,
-    verify_growth_free,
-    verify_growth_vanilla,
+    verify_growth,
 )
 from advstab.synth import SyntheticSpec, make_synthetic
 from advstab.threat import AttackConfig, PerturbationSet
@@ -116,7 +116,7 @@ def growth_state():
         sampler = TrajectorySampler.from_traces(pilots, pset, data, jitter=0.05)
         # spec-literal random-direction pair quotients: tight enough that a
         # 10x deflation is detectably below the path expansion
-        L, _ = estimate_lipschitz(model, sampler, 1500, stream(9, 0))
+        L, Lw = estimate_lipschitz(model, sampler, 1500, stream(9, 0))
         beta = estimate_smoothness(model, sampler, 1500, 1e-3, stream(9, 1), power_iters=0)
         traces = []
         for k in range(100):
@@ -125,7 +125,7 @@ def growth_state():
             pair = make_neighbor(data, k % n, rep)
             traces.append(coupled_run(model, pair, cfg.with_seed(1000 + k)))
         psi_hat = max(estimate_psi(tr).psi for tr in traces)
-        state[name] = dict(traces=traces, beta=beta, L=L, psi=psi_hat, eps=pset.radius)
+        state[name] = dict(traces=traces, consts=ConstantEstimates(lipschitz=L, lipschitz_w=Lw, beta=beta, psi=psi_hat))
     return state
 
 
@@ -256,22 +256,15 @@ def test_c09_growth_recursion_verification(growth_state):
     details = []
     ok = True
     for name, st in growth_state.items():
-        verify = {
-            "vanilla": lambda tr: verify_growth_vanilla(tr, st["beta"] * 1.1, st["L"] * 1.1, st["eps"]),
-            "free": lambda tr: verify_growth_free(tr, st["beta"] * 1.1, st["L"] * 1.1, st["psi"] * 1.1, st["eps"]),
-            "fast": lambda tr: verify_growth_fast(tr, st["beta"] * 1.1, st["L"] * 1.1, st["psi"] * 1.1, st["eps"]),
-        }[name]
-        deflate = {
-            "vanilla": lambda tr: verify_growth_vanilla(tr, st["beta"] * 0.1, st["L"] * 0.1, st["eps"]),
-            # the gradient-norm floor estimate stays as measured: deflating it
-            # would void the hypothesis rather than tighten the bound
-            "free": lambda tr: verify_growth_free(tr, st["beta"] * 0.1, st["L"] * 0.1, st["psi"], st["eps"]),
-            "fast": lambda tr: verify_growth_fast(tr, st["beta"] * 0.1, st["L"] * 0.1, st["psi"], st["eps"]),
-        }[name]
+        k = st["consts"]
+        inflated = k.inflated(1.1)
+        # the gradient-norm floor estimate psi stays as measured: deflating it
+        # would void the hypothesis rather than tighten the bound
+        deflated = replace(k, beta=k.beta * 0.1, lipschitz=k.lipschitz * 0.1, lipschitz_w=k.lipschitz_w * 0.1)
         up_absent = up_checked = dn_total = 0
         for tr in st["traces"]:
-            up = verify(tr)
-            dn = deflate(tr)
+            up = verify_growth(tr, inflated)
+            dn = verify_growth(tr, deflated)
             up_absent += up.violations_absent + getattr(up, "stepwise_violations", 0)
             up_checked += up.checked_absent
             dn_total += dn.violations_absent + dn.violations_encounter + getattr(dn, "stepwise_violations", 0)

@@ -141,7 +141,7 @@ def test_bounds_command(tmp_path):
     code = main(["bounds", "--config", str(cfg), "--out", str(out), "--probes", "100"])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert {"vanilla", "free", "fast"} <= set(report["bounds"])
+    assert list(report["bounds"]) == ["vanilla", "free", "fast"]
     assert report["constants"]["lipschitz"] >= report["constants"]["lipschitz_w"]
 
 
@@ -231,6 +231,55 @@ def test_non_object_section_is_rejected_with_its_dotted_path(tmp_path, capsys, r
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "ConfigError", "message": message}
     assert not (tmp_path / "out").exists()
+
+
+# a scalar whose JSON type does not fit its default, and the other values
+# that construction rejects, each with the dotted key or field it names
+_BAD_VALUES = [
+    ({"trials": {"n": 3}}, "config trials must be an int, got dict"),
+    ({"train": {"batch_size": "25"}}, "config train.batch_size must be an int, got str"),
+    ({"train": {"batch_size": 25.0}}, "config train.batch_size must be an int, got float"),
+    ({"trials": True}, "config trials must be an int, got bool"),
+    ({"train": {"eps": True}}, "config train.eps must be a number, got bool"),
+    ({"train": {"attack_lr": "0.5"}}, "config train.attack_lr must be a number or null, got str"),
+    ({"model": {"bounded_loss": 1}}, "config model.bounded_loss must be a bool, got int"),
+    ({"budget_axis": None}, "config budget_axis must be a string, got NoneType"),
+    ({"eval": {"attack": {"steps": [10]}}}, "config eval.attack.steps must be an int, got list"),
+    ({"eval": {"checkpoint_every": 0}}, "checkpoint_every must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("raw, message", _BAD_VALUES)
+def test_bad_value_is_rejected_before_any_output(tmp_path, capsys, raw, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+def test_scalars_that_fit_their_defaults_load():
+    cfg = config_from_dict({"train": {"eps": 1, "attack_lr": 2, "fast_step": 0.25, "trades_lambda": None}, "data": {"noise": 2}})
+    assert (cfg.train.pset.radius, cfg.train.attack_lr, cfg.train.fast_step, cfg.data.noise) == (1, 2, 0.25, 2)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(readme.split("An example config:\n\n```json\n")[1].split("```")[0])
+    cfg = config_from_dict(example)
+    assert (cfg.train.algorithm, cfg.train.attack_lr, cfg.trials, cfg.eval_seed) == ("free", 0.5, 5, 4242)
+
+
+def test_layers_are_checked_against_the_defaults(tmp_path, monkeypatch):
+    # the file's ints sit under the second config's floats; both fit a float or null default
+    from advstab import cli
+    from advstab.experiments import TransferReport
+
+    seen = []
+    monkeypatch.setattr(cli, "run_transfer_experiment", lambda a, b: seen.extend([a, b]) or TransferReport({}, [], {}))
+    cfg = _write_cfg(tmp_path, train={**_BASE["train"], "eps": 1, "attack_lr": 1})
+    cfg_b = tmp_path / "b.json"
+    cfg_b.write_text(json.dumps({"train": {"eps": 0.5, "attack_lr": 0.25}}))
+    assert main(["transfer", "--config", str(cfg), "--config-b", str(cfg_b), "--out", str(tmp_path / "t")]) == 0
+    assert [(c.train.pset.radius, c.train.attack_lr) for c in seen] == [(1, 1), (0.5, 0.25)]
 
 
 def test_flags_apply_before_the_config_is_validated(tmp_path, monkeypatch):

@@ -192,6 +192,14 @@ def test_transfer_experiment_eps_zero_all_clean():
         assert res.accuracy[key] == pytest.approx(res.clean_accuracy[key[1]], abs=0)
 
 
+def test_checkpoint_every_below_one_rejected_at_construction():
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match="checkpoint_every must be >= 1"):
+            replace(_cfg(), checkpoint_every=bad)
+    cfg = replace(_cfg(), checkpoint_every=None)
+    assert cfg.resolved_checkpoint() == cfg.data.n_train // cfg.train.batch_size
+
+
 def test_transfer_requires_shared_data():
     cfg_a = _cfg(trials=1)
     cfg_b = _cfg(trials=1, n_train=50)

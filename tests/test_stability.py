@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from advstab.bounds import RegionSampler, estimate_constants, estimate_lipschitz, estimate_psi
+from advstab.bounds import ConstantEstimates, RegionSampler, estimate_constants, estimate_lipschitz, estimate_psi
 from advstab.errors import ConfigError, DimensionError, TraceError
 from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhMLP
 from advstab.rng import stream
 from advstab.stability import (
+    RULE_FACTS,
     coupled_run,
     estimate_uniform_stability,
     make_neighbor,
+    verify_growth,
     verify_growth_fast,
     verify_growth_free,
     verify_growth_vanilla,
@@ -16,7 +20,7 @@ from advstab.stability import (
 )
 from advstab.synth import SyntheticSpec, make_synthetic
 from advstab.threat import AttackConfig, PerturbationSet
-from advstab.trainers import StepSchedule, TrainConfig, train
+from advstab.trainers import RULES, StepSchedule, TrainConfig, train
 
 
 def _setup(n=30, dim=5, seed=3):
@@ -319,7 +323,7 @@ def test_growth_fast_passes_and_reduces():
     assert rep.violations_absent == 0
 
     # zero single-step size collapses the factor to the plain smoothness one
-    rep0 = verify_growth_fast(trace, consts.beta * 1.1, consts.lipschitz * 1.1, psi_hat, cfg.pset.radius, fast_step=0.0)
+    rep0 = verify_growth_fast(replace(trace, fast_step=0.0), consts.beta * 1.1, consts.lipschitz * 1.1, psi_hat, cfg.pset.radius)
     a = trace.alpha_w[0]
     assert (1.0 + a * consts.beta * 1.1 * (1.0 + 0.0)) == pytest.approx(1.0 + a * consts.beta * 1.1, abs=0)
     assert rep0.checked_absent == rep.checked_absent
@@ -332,6 +336,46 @@ def test_growth_fast_trivial_pair_no_violations():
     trace = coupled_run(model, pair, cfg)
     rep = verify_growth_fast(trace, 1.0, 1.0, 1.0, 0.3)
     assert rep.violations_absent == 0 and rep.violations_encounter == 0
+
+
+# -- the per-rule table -----------------------------------------------------------
+
+
+def test_rule_facts_cover_every_rule_in_report_order():
+    assert list(RULE_FACTS) == ["vanilla", "free", "fast"]
+    assert set(RULE_FACTS) == set(RULES.values())
+
+
+@pytest.mark.parametrize("algorithm", sorted(RULES))
+def test_verify_growth_equals_the_rule_verifier(algorithm):
+    data, model = _setup()
+    pair = make_neighbor(data, 4, _replacement())
+    pset = PerturbationSet("l2", 0.3, 5)
+    trades = 0.5 if algorithm in ("trades_seq", "free_trades") else None
+    cfg = TrainConfig(
+        algorithm, pset, StepSchedule("vanishing_c_over_t", c=0.5), 6, 24, 61,
+        free_steps=4, trades_lambda=trades, inner_attack=AttackConfig(steps=2, step_size=1.0),
+    )
+    tr = coupled_run(model, pair, cfg)
+    assert tr.d_w[-1] > 0
+    measured = ConstantEstimates(lipschitz=2.0, lipschitz_w=1.5, beta=3.0, psi=estimate_psi(tr).psi)
+    deflated = replace(measured, beta=measured.beta * 0.1, lipschitz=measured.lipschitz * 0.1, lipschitz_w=measured.lipschitz_w * 0.1)
+    for k in (measured.inflated(1.1), deflated):
+        direct = {
+            "vanilla": lambda: verify_growth_vanilla(tr, k.beta, k.lipschitz, tr.eps),
+            "free": lambda: verify_growth_free(tr, k.beta, k.lipschitz, k.psi, tr.eps),
+            "fast": lambda: verify_growth_fast(tr, k.beta, k.lipschitz, k.psi, tr.eps),
+        }[RULES[algorithm]]()
+        assert vars(verify_growth(tr, k)) == vars(direct)
+
+
+def test_verify_growth_rejects_linf_traces():
+    data, model = _setup()
+    pair = make_neighbor(data, 3, _replacement())
+    cfg = TrainConfig("fast", PerturbationSet("linf", 0.1, 5), StepSchedule("vanishing_c_over_t", c=0.5), 6, 5, 5)
+    trace = coupled_run(model, pair, cfg)
+    with pytest.raises(ConfigError, match="L2"):
+        verify_growth(trace, ConstantEstimates(lipschitz=1.0, lipschitz_w=1.0, beta=1.0, psi=1.0))
 
 
 # -- uniform stability -----------------------------------------------------------

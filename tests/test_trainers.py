@@ -91,6 +91,18 @@ def test_free_rejects_schedule_m_other_than_free_steps():
     _cfg("vanilla", schedule=StepSchedule("vanishing_c_over_mt", c=0.5, m=2))
 
 
+def test_negative_attack_lr_rejected():
+    with pytest.raises(ConfigError, match="attack_lr must be nonnegative, got -0.5"):
+        _cfg("free", T=8, free_steps=4, attack_lr=-0.5)
+    assert _cfg("free", T=8, free_steps=4, attack_lr=0.0).resolved_attack_lr == 0.0
+
+
+def test_negative_fast_step_rejected():
+    with pytest.raises(ConfigError, match="fast_step must be nonnegative, got -0.2"):
+        _cfg("fast", fast_step=-0.2)
+    assert _cfg("fast", fast_step=0.0).resolved_fast_step == 0.0
+
+
 def test_rule_properties_derive_from_algorithm():
     expected = {
         "vanilla": ("vanilla", None, 1, 4),
