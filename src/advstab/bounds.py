@@ -117,8 +117,7 @@ class TrajectorySampler:
     def from_traces(cls, traces, pset, dataset: Dataset, jitter: float = 0.05):
         pts = []
         for tr in traces:
-            if getattr(tr, "snapshots", None):
-                pts.extend(tr.snapshots.values())
+            pts.extend(tr.snapshots.values())
             pts.append(tr.w_final)
         return cls(w_points=np.stack(pts), jitter=jitter, pset=pset, X=dataset.X, y=dataset.y)
 
@@ -284,12 +283,7 @@ def estimate_psi(trace) -> PsiEstimate:
     result carries the full min-norm time series and a degeneracy flag set
     when the floor engaged.
     """
-    if hasattr(trace, "min_grad_delta_series"):
-        series = trace.min_grad_delta_series()
-    elif hasattr(trace, "min_grad_delta"):
-        series = np.asarray(trace.min_grad_delta, dtype=np.float64)
-    else:
-        series = np.asarray(trace, dtype=np.float64)
+    series = np.asarray(getattr(trace, "min_grad_delta", trace), dtype=np.float64)
     if series.size == 0:
         raise DimensionError("trace has no recorded perturbation-gradient norms")
     min_norm = float(series.min())

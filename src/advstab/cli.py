@@ -215,6 +215,19 @@ def cmd_stability(args) -> int:
     return 0
 
 
+def _bound_entry(build, inputs, trained: bool) -> dict:
+    """One rule's bound report, or the ``ConfigError`` its builder raised: a
+    rule whose preconditions the trained config misses (free needs m | T)
+    must not sink the other rules' reports. The trained rule's own bound and
+    every other error still propagate."""
+    try:
+        return build(inputs).to_dict()
+    except ConfigError as exc:
+        if trained:
+            raise
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     train_ds, _ = make_synthetic(cfg.data)
@@ -232,7 +245,7 @@ def cmd_bounds(args) -> int:
             "psi_degenerate": psi_est.degenerate,
             "region": consts.region,
         },
-        "bounds": {rule: facts.bound(inputs).to_dict() for rule, facts in RULE_FACTS.items()},
+        "bounds": {rule: _bound_entry(facts.bound, inputs, rule == tc.rule) for rule, facts in RULE_FACTS.items()},
         "schedule_vanishing": tc.schedule.vanishing,
     }
     _write_json(args.out, "report.json", payload, payload["bounds"])

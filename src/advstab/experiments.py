@@ -431,8 +431,6 @@ def run_transfer_experiment(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) ->
     test set. Keys of the 2x2 table are ('a'|'b', 'a'|'b')."""
     if cfg_a.data != cfg_b.data:
         raise ConfigError("transfer experiments must share the data spec")
-    if cfg_a.data.dim != cfg_b.data.dim:
-        raise DimensionError("models must share the input dimension")
     _require_fair_evaluation(cfg_a, cfg_b)
     train_ds, test_ds = make_synthetic(cfg_a.data)
     model_a, model_b = cfg_a.build_model(), cfg_b.build_model()

@@ -374,7 +374,9 @@ def verify_stepwise_expectation(
     eps: float,
 ) -> dict:
     """Monte-Carlo check of the expectation-level per-step contraction for a
-    family of free coupled runs sharing (n, b, m, schedule):
+    family of free coupled runs sharing (n, b, m, n_steps, schedule,
+    alpha_delta); a trace of another rule or with another value of one of
+    these is a ``TraceError`` naming the field and the trace index:
 
         mean[d_t] + 2L/(n beta) <= factor_t * (mean[d_{t-1}] + 2L/(n beta))
 
@@ -386,6 +388,12 @@ def verify_stepwise_expectation(
     if not traces:
         raise TraceError("need at least one trace")
     t0 = traces[0]
+    for j, tr in enumerate(traces):
+        if RULES[tr.algorithm] != FREE:
+            raise TraceError(f"trace {j}: expected a free-rule trace, got {tr.algorithm!r}")
+        for name in ("n", "b", "m", "n_steps", "schedule", "alpha_delta"):
+            if getattr(tr, name) != getattr(t0, name):
+                raise TraceError(f"trace {j} has {name}={getattr(tr, name)!r}, trace 0 has {getattr(t0, name)!r}")
     sched = t0.schedule
     if sched is None or sched.kind != "vanishing_c_over_mt":
         raise ConfigError("the expectation-level factor needs the c/(m t) schedule")

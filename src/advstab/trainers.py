@@ -37,7 +37,6 @@ from .threat import AttackConfig, PerturbationSet, ascend_rows, pgd_attack_batch
 __all__ = [
     "StepSchedule",
     "TrainConfig",
-    "StepRecord",
     "TrainTrace",
     "step_size",
     "trades_surrogate_loss",
@@ -171,25 +170,21 @@ class TrainConfig:
 
 
 @dataclass
-class StepRecord:
-    """One weight update: global index t, outer step, inner iteration,
-    step size, batch indices, gradient norms, and mean batch loss."""
-
-    t: int
-    step: int
-    iteration: int
-    alpha_w: float
-    batch: np.ndarray
-    grad_w_norm: float
-    min_grad_delta_norm: float
-    loss: float
-
-
-@dataclass
 class TrainTrace:
+    """One row per weight update u (``t`` = u + 1 in ``to_records``): the
+    outer step, the inner iteration, the step size, the batch indices
+    (U, b), the weight-gradient norm, the smallest per-sample
+    perturbation-gradient norm and the mean batch loss."""
+
     algorithm: str
     seed: int
-    records: list
+    step: np.ndarray  # (U,)
+    iteration: np.ndarray  # (U,)
+    alpha_w: np.ndarray  # (U,)
+    batch: np.ndarray  # (U, b)
+    grad_w_norm: np.ndarray  # (U,)
+    min_grad_delta: np.ndarray  # (U,)
+    loss: np.ndarray  # (U,)
     w_final: np.ndarray
     w_low: np.ndarray  # per-coordinate envelope of visited weights
     w_high: np.ndarray
@@ -198,27 +193,23 @@ class TrainTrace:
     snapshots: dict = field(default_factory=dict)  # update index -> weight copy
 
     def __len__(self):
-        return len(self.records)
-
-    def min_grad_delta_series(self) -> np.ndarray:
-        return np.array([r.min_grad_delta_norm for r in self.records])
+        return len(self.step)
 
     def min_grad_delta_norm(self) -> float:
-        series = self.min_grad_delta_series()
-        return float(series.min()) if series.size else float("inf")
+        return float(self.min_grad_delta.min()) if len(self) else float("inf")
 
     def to_records(self):
         """Line-delimited record stream: one dict per weight update."""
-        for r in self.records:
+        for u in range(len(self)):
             yield {
-                "t": r.t,
-                "step": r.step,
-                "iteration": r.iteration,
-                "alpha_w": r.alpha_w,
-                "batch": "|".join(str(int(i)) for i in r.batch),
-                "grad_w_norm": r.grad_w_norm,
-                "min_grad_delta_norm": r.min_grad_delta_norm,
-                "loss": r.loss,
+                "t": u + 1,
+                "step": int(self.step[u]),
+                "iteration": int(self.iteration[u]),
+                "alpha_w": float(self.alpha_w[u]),
+                "batch": "|".join(str(int(i)) for i in self.batch[u]),
+                "grad_w_norm": float(self.grad_w_norm[u]),
+                "min_grad_delta_norm": float(self.min_grad_delta[u]),
+                "loss": float(self.loss[u]),
             }
 
 
@@ -486,52 +477,6 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
         yield t, 1, aw, idx, per_run(W), None, per_run(stats)
 
 
-class _Tracker:
-    def __init__(self, algorithm, seed, w0, snapshot_at=None):
-        self.records = []
-        self.low = w0.copy()
-        self.high = w0.copy()
-        self.oracle = 0
-        self.forward = 0
-        self.algorithm = algorithm
-        self.seed = seed
-        self.snapshot_at = frozenset(int(t) for t in snapshot_at) if snapshot_at else frozenset()
-        self.snapshots = {}
-
-    def push(self, w, t, step, iteration, alpha_w, batch, stats):
-        np.minimum(self.low, w, out=self.low)
-        np.maximum(self.high, w, out=self.high)
-        self.oracle += stats["oracle_calls"]
-        self.forward += stats["forward_calls"]
-        if t in self.snapshot_at:
-            self.snapshots[t] = w.copy()
-        self.records.append(
-            StepRecord(
-                t=t,
-                step=step,
-                iteration=iteration,
-                alpha_w=alpha_w,
-                batch=np.asarray(batch).copy(),
-                grad_w_norm=stats["grad_w_norm"],
-                min_grad_delta_norm=stats["min_grad_delta_norm"],
-                loss=stats["loss"],
-            )
-        )
-
-    def trace(self, w):
-        return TrainTrace(
-            algorithm=self.algorithm,
-            seed=self.seed,
-            records=self.records,
-            w_final=w.copy(),
-            w_low=self.low,
-            w_high=self.high,
-            oracle_calls=self.oracle,
-            forward_calls=self.forward,
-            snapshots=self.snapshots,
-        )
-
-
 def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=None):
     """Run ``cfg.algorithm`` on one dataset; returns (final weights, TrainTrace).
 
@@ -540,7 +485,46 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
     """
     updates = lockstep(model, [dataset], cfg)
     (w,) = next(updates)[4]
-    tracker = _Tracker(cfg.algorithm, cfg.seed, w, snapshot_at)
-    for update, (t, i, aw, idx, (w,), _, (stats,)) in enumerate(updates, start=1):
-        tracker.push(w, update, t, i, aw, idx, stats)
-    return w, tracker.trace(w)
+    U = cfg.total_iterations
+    step = np.zeros(U, dtype=np.int64)
+    iteration = np.zeros(U, dtype=np.int64)
+    alpha_w = np.zeros(U)
+    batch = np.zeros((U, cfg.batch_size), dtype=np.int64)
+    grad_w_norm = np.zeros(U)
+    min_grad_delta = np.zeros(U)
+    loss = np.zeros(U)
+    w_low, w_high = w.copy(), w.copy()
+    oracle_calls = forward_calls = 0
+    marks = set() if snapshot_at is None else {int(t) for t in snapshot_at}
+    snapshots = {}
+    for u, (t, i, aw, idx, (w,), _, (stats,)) in enumerate(updates):
+        step[u] = t
+        iteration[u] = i
+        alpha_w[u] = aw
+        batch[u] = idx
+        grad_w_norm[u] = stats["grad_w_norm"]
+        min_grad_delta[u] = stats["min_grad_delta_norm"]
+        loss[u] = stats["loss"]
+        np.minimum(w_low, w, out=w_low)
+        np.maximum(w_high, w, out=w_high)
+        oracle_calls += stats["oracle_calls"]
+        forward_calls += stats["forward_calls"]
+        if u + 1 in marks:
+            snapshots[u + 1] = w.copy()
+    return w, TrainTrace(
+        algorithm=cfg.algorithm,
+        seed=cfg.seed,
+        step=step,
+        iteration=iteration,
+        alpha_w=alpha_w,
+        batch=batch,
+        grad_w_norm=grad_w_norm,
+        min_grad_delta=min_grad_delta,
+        loss=loss,
+        w_final=w.copy(),
+        w_low=w_low,
+        w_high=w_high,
+        oracle_calls=oracle_calls,
+        forward_calls=forward_calls,
+        snapshots=snapshots,
+    )

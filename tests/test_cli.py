@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from advstab.cli import config_from_dict, main
-from advstab.errors import ConfigError
+from advstab.errors import ConfigError, DimensionError
 
 _BASE = {
     "model": {"kind": "mlp", "hidden_dim": 5},
@@ -143,6 +143,44 @@ def test_bounds_command(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert list(report["bounds"]) == ["vanilla", "free", "fast"]
     assert report["constants"]["lipschitz"] >= report["constants"]["lipschitz_w"]
+
+
+def test_bounds_command_reports_each_rule_on_its_own(tmp_path, capsys):
+    # T=30 trains the vanilla rule and fits the fast bound, but the free bound
+    # needs m=4 to divide T: only that entry carries the error
+    train = {**_BASE["train"], "schedule": {"kind": "vanishing_c_over_t", "c": 0.5}, "total_iterations": 30}
+    cfg = _write_cfg(tmp_path, train=train)
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out), "--probes", "100"]) == 0
+    bounds = json.loads((out / "report.json").read_text())["bounds"]
+    assert list(bounds) == ["vanilla", "free", "fast"]
+    assert bounds["free"] == {"error": "ConfigError: T=30 must be divisible by m=4"}
+    for rule in ("vanilla", "fast"):
+        assert bounds[rule]["algorithm"] == rule
+        assert bounds[rule]["n_steps"] == 30
+        assert bounds[rule]["bound_value"] > 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "rule, error",
+    [("vanilla", ConfigError("the trained rule's own bound")), ("fast", DimensionError("not a precondition"))],
+)
+def test_bounds_command_propagates_other_failures(tmp_path, capsys, monkeypatch, rule, error):
+    # only another rule's ConfigError becomes an entry: a failed bound for the
+    # trained rule (vanilla) or any other error fails the command
+    from advstab import cli
+
+    def fail(inputs):
+        raise error
+
+    monkeypatch.setitem(cli.RULE_FACTS, rule, cli.RULE_FACTS[rule]._replace(bound=fail))
+    train = {**_BASE["train"], "schedule": {"kind": "vanishing_c_over_t", "c": 0.5}}
+    cfg = _write_cfg(tmp_path, train=train)
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out"), "--probes", "100"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": type(error).__name__, "message": str(error)}
+    assert not (tmp_path / "out").exists()
 
 
 def test_failure_is_machine_readable(tmp_path, capsys):

@@ -312,6 +312,33 @@ def test_stepwise_expectation_across_runs():
     assert out["violations"] == 0
 
 
+def test_stepwise_expectation_rejects_a_non_free_or_mixed_family():
+    data, model = _setup()
+    pair = make_neighbor(data, 5, _replacement())
+    free = coupled_run(model, pair, _free_cfg(T=16))
+    vanilla = coupled_run(model, pair, _vanilla_cfg(T=4, schedule=StepSchedule("vanishing_c_over_mt", c=0.5, m=4)))
+    args = (1.0, 1.0, 1.0, 0.3)
+    with pytest.raises(TraceError, match="trace 0: expected a free-rule trace, got 'vanilla'"):
+        verify_stepwise_expectation([vanilla], *args)
+    # the rule is checked before the schedule, so a c/t trace names its rule too
+    with pytest.raises(TraceError, match="trace 0: expected a free-rule trace, got 'vanilla'"):
+        verify_stepwise_expectation([coupled_run(model, pair, _vanilla_cfg(T=4))], *args)
+    with pytest.raises(TraceError, match="trace 1: expected a free-rule trace, got 'vanilla'"):
+        verify_stepwise_expectation([free, vanilla], *args)
+    mismatched = {
+        "n": replace(free, n=free.n + 1),
+        "b": replace(free, b=free.b + 1),
+        "m": coupled_run(model, pair, _free_cfg(T=16, m=2)),
+        "n_steps": coupled_run(model, pair, _free_cfg(T=24)),
+        "schedule": replace(free, schedule=StepSchedule("vanishing_c_over_mt", c=0.7, m=4)),
+        "alpha_delta": replace(free, alpha_delta=2.0 * free.alpha_delta),
+    }
+    for name, other in mismatched.items():
+        with pytest.raises(TraceError, match=f"trace 2 has {name}="):
+            verify_stepwise_expectation([free, free, other], *args)
+    assert verify_stepwise_expectation([free, free], *args)["runs"] == 2
+
+
 def test_growth_fast_passes_and_reduces():
     data, model = _setup()
     pair = make_neighbor(data, 6, _replacement())
@@ -479,6 +506,6 @@ def test_coupled_halves_equal_standalone_train(algorithm, kw):
         assert trace.d_w[0] == 0.0
         for t in range(1, trace.n_steps + 1):
             assert trace.d_w[t] == np.linalg.norm(tr_a.snapshots[t * m] - tr_b.snapshots[t * m]), t
-        per_update = np.minimum(tr_a.min_grad_delta_series(), tr_b.min_grad_delta_series())
+        per_update = np.minimum(tr_a.min_grad_delta, tr_b.min_grad_delta)
         assert np.array_equal(trace.min_grad_delta, per_update.reshape(trace.n_steps, m).min(axis=1))
         assert trace.first_divergence_step() is not None

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from advstab.bounds import estimate_psi
 from advstab.errors import ConfigError
 from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhMLP
 from advstab.rng import stream
@@ -17,6 +18,7 @@ from advstab.trainers import (
     batch_indices,
     fast_batch_step,
     free_inner_iteration,
+    lockstep,
     step_size,
     trades_batch_loss_and_grads,
     trades_surrogate_loss,
@@ -140,7 +142,7 @@ def test_same_seed_bit_identical():
         w1, tr1 = train(_mlp(), data, cfg)
         w2, tr2 = train(_mlp(), data, cfg)
         assert np.array_equal(w1, w2)
-        assert [r.loss for r in tr1.records] == [r.loss for r in tr2.records]
+        assert np.array_equal(tr1.loss, tr2.loss)
 
 
 def test_update_count_accounting():
@@ -153,8 +155,11 @@ def test_update_count_accounting():
     ):
         cfg = _cfg(algorithm, T=12, **kw)
         _, trace = train(_mlp(), data, cfg)
-        assert len(trace.records) == expected
-        assert [r.t for r in trace.records] == list(range(1, 13))
+        # every row is written: an unfilled row would read step 0
+        m = kw.get("free_steps", 1)
+        assert trace.step.tolist() == [u // m + 1 for u in range(expected)]
+        assert trace.iteration.tolist() == [u % m + 1 for u in range(expected)]
+        assert [r["t"] for r in trace.to_records()] == list(range(1, 13))
 
 
 def test_oracle_call_accounting():
@@ -177,7 +182,7 @@ def test_t_zero_returns_initialization():
     cfg = _cfg("vanilla", T=0)
     w, trace = train(model, data, cfg)
     assert np.array_equal(w, model.init_params(stream(cfg.seed, STREAM_INIT)))
-    assert len(trace.records) == 0
+    assert len(trace) == 0
 
 
 def test_batch_stream_is_pure_function_of_seed():
@@ -252,8 +257,9 @@ def test_free_m4_vs_m2_both_reach_T_updates():
     b = _cfg("free", T=8, free_steps=2)
     _, tr_a = train(_mlp(), data, a)
     _, tr_b = train(_mlp(), data, b)
-    assert len(tr_a.records) == len(tr_b.records) == 8
-    assert [r.loss for r in tr_a.records] != [r.loss for r in tr_b.records]
+    assert tr_a.step.tolist() == [1, 1, 1, 1, 2, 2, 2, 2]
+    assert tr_b.step.tolist() == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert not np.array_equal(tr_a.loss, tr_b.loss)
 
 
 # -- fast --------------------------------------------------------------------
@@ -490,6 +496,44 @@ def test_trace_serialization_fields():
     assert rows[0]["batch"].count("|") == cfg.batch_size - 1
 
 
+@pytest.mark.parametrize(
+    "algorithm, kw",
+    [
+        ("vanilla", {}),
+        ("trades_seq", dict(trades_lambda=0.5)),
+        ("fast", {}),
+        ("free", dict(free_steps=4)),
+        ("free_trades", dict(free_steps=4, trades_lambda=0.5)),
+    ],
+)
+def test_trace_columns_hold_what_lockstep_yields(algorithm, kw):
+    data, model = _data(), _mlp()
+    cfg = _cfg(algorithm, T=8, **kw)
+    _, trace = train(model, data, cfg, snapshot_at=np.array([2, 8]))
+    updates = list(lockstep(model, [data], cfg))[1:]
+    assert len(trace) == len(updates) == 8
+    assert sorted(trace.snapshots) == [2, 8]
+    for u, (t, i, aw, idx, (w,), _, (stats,)) in enumerate(updates):
+        if u + 1 in trace.snapshots:
+            assert np.array_equal(trace.snapshots[u + 1], w)
+        assert (trace.step[u], trace.iteration[u], trace.alpha_w[u]) == (t, i, aw)
+        assert np.array_equal(trace.batch[u], idx)
+        assert trace.grad_w_norm[u] == stats["grad_w_norm"]
+        assert trace.min_grad_delta[u] == stats["min_grad_delta_norm"]
+        assert trace.loss[u] == stats["loss"]
+    psi, psi_column = estimate_psi(trace), estimate_psi(trace.min_grad_delta)
+    assert (psi.psi, psi.min_norm, psi.degenerate) == (psi_column.psi, psi_column.min_norm, psi_column.degenerate)
+    assert np.array_equal(psi.series, psi_column.series)
+    assert psi.min_norm == trace.min_grad_delta_norm()
+
+    _, empty = train(model, data, _cfg(algorithm, T=0, **kw))
+    for name in ("step", "iteration", "alpha_w", "grad_w_norm", "min_grad_delta", "loss"):
+        assert getattr(empty, name).shape == (0,), name
+    assert empty.batch.shape == (0, cfg.batch_size)
+    assert empty.min_grad_delta_norm() == float("inf")
+    assert list(empty.to_records()) == []
+
+
 def test_linf_training_end_to_end():
     # no hidden L2 assumptions in the loops: deterministic, feasible, and
     # descending under an L-infinity ball
@@ -510,7 +554,7 @@ def test_linf_training_end_to_end():
         w1, tr1 = train(model, data, cfg)
         w2, _ = train(model, data, cfg)
         assert np.array_equal(w1, w2)
-        assert tr1.records[-1].loss < tr1.records[0].loss
+        assert tr1.loss[-1] < tr1.loss[0]
 
 
 def test_descent_on_smooth_objective():
@@ -521,7 +565,7 @@ def test_descent_on_smooth_objective():
     for seed in range(20):
         cfg = _cfg("vanilla", eps=0.05, T=40, seed=seed, schedule=StepSchedule("constant", c=0.3))
         _, trace = train(model, data, cfg)
-        assert trace.records[-1].loss < trace.records[0].loss
+        assert trace.loss[-1] < trace.loss[0]
 
 
 # -- validation at the training boundary --------------------------------------
