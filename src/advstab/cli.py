@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -133,13 +134,25 @@ def _emit(reports, out: str):
         print(p)
 
 
+def _json_safe(obj):
+    """``obj`` with every non-finite float as None, since JSON has no NaN."""
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_json(out: str, name: str, payload, shown) -> None:
-    """Write ``payload`` to ``out/name``, print that path, then ``shown``."""
+    """Write ``payload`` to ``out/name``, print that path, then ``shown``;
+    a non-finite float is written as null in both."""
     target = Path(out) / name
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2))
+    target.write_text(json.dumps(_json_safe(payload), indent=2, allow_nan=False))
     print(target)
-    print(json.dumps(shown, indent=2))
+    print(json.dumps(_json_safe(shown), indent=2, allow_nan=False))
 
 
 def cmd_gap(args) -> int:
@@ -193,12 +206,15 @@ def cmd_free_trades(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = _load_config(args)
+    tc = cfg.effective_train_config()
+    if args.pairs < 1:
+        raise ConfigError(f"stability needs --pairs >= 1, got {args.pairs}")
+    if tc.total_iterations < 1:
+        raise ConfigError("stability needs at least one training iteration")
     train_ds, _ = make_synthetic(cfg.data)
     model = cfg.build_model()
-    tc = cfg.effective_train_config()
-    pairs = args.pairs
     rows = []
-    for k in range(pairs):
+    for k in range(args.pairs):
         replacement = draw_replacement(cfg.data, k)
         pair = make_neighbor(train_ds, k % train_ds.n, replacement)
         trace = coupled_run(model, pair, tc.with_seed(tc.seed + k))
@@ -211,7 +227,7 @@ def cmd_stability(args) -> int:
                 "min_grad_delta_norm": float(trace.min_grad_delta.min()),
             }
         )
-    _write_json(args.out, "report.json", {"algorithm": tc.algorithm, "pairs": rows}, rows[: min(3, len(rows))])
+    _write_json(args.out, "report.json", {"algorithm": tc.algorithm, "pairs": rows}, rows[:3])
     return 0
 
 

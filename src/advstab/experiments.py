@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import BoundInputs, RegionSampler, estimate_constants, estimate_psi
 from .errors import ConfigError, DimensionError
-from .models import SmoothModel, make_model
+from .models import Dataset, SmoothModel, make_model
 from .rng import stream
 from .stability import RULE_FACTS
 from .synth import SyntheticSpec, make_synthetic
@@ -200,9 +200,12 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _evaluate(model, w, train_ds, test_ds, pset, attack, eval_seed, iteration) -> CheckpointStat:
-    train_risk, train_acc = empirical_robust_risk(model, w, train_ds, pset, attack, stream(eval_seed, _EVAL_STREAM, iteration, 0))
-    test_risk, test_acc = empirical_robust_risk(model, w, test_ds, pset, attack, stream(eval_seed, _EVAL_STREAM, iteration, 1))
+def _evaluate(model, w, eval_set, parts, pset, attack, eval_seed, iteration) -> CheckpointStat:
+    """One attack on the train rows followed by the test rows of
+    ``eval_set``, each drawing its starts from its own stream, so each
+    set's numbers are those of attacking it alone."""
+    rngs = [stream(eval_seed, _EVAL_STREAM, iteration, s) for s in range(len(parts))]
+    (train_risk, train_acc), (test_risk, test_acc) = empirical_robust_risk(model, w, eval_set, pset, attack, rngs, parts)
     return CheckpointStat(iteration=iteration, train_risk=train_risk, train_acc=train_acc, test_risk=test_risk, test_acc=test_acc)
 
 
@@ -214,9 +217,11 @@ def _cores() -> int:
 def _in_order(fn, items: list) -> list:
     """``[fn(item) for item in items]`` on the calling thread and up to
     ``_cores() - 1`` workers, which NumPy's large calls let run at once.
-    Each call runs in a copy of the caller's context (so its ``np.errstate``
-    holds). After a failure no item starts, and the failure of the lowest
-    index is raised, as the plain loop would."""
+    For checkpoint evaluation each item is one fused attack on the train and
+    test rows; the threads share the model and the data read-only, and each
+    attack owns its arrays. Each call runs in a copy of the caller's context
+    (so its ``np.errstate`` holds). After a failure no item starts, and the
+    failure of the lowest index is raised, as the plain loop would."""
     results, errors = [None] * len(items), {}
     indices, lock = iter(range(len(items))), threading.Lock()
     context = contextvars.copy_context()
@@ -265,6 +270,9 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
         raise ConfigError("gap experiments need at least one training iteration")
     cadence = cfg.resolved_checkpoint()
     report = GapReport(algorithm=tc.algorithm, config=_config_echo(cfg), trials=[])
+    # both sets in one batch, read by every evaluation thread
+    eval_set = Dataset(np.concatenate([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
+    parts = (train_ds.n, test_ds.n)
 
     for k in range(cfg.trials):
         trial_cfg = tc.with_seed(tc.seed + k)
@@ -273,7 +281,7 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
         if k == 0:
             first_trace = trace
         checkpoints = _in_order(
-            lambda mk: _evaluate(model, trace.snapshots[mk], train_ds, test_ds, trial_cfg.pset, cfg.eval_attack, cfg.eval_seed, mk),
+            lambda mk: _evaluate(model, trace.snapshots[mk], eval_set, parts, trial_cfg.pset, cfg.eval_attack, cfg.eval_seed, mk),
             marks,
         )
         min_gd = trace.min_grad_delta_norm()
@@ -376,7 +384,9 @@ def run_vs_n_experiment(cfg: ExperimentConfig, n_values) -> VsNReport:
 
 
 def _loglog_slope(n_values: np.ndarray, gaps: np.ndarray):
-    if np.any(gaps <= 0):
+    """Least-squares slope of log gap against log n and its standard error;
+    NaN when a gap is not positive or fewer than two distinct n pin a line."""
+    if np.any(gaps <= 0) or np.unique(n_values).size < 2:
         return float("nan"), float("nan")
     x = np.log(n_values)
     y = np.log(gaps)

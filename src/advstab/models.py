@@ -13,8 +13,12 @@ the logits plus a closure that pulls an upstream logits gradient back to
 adversarial loss, bounded squashed loss, the consistency surrogate in
 ``trainers``) are built on it, which is what lets simultaneous-update
 algorithms obtain both gradients from one evaluation point. An attack needs
-only the input gradient, so the closure can skip the weight gradient, and
-``attack_loss_and_grad`` is the unchecked oracle built on that.
+only the input gradient, so the closure can skip the weight gradient.
+``attack_oracle(w, X, y)`` binds that unchecked oracle once per attack: it
+builds the label index once and, for the MLP, unpacks the weights once and
+writes the activations, logits and input gradient into arrays allocated
+once, so an attack step allocates no array of the batch's size.
+``attack_loss_and_grad`` is its one-call form.
 
 Run axis. Every batched operation also accepts a leading run axis: weights
 of shape (..., param_dim) and inputs of shape (..., B, d) with the same
@@ -102,6 +106,13 @@ class Dataset:
 
 
 def _log_softmax(Z: np.ndarray) -> np.ndarray:
+    if Z.shape[-1] == 2:
+        # by columns: a max rounds nothing and a sum of two terms rounds once
+        # in any order, so these are the bits of the reductions below
+        s = Z - np.maximum(Z[..., :1], Z[..., 1:])
+        e = np.exp(s)
+        t = np.add(e[..., :1], e[..., 1:])
+        return np.subtract(s, np.log(t, out=t), out=s)
     # the ufunc reductions are what Z.max and .sum call, minus their dispatch
     s = Z - np.maximum.reduce(Z, axis=-1, keepdims=True)
     return s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
@@ -111,12 +122,19 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(Z))
 
 
-def _label_rows(A: np.ndarray, y: np.ndarray):
-    """``A`` as rows (N, C) and the index of each row's label entry. A stack
-    (..., B, C) is flattened, to a view of ``A`` when it is contiguous."""
+def _label_index(y: np.ndarray):
+    """The index of each row's label entry in the flattened rows (N, C)."""
+    y = y.reshape(-1)
+    return np.arange(y.size), y
+
+
+def _label_rows(A: np.ndarray, y: np.ndarray, at=None):
+    """``A`` as rows (N, C) and the index of each row's label entry, or
+    ``at`` when the caller built it once. A stack (..., B, C) is flattened,
+    to a view of ``A`` when it is contiguous."""
     if A.ndim > 2:
-        A, y = A.reshape(-1, A.shape[-1]), y.reshape(-1)
-    return A, (np.arange(A.shape[0]), y)
+        A = A.reshape(-1, A.shape[-1])
+    return A, (_label_index(y) if at is None else at)
 
 
 def _logit_losses(Z: np.ndarray, y: np.ndarray, bounded: bool) -> np.ndarray:
@@ -129,11 +147,12 @@ def _logit_losses(Z: np.ndarray, y: np.ndarray, bounded: bool) -> np.ndarray:
     return raw / (1.0 + raw) if bounded else raw
 
 
-def _softmax_head(Z: np.ndarray, y: np.ndarray, bounded: bool):
+def _softmax_head(Z: np.ndarray, y: np.ndarray, bounded: bool, at=None):
     """Per-row cross-entropy of logits ``Z`` (squashed when ``bounded``) and
-    its gradient with respect to ``Z``, computed on the flattened rows.
+    its gradient with respect to ``Z``, computed on the flattened rows;
+    ``at`` is ``_label_index(y)`` when the caller has it.
     Returns ``(losses (..., B), G (..., B, C))``."""
-    LS, at = _label_rows(_log_softmax(Z), y)
+    LS, at = _label_rows(_log_softmax(Z), y, at)
     raw = -LS[at]
     G = np.exp(LS)
     G[at] -= 1.0
@@ -258,20 +277,39 @@ class SmoothModel:
         gw_total, gU = vjp(G)
         return losses, gw_total / Z.shape[-2], gU
 
-    def attack_loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas: np.ndarray):
-        """The attack-only oracle: per-sample losses and perturbation
-        gradients at ``X + deltas``, equal bit for bit to the first and last
-        outputs of ``batch_loss_and_grads``, without the weight gradient.
+    def attack_oracle(self, w: np.ndarray, X: np.ndarray, y: np.ndarray):
+        """The attack-only oracle bound to one attack's weights, inputs and
+        labels: ``oracle(D) -> (losses (..., B), grad_delta (..., B, d))`` at
+        ``X + D``, equal bit for bit to the first and last outputs of
+        ``batch_loss_and_grads``, without the weight gradient. Each call
+        writes into arrays the binding owns, so the gradient is valid until
+        the next call; nothing is stored on the model, which threads share.
 
         Nothing is checked: ``w`` must be float64 weights (..., param_dim),
-        ``X`` and ``deltas`` float64 (..., B, input_dim) inputs with the same
-        leading run shape (``deltas`` may be a broadcast view) and ``y``
+        ``X`` and every ``D`` float64 (..., B, input_dim) inputs with the
+        same leading run shape (``D`` may be a broadcast view) and ``y``
         (..., B) in-range labels. ``pgd_attack_batch`` validates them once
-        on entry. Returns ``(losses (..., B), grad_delta (..., B, d))``.
+        on entry.
         """
-        Z, vjp = self.logits_and_vjp(w, X + deltas)
-        losses, G = _softmax_head(Z, y, self.bounded)
-        return losses, vjp(G, weights=False)[1]
+        U = np.empty(X.shape)
+        forward, at, bounded = self._attack_pass(w, U.shape), _label_index(y), self.bounded
+
+        def oracle(D):
+            Z, vjp = forward(np.add(X, D, out=U))
+            losses, G = _softmax_head(Z, y, bounded, at)
+            return losses, vjp(G, weights=False)[1]
+
+        return oracle
+
+    def _attack_pass(self, w: np.ndarray, shape: tuple):
+        """``U -> logits_and_vjp(w, U)`` for ``attack_oracle``, whose ``U`` is
+        always its own array of ``shape``; a model may bind more here."""
+        return lambda U: self.logits_and_vjp(w, U)
+
+    def attack_loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas: np.ndarray):
+        """The one-call form of ``attack_oracle``: ``(losses, grad_delta)``
+        at ``X + deltas``, unchecked alike."""
+        return self.attack_oracle(w, X, y)(deltas)
 
     # -- single-sample operations --------------------------------------------
 
@@ -362,20 +400,36 @@ class TwoLayerTanhMLP(SmoothModel):
         return W1, b1, W2, b2
 
     def logits_and_vjp(self, w, U):
+        return self._pass(self.unpack(w), U)
+
+    def _attack_pass(self, w, shape):
+        # the weights unpacked, and the activations, logits and their
+        # gradient allocated, once per attack
+        lead, h = shape[:-1], self.hidden_dim
+        params = self.unpack(w)
+        arrays = (np.empty(lead + (h,)), np.empty(lead + (self.class_count,)), np.empty(lead + (h,)))
+        return lambda U: self._pass(params, U, arrays)
+
+    def _pass(self, params, U, arrays=None):
+        """``logits_and_vjp`` on unpacked weights. With ``arrays`` (H, Z, A)
+        the pass writes into them, and ``vjp(G, weights=False)`` writes tanh'
+        over H and the input gradient over ``U``, which it no longer needs."""
         # in place, in the operand order of tanh(U @ W1^T + b1): the same bits
-        W1, b1, W2, b2 = self.unpack(w)
-        H = U @ W1.swapaxes(-1, -2)
+        W1, b1, W2, b2 = params
+        H, Z, A = arrays or (None, None, None)
+        H = np.matmul(U, W1.swapaxes(-1, -2), out=H)
         H += b1[..., None, :]
         np.tanh(H, out=H)
-        Z = H @ W2.swapaxes(-1, -2)
+        Z = np.matmul(H, W2.swapaxes(-1, -2), out=Z)
         Z += b2[..., None, :]
 
         def vjp(G, weights=True):
-            d = H * H
+            reuse = arrays is not None and not weights
+            d = np.multiply(H, H, out=H if reuse else None)
             np.subtract(1.0, d, out=d)  # tanh'
-            gA = G @ W2
+            gA = np.matmul(G, W2, out=A)
             gA *= d
-            gU = gA @ W1
+            gU = np.matmul(gA, W1, out=U if reuse else None)
             if not weights:
                 return None, gU
             lead = G.shape[:-2] + (-1,)

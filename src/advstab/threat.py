@@ -17,6 +17,15 @@ The row operations work per row on the last axis, so they take any leading
 shape; ``pgd_attack_batch`` accepts the models' run axis (weights
 (R, param_dim), inputs (R, B, d)) and attacks R runs in one oracle call
 per step, all of them from one shared start per restart.
+
+An attack allocates once, not once per step: it binds the model's
+attack-only oracle for its weights and inputs, owns its iterate (a shared
+start is copied first) and steps it in place through one scratch array.
+``ascend_rows``, the step as a new array, is a copy followed by that same
+in-place step. Consecutive parts of the rows may draw their starts from
+generators of their own (``parts``), which lets checkpoint evaluation
+attack the train and test rows as one batch with each set's numbers
+unchanged.
 """
 
 from __future__ import annotations
@@ -109,31 +118,56 @@ def _check_vec(g: np.ndarray, pset: PerturbationSet) -> np.ndarray:
     return g
 
 
-def _row_norms(G: np.ndarray) -> np.ndarray:
+def _row_norms(G: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Euclidean norm of each row, shape (..., B, 1): the arithmetic of
-    ``np.linalg.norm(G, axis=-1, keepdims=True)`` without its dispatch."""
-    s = np.add.reduce(G * G, axis=-1, keepdims=True)
+    ``np.linalg.norm(G, axis=-1, keepdims=True)`` without its dispatch. The
+    squares go to ``scratch`` (``G``'s shape) when given."""
+    s = np.add.reduce(np.multiply(G, G, out=scratch), axis=-1, keepdims=True)
     return np.sqrt(s, out=s)
 
 
-def project_rows(G: np.ndarray, pset: PerturbationSet, out: np.ndarray | None = None) -> np.ndarray:
+def project_rows(G: np.ndarray, pset: PerturbationSet, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection of each row onto the ball, written to ``out``
-    when given (``out`` may be ``G``)."""
+    when given (``out`` may be ``G``); ``scratch`` as in ``_row_norms``."""
     if pset.norm == L2:
-        norms = _row_norms(G)
+        norms = _row_norms(G, scratch)
         return np.multiply(G, np.divide(pset.radius, norms, out=np.ones(norms.shape), where=norms > pset.radius), out=out)
     return np.clip(G, -pset.radius, pset.radius, out=out)
 
 
-def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None = None) -> np.ndarray:
-    """Nearest extreme point of the ball per row; rows must be nonzero for L2.
-    ``norms`` (..., B, 1) passes the row norms of ``G`` when the caller has them."""
+def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Nearest extreme point of the ball per row, written to ``out`` when
+    given; rows must be nonzero for L2. ``norms`` (..., B, 1) passes the row
+    norms of ``G`` when the caller has them."""
+    r = pset.radius
     if pset.norm == L2:
         if norms is None:
             norms = _row_norms(G)
-        E = pset.radius * G
+        E = np.multiply(r, G, out=out)
         return np.divide(E, norms, out=E)
-    return np.where(G >= 0.0, pset.radius, -pset.radius)
+    if out is None:
+        return np.where(G >= 0.0, r, -r)
+    out.fill(-r)
+    np.copyto(out, r, where=G >= 0.0)
+    return out
+
+
+def _ascend_in_place(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet, scratch: np.ndarray) -> None:
+    """``ascend_rows`` written into ``D``, an array of its own, through one
+    ``scratch`` array of ``D``'s shape. It adds ``D + rate * extreme`` where
+    the step it replaces added ``extreme + D``, which rounds the same."""
+    if rate == 0.0:
+        return
+    norms = _row_norms(G, scratch)
+    live = norms[..., 0] > 0.0
+    if not live.all():
+        if live.any():
+            D[live] = ascend_rows(D[live], G[live], rate, pset)
+        return
+    E = extreme_rows(G, pset, norms, out=scratch)
+    E *= rate
+    D += E
+    project_rows(D, pset, out=D, scratch=scratch)
 
 
 def ascend_rows(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet) -> np.ndarray:
@@ -142,19 +176,9 @@ def ascend_rows(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet
     exactly zero stays where it is, and a zero rate returns an unchanged
     copy of ``D``. ``D`` and ``G`` have the same shape; ``D`` may be a
     broadcast view. Neither is written to."""
-    if rate == 0.0:
-        return D.copy()
-    norms = _row_norms(G)
-    live = norms[..., 0] > 0.0
-    if not live.all():
-        out = D.copy()
-        if live.any():
-            out[live] = ascend_rows(D[live], G[live], rate, pset)
-        return out
-    E = extreme_rows(G, pset, norms)  # a new array, stepped and projected in place
-    E *= rate
-    E += D
-    return project_rows(E, pset, out=E)
+    out = D.copy()
+    _ascend_in_place(out, G, rate, pset, np.empty(out.shape))
+    return out
 
 
 def project_onto_set(g: np.ndarray, pset: PerturbationSet) -> np.ndarray:
@@ -202,56 +226,63 @@ def pgd_attack_batch(
     y: np.ndarray,
     pset: PerturbationSet,
     cfg: AttackConfig,
-    rng: np.random.Generator,
+    rng,
     loss_grad_fn=None,
+    parts=None,
 ):
     """Vectorized projected-gradient ascent over a batch of samples.
 
     ``loss_grad_fn(deltas) -> (losses, grad_deltas)`` defaults to the plain
-    adversarial loss through the model's attack-only oracle; pass a
-    surrogate to attack a different objective. ``w``, ``X`` and ``y`` are
-    checked once here, since they stay fixed for the whole attack. With a
-    run axis (``w`` (R, param_dim), ``X`` (R, B, d), ``y`` (R, B)) every
-    run starts each restart from the same draw, so run r equals the attack
-    on run r alone with a copy of ``rng``.
+    adversarial loss through the model's attack-only oracle, bound once for
+    the attack; pass a surrogate to attack a different objective. ``w``,
+    ``X`` and ``y`` are checked once here, since they stay fixed for the
+    whole attack. The iterate is stepped in place, so the attack allocates
+    its arrays once, not once per step. With a run axis (``w`` (R,
+    param_dim), ``X`` (R, B, d), ``y`` (R, B)) every run starts each restart
+    from the same draw, so run r equals the attack on run r alone with a
+    copy of ``rng``. With ``parts``, row counts that sum to B, ``rng`` is one
+    generator per part and each part's rows are drawn from its own, so each
+    part equals the attack on its rows alone with its generator.
     Returns ``(deltas, n_grad_calls, n_loss_calls)``; the counts are per run.
     """
     w, X = model._inputs(w, X, None)
     y = model._check_labels(y, X.shape[:-1])
     if pset.dim != model.input_dim:
         raise DimensionError(f"perturbation set dimension {pset.dim} does not match inputs {model.input_dim}")
-    B = X.shape[-2]
-    if loss_grad_fn is None:
-
-        def loss_grad_fn(D):
-            return model.attack_loss_and_grad(w, X, y, D)
-
+    if parts is not None and (sum(parts) != X.shape[-2] or len(parts) != len(rng)):
+        raise DimensionError(f"parts {parts} must sum to the {X.shape[-2]} rows, with one generator each")
     step = cfg.resolved_step(pset)
-    grad_calls = 0
-    loss_calls = 0
-    best_delta = None
-    best_loss = None
+    best_delta = best_loss = scratch = None
     for _ in range(cfg.restarts):
-        if cfg.init == "zero":
-            D = np.zeros(X.shape)
-        else:
-            D = pset.sample_uniform(rng, size=B)
-            if D.shape != X.shape:  # one start shared by every run
-                D = np.broadcast_to(D, X.shape)
+        # the iterate is an array of its own, stepped in place
+        D = np.zeros(X.shape) if cfg.init == "zero" else _uniform_start(pset, rng, X.shape, parts)
+        if scratch is None:  # after the first draw, so they reuse its temporaries' memory
+            scratch = np.empty(X.shape)
+            if loss_grad_fn is None:
+                loss_grad_fn = model.attack_oracle(w, X, y)
         for _ in range(cfg.steps):
-            D = ascend_rows(D, loss_grad_fn(D)[1], step, pset)
-        grad_calls += cfg.steps
+            _ascend_in_place(D, loss_grad_fn(D)[1], step, pset, scratch)
         if cfg.restarts == 1:
-            return D, grad_calls, loss_calls
+            return D, cfg.steps, 0
         losses, _ = loss_grad_fn(D)
-        loss_calls += 1
         if best_loss is None:
             best_delta, best_loss = D, losses
         else:
             better = losses > best_loss
             best_delta = np.where(better[..., None], D, best_delta)
             best_loss = np.maximum(losses, best_loss)
-    return best_delta, grad_calls, loss_calls
+    return best_delta, cfg.steps * cfg.restarts, cfg.restarts
+
+
+def _uniform_start(pset: PerturbationSet, rng, shape: tuple, parts) -> np.ndarray:
+    """One restart's uniform start, an array of ``shape`` of its own: B rows
+    from ``rng``, or each part's rows from its own generator, shared by
+    every run of a stack."""
+    if parts is None:
+        D = pset.sample_uniform(rng, size=shape[-2])
+    else:
+        D = np.concatenate([pset.sample_uniform(g, size=n) for g, n in zip(rng, parts)])
+    return D if D.shape == shape else np.broadcast_to(D, shape).copy()
 
 
 def pgd_attack(
@@ -286,15 +317,26 @@ def empirical_robust_risk(
     dataset: Dataset,
     pset: PerturbationSet,
     cfg: AttackConfig,
-    rng: np.random.Generator,
+    rng,
+    parts=None,
 ):
     """Mean attacked loss and the fraction of samples still classified
     correctly at their attacked points. Returns ``(risk, robust_accuracy)``.
+
+    With ``parts`` (row counts summing to n, one generator each in ``rng``)
+    the dataset's consecutive parts are attacked as one batch and evaluated
+    by one forward pass; the result is one ``(risk, robust_accuracy)`` per
+    part, each equal bit for bit to the call on that part alone with its
+    generator.
     """
     if dataset.n < 1:
         raise DimensionError("dataset must be nonempty")
-    deltas, _, _ = pgd_attack_batch(model, w, dataset.X, dataset.y, pset, cfg, rng)
+    deltas, _, _ = pgd_attack_batch(model, w, dataset.X, dataset.y, pset, cfg, rng, parts=parts)
     # one forward pass gives both the losses and the predictions
     Z = model.logits_batch(w, dataset.X, deltas)
     losses = _logit_losses(Z, dataset.y, model.bounded)
-    return float(losses.mean()), float((Z.argmax(axis=-1) == dataset.y).mean())
+    hits = Z.argmax(axis=-1) == dataset.y
+    if parts is None:
+        return float(losses.mean()), float(hits.mean())
+    ends = np.cumsum(parts)
+    return [(float(losses[e - n : e].mean()), float(hits[e - n : e].mean())) for n, e in zip(parts, ends)]

@@ -1,20 +1,29 @@
 """The lean attack path against reference copies of the code it replaced.
 
-The attack-only oracle, the TRADES attack objective and the one-norm
-ascent step do the same arithmetic as the full-gradient code they replace,
-only less of it, so every comparison here is exact (``np.array_equal``),
-not up to a tolerance.
+The attack-only oracle, the TRADES attack objective, the one-norm ascent
+step, the in-place attack loop and the two-class log-softmax do the same
+arithmetic as the code they replace, only less of it or into arrays they
+own, so every comparison here is exact (``np.array_equal``), not up to a
+tolerance.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from advstab.models import ScalarLogistic, SoftmaxLinear, TwoLayerTanhMLP, _log_softmax
 from advstab.rng import sample_uniform_l2_ball, stream
-from advstab.threat import PerturbationSet, ascend_rows
+from advstab.threat import AttackConfig, PerturbationSet, ascend_rows, pgd_attack_batch
 from advstab.trainers import _trades_attack_objective, trades_batch_loss_and_grads
 
 # -- reference copies -----------------------------------------------------------
+
+
+def _ref_log_softmax(Z):
+    """The log-softmax by reductions over the class axis, for any class count."""
+    s = Z - np.maximum.reduce(Z, axis=-1, keepdims=True)
+    return s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
 
 
 def _ref_logits_and_vjp(model, w, U):
@@ -57,7 +66,7 @@ def _ref_loss_and_grads(model, w, X, y, D):
     """The full oracle: losses, mean weight gradient, perturbation gradients."""
     Z, vjp = _ref_logits_and_vjp(model, w, X + D)
     B = Z.shape[0]
-    LS = _log_softmax(Z)
+    LS = _ref_log_softmax(Z)
     raw = -LS[np.arange(B), y]
     G = np.exp(LS)
     G[np.arange(B), y] -= 1.0
@@ -75,8 +84,8 @@ def _ref_trades(model, w, X, y, D, lam):
     B = X.shape[0]
     Zc, vjp_c = _ref_logits_and_vjp(model, w, X)
     Za, vjp_a = _ref_logits_and_vjp(model, w, X + D)
-    lp = _log_softmax(Zc)
-    lq = _log_softmax(Za)
+    lp = _ref_log_softmax(Zc)
+    lq = _ref_log_softmax(Za)
     p = np.exp(lp)
     q = np.exp(lq)
     ce = -lp[np.arange(B), y]
@@ -122,6 +131,53 @@ def _ref_ascend(D, Gd, step, pset):
     out = D.copy()
     out[live] = projected
     return out
+
+
+def _per_run(fn, *arrays):
+    """``fn`` on one run, applied run by run when the last array is a stack
+    (R, B, d), and restacked."""
+    if arrays[-1].ndim == 2:
+        return fn(*arrays)
+    outs = [fn(*run) for run in zip(*arrays)]
+    return tuple(np.stack(parts) for parts in zip(*outs)) if isinstance(outs[0], tuple) else np.stack(outs)
+
+
+def _ref_pgd(model, w, X, y, pset, cfg, rng, loss_grad_fn=None):
+    """The attack loop as it ran before it stepped in place: a new iterate
+    per step from the masked ascent step, over the full reference oracle."""
+    if loss_grad_fn is None:
+
+        def loss_grad_fn(D):
+            losses, _, Gd = _per_run(lambda *run: _ref_loss_and_grads(model, *run), w, X, y, D)
+            return losses, Gd
+
+    step = cfg.resolved_step(pset)
+    grad_calls = 0
+    loss_calls = 0
+    best_delta = None
+    best_loss = None
+    for _ in range(cfg.restarts):
+        if cfg.init == "zero":
+            D = np.zeros(X.shape)
+        else:
+            D = pset.sample_uniform(rng, size=X.shape[-2])
+            if D.shape != X.shape:  # one start shared by every run
+                D = np.broadcast_to(D, X.shape)
+        for _ in range(cfg.steps):
+            G = loss_grad_fn(D)[1]
+            D = _per_run(lambda d, g: _ref_ascend(d, g, step, pset), np.broadcast_to(D, X.shape), G)
+        grad_calls += cfg.steps
+        if cfg.restarts == 1:
+            return D, grad_calls, loss_calls
+        losses, _ = loss_grad_fn(D)
+        loss_calls += 1
+        if best_loss is None:
+            best_delta, best_loss = D, losses
+        else:
+            better = losses > best_loss
+            best_delta = np.where(better[..., None], D, best_delta)
+            best_loss = np.maximum(losses, best_loss)
+    return best_delta, grad_calls, loss_calls
 
 
 # -- oracles --------------------------------------------------------------------
@@ -173,6 +229,121 @@ def test_trades_attack_objective_equals_full_surrogate_bit_for_bit(make, bounded
             full = trades_batch_loss_and_grads(model, w, X, y, D, lam)
             for got, want in zip(full, (ref_losses, ref_gw, ref_gd)):
                 assert np.array_equal(got, want)
+
+
+# -- the attack loop -------------------------------------------------------------
+
+ATTACKS = [
+    AttackConfig(steps=3, step_size=step, init=init, restarts=restarts)
+    for init, restarts, step in itertools.product(("zero", "uniform"), (1, 2), (None, 0.5))
+]
+
+
+def _attack_inputs(model, seed, R, B=9):
+    """Weights, inputs and labels for one attack, or a stack of R. The
+    first two rows of each run lie so far out, with the label the model
+    predicts there, that their softmax saturates and their input gradient
+    is exactly zero."""
+    rng = stream(seed, R or 0)
+    lead = () if R is None else (R,)
+    w = model.init_params(rng) + rng.standard_normal(lead + (model.param_dim,))
+    X = rng.standard_normal(lead + (B, model.input_dim))
+    X[..., :2, :] *= 1e6
+    y = model.predict_batch(w, X)
+    y[..., 2:] = rng.integers(model.class_count, size=lead + (B - 2,))
+    _, G = model.attack_loss_and_grad(w, X, y, np.zeros(X.shape))
+    assert (np.abs(G[..., :2, :]) == 0.0).all() and (np.abs(G[..., 2:, :]).max(axis=-1) > 0.0).all()
+    return w, X, y
+
+
+def _psets(dim):
+    return [PerturbationSet(norm, radius, dim) for norm, radius in (("l2", 0.4), ("linf", 0.15), ("l2", 0.0), ("linf", 0.0))]
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("make", MODELS)
+def test_pgd_attack_equals_the_reference_loop_bit_for_bit(make, bounded):
+    # radius 0 makes the default step 0; R = 1, 2, 3 share one broadcast start
+    model = make(bounded)
+    for R in (None, 1, 2, 3):
+        w, X, y = _attack_inputs(model, 310, R)
+        for pset in _psets(model.input_dim):
+            for cfg in ATTACKS:
+                got = pgd_attack_batch(model, w, X, y, pset, cfg, stream(311, 0))
+                want = _ref_pgd(model, w, X, y, pset, cfg, stream(311, 0))
+                assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (R, pset, cfg)
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("make", MODELS)
+def test_pgd_attack_on_the_trades_objective_equals_the_reference_loop(make, bounded):
+    model = make(bounded)
+    for R in (None, 2):
+        w, X, y = _attack_inputs(model, 312, R)
+        objective = _trades_attack_objective(model, w, X, y, 0.7)
+
+        def reference(D):
+            return _per_run(lambda *run: _ref_trades(model, *run, 0.7), w, X, y, D)[::2]
+
+        for pset in _psets(model.input_dim)[:2]:
+            for cfg in ATTACKS:
+                got = pgd_attack_batch(model, w, X, y, pset, cfg, stream(313, 0), loss_grad_fn=objective)
+                want = _ref_pgd(model, w, X, y, pset, cfg, stream(313, 0), loss_grad_fn=reference)
+                assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (R, pset, cfg)
+
+
+@pytest.mark.parametrize("make", MODELS)
+def test_attack_writes_to_neither_its_inputs_nor_its_start(make):
+    model = make(False)
+    w, X, y = _attack_inputs(model, 314, 3)
+    for a in (w, X, y):
+        a.setflags(write=False)  # any write raises
+    pset = PerturbationSet("l2", 0.4, model.input_dim)
+    start = pset.sample_uniform(stream(315, 0), size=X.shape[-2])
+    start.setflags(write=False)
+    shared = np.broadcast_to(start, X.shape)
+    oracle = model.attack_oracle(w, X, y)
+    objective = _trades_attack_objective(model, w, X, y, 0.7)
+    for D in (shared, np.zeros(X.shape)):
+        before = D.copy()
+        for fn in (oracle, objective, lambda D: model.attack_loss_and_grad(w, X, y, D)):
+            _, G = fn(D)
+            assert not np.shares_memory(G, D) and not np.shares_memory(G, X)
+        assert np.array_equal(D, before)
+    seen = []
+
+    def recording(D):
+        seen.append(D.copy())
+        return oracle(D)
+
+    for cfg in ATTACKS:
+        out, _, _ = pgd_attack_batch(model, w, X, y, pset, cfg, stream(315, 0), loss_grad_fn=recording)
+        assert not np.shares_memory(out, X)
+        if cfg.init == "uniform":  # the first iterate is the shared draw, copied
+            assert np.array_equal(seen[0], shared)
+        seen.clear()
+    assert np.array_equal(start, pset.sample_uniform(stream(315, 0), size=X.shape[-2]))
+
+
+# -- log-softmax ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("C", [2, 3])
+def test_log_softmax_equals_the_reductions_bit_for_bit(C):
+    rng = stream(316, C)
+    special = [0.0, -0.0, 1.0, -1.0, 36.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+    Z = np.vstack(
+        [
+            np.array(list(itertools.product(special, repeat=C))),  # ties, signed zeros, +-inf and NaN in every slot
+            rng.uniform(-800.0, 800.0, size=(400, C)),
+            rng.standard_normal((400, C)),
+            np.round(rng.standard_normal((400, C))),  # ties among finite values
+        ]
+    )
+    with np.errstate(all="ignore"):
+        for stack in (Z, Z.reshape(2, -1, C)):
+            got, want = _log_softmax(stack), _ref_log_softmax(stack)
+            assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # -- ascent step ----------------------------------------------------------------

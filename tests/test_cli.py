@@ -364,3 +364,60 @@ def test_vs_n_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     summary = json.loads((out / "vs_n_summary.json").read_text())
     assert -1.0 <= summary["spearman"] <= 1.0
+
+
+def _strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "flags, train, message",
+    [
+        (["--pairs", "0"], {}, "stability needs --pairs >= 1, got 0"),
+        (["--pairs", "-2"], {}, "stability needs --pairs >= 1, got -2"),
+        ([], {"total_iterations": 0}, "stability needs at least one training iteration"),
+    ],
+)
+def test_stability_command_rejects_no_pairs_and_no_iterations(tmp_path, capsys, monkeypatch, flags, train, message):
+    from advstab import cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("the command trained before rejecting its input")
+
+    monkeypatch.setattr(cli, "coupled_run", no_training)
+    cfg = _write_cfg(tmp_path, train={**_BASE["train"], **train})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out), *flags]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_values", ["30", "30,30"])
+def test_vs_n_reports_no_slope_below_two_distinct_sizes(tmp_path, capsys, n_values):
+    cfg, out = _write_cfg(tmp_path), tmp_path / "out"
+    assert main(["vs-n", "--config", str(cfg), "--out", str(out), "--n-values", n_values]) == 0
+    summary = _strict_json((out / "vs_n_summary.json").read_text())
+    assert summary["loglog_slope"] is None and summary["loglog_slope_se"] is None
+    assert summary["spearman"] is None
+    shown = capsys.readouterr().out
+    assert _strict_json(shown[shown.index("{") :]) == summary
+    if n_values == "30,30":
+        first, second = json.loads((out / "report.json").read_text())
+        assert first == second  # equal sizes give equal reports
+
+
+def test_vs_n_summary_is_strict_json_with_two_sizes(tmp_path, capsys):
+    # two sizes pin the slope but leave no degree of freedom for its error
+    cfg, out = _write_cfg(tmp_path), tmp_path / "out"
+    assert main(["vs-n", "--config", str(cfg), "--out", str(out), "--n-values", "20,30"]) == 0
+    summary = _strict_json((out / "vs_n_summary.json").read_text())
+    assert summary["loglog_slope_se"] is None
+    assert -1.0 <= summary["spearman"] <= 1.0 and len(summary["mean_gaps"]) == 2
+    shown = capsys.readouterr().out
+    assert _strict_json(shown[shown.index("{") :]) == summary

@@ -1,10 +1,11 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from advstab import experiments
 from advstab.errors import ConfigError, DimensionError
 from advstab.experiments import (
+    CheckpointStat,
     ExperimentConfig,
     _config_echo,
     _spearman,
@@ -21,9 +23,11 @@ from advstab.experiments import (
     run_transfer_experiment,
     run_vs_n_experiment,
 )
+from advstab.models import Dataset, make_model
 from advstab.reportio import emit_report, load_report, report_to_dict
-from advstab.synth import SyntheticSpec
-from advstab.threat import AttackConfig, PerturbationSet
+from advstab.rng import stream
+from advstab.synth import SyntheticSpec, make_synthetic
+from advstab.threat import AttackConfig, PerturbationSet, empirical_robust_risk
 from advstab.trainers import StepSchedule, TrainConfig, train
 
 
@@ -469,3 +473,31 @@ def test_in_order_hands_out_every_index_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert out == [i * i for i in range(3000)]
     assert sorted(seen) == list(range(3000))
+
+
+# -- fused checkpoint evaluation ---------------------------------------------------
+
+
+def _two_call_evaluate(model, w, train_ds, test_ds, pset, attack, eval_seed, iteration):
+    """Checkpoint evaluation as two attacks, one per set, each with its own stream."""
+    train_risk, train_acc = empirical_robust_risk(model, w, train_ds, pset, attack, stream(eval_seed, 7, iteration, 0))
+    test_risk, test_acc = empirical_robust_risk(model, w, test_ds, pset, attack, stream(eval_seed, 7, iteration, 1))
+    return CheckpointStat(iteration=iteration, train_risk=train_risk, train_acc=train_acc, test_risk=test_risk, test_acc=test_acc)
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("kind", ["softmax_linear", "mlp", "scalar_logistic"])
+def test_fused_evaluation_equals_one_attack_per_set_bit_for_bit(kind, bounded):
+    train_ds, test_ds = make_synthetic(SyntheticSpec("two_gaussians", n_train=37, n_test=53, dim=5, noise=1.0, seed=41))
+    eval_set = Dataset(np.vstack([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
+    model = make_model(kind, input_dim=5, hidden_dim=4, bounded=bounded)
+    rng = stream(42, 0)
+    for norm, radius in (("l2", 0.6), ("linf", 0.2)):
+        pset = PerturbationSet(norm, radius, 5)
+        for init, restarts in itertools.product(("zero", "uniform"), (1, 2)):
+            attack = AttackConfig(steps=4, step_size=radius / 2, init=init, restarts=restarts)
+            for iteration in (3, 8):
+                w = model.init_params(rng) + rng.standard_normal(model.param_dim)
+                got = experiments._evaluate(model, w, eval_set, (37, 53), pset, attack, 777, iteration)
+                want = _two_call_evaluate(model, w, train_ds, test_ds, pset, attack, 777, iteration)
+                assert [float(v).hex() for v in asdict(got).values()] == [float(v).hex() for v in asdict(want).values()]

@@ -409,8 +409,9 @@ def test_free_trades_lambda_limit_tracks_clean_sgd():
 
 class CountingModel:
     """Wrapper counting gradient evaluations and their evaluation points:
-    full-oracle calls in ``calls``, attack-only calls in ``attack_calls``,
-    and the order of both kinds in ``kinds``."""
+    full-oracle calls in ``calls``, attack-only calls (one-call or through a
+    bound oracle) in ``attack_calls``, and the order of both kinds in
+    ``kinds``."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -430,6 +431,16 @@ class CountingModel:
         self.attack_calls.append((w.copy(), np.asarray(deltas).copy()))
         self.kinds.append("attack")
         return self.inner.attack_loss_and_grad(w, X, y, deltas)
+
+    def attack_oracle(self, w, X, y):
+        oracle = self.inner.attack_oracle(w, X, y)
+
+        def counted(deltas):
+            self.attack_calls.append((w.copy(), np.asarray(deltas).copy()))
+            self.kinds.append("attack")
+            return oracle(deltas)
+
+        return counted
 
 
 def test_free_uses_one_evaluation_per_inner_iteration():
