@@ -25,6 +25,7 @@ constants, so every estimate is reported together with its region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,6 +154,8 @@ class ConstantEstimates:
     region: dict | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lipschitz, self.lipschitz_w, self.beta, self.psi))):
+            raise ValueError("the constants must be finite")
         if self.lipschitz_w > self.lipschitz * (1 + 1e-12):
             raise ValueError("the joint Lipschitz constant must dominate the weight-only one")
         if self.beta <= 0 or self.psi <= 0:
@@ -322,13 +325,13 @@ def estimate_constants(
 
 def _positive(**kwargs):
     for name, value in kwargs.items():
-        if value is None or value <= 0:
+        if value is None or not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be positive, got {value}")
 
 
 def _nonnegative(**kwargs):
     for name, value in kwargs.items():
-        if value is None or value < 0:
+        if value is None or not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"{name} must be nonnegative, got {value}")
 
 

@@ -246,6 +246,8 @@ def _bound_entry(build, inputs, trained: bool) -> dict:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
+    if args.probes < 2:
+        raise ConfigError(f"bounds needs --probes >= 2, got {args.probes}")
     train_ds, _ = make_synthetic(cfg.data)
     model = cfg.build_model()
     tc = cfg.effective_train_config()

@@ -7,10 +7,12 @@ and trial k of every algorithm shares training seed ``train.seed + k``, so
 comparisons are paired. Reports echo the full configuration; re-running a
 config reproduces every number bit-exactly.
 
-Compute accounting. A vanilla step with a K-iteration inner attack costs
-K + 1 gradient evaluations while a free update costs one; reports carry the
-oracle-call counts, and ``budget_axis="oracle_calls"`` rescales the
-iteration budget so algorithms match on evaluations instead of updates.
+Compute accounting. A vanilla step whose inner attack runs K iterations
+from each of r restarts costs K*r + 1 gradient evaluations, plus r
+restart-scoring evaluations when r > 1, while a free update costs one
+(``TrainConfig.oracle_per_update`` and ``forward_per_update``); reports
+carry the oracle-call counts, and ``budget_axis="oracle_calls"`` rescales
+the iteration budget so algorithms match on evaluations instead of updates.
 """
 
 from __future__ import annotations
@@ -177,8 +179,10 @@ class GapReport:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    """The config in the layout the CLI reads: the dataclass fields, with the
-    perturbation set as the train section's ``norm`` and ``eps``."""
+    """The config as the dataclasses lay it out, with the perturbation set
+    flattened to the train section's ``norm`` and ``eps``. It is not the
+    layout ``--config`` reads: the model fields sit at the top level here
+    (``model_kind``, ...), not in a ``model`` section."""
     train = {}
     for key, value in asdict(cfg.train).items():
         if key == "pset":
@@ -455,8 +459,7 @@ def run_transfer_experiment(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) ->
         entry = {}
         deltas = {}
         for tag, model, w in (("a", model_a, wa), ("b", model_b, wb)):
-            D, _, _ = pgd_attack_batch(model, w, X, y, pset, attack, stream(cfg_a.eval_seed, _EVAL_STREAM, k, 2))
-            deltas[tag] = D
+            deltas[tag] = pgd_attack_batch(model, w, X, y, pset, attack, stream(cfg_a.eval_seed, _EVAL_STREAM, k, 2))
         for src in ("a", "b"):
             for dst, model, w in (("a", model_a, wa), ("b", model_b, wb)):
                 preds = model.predict_batch(w, X, deltas[src])

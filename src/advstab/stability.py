@@ -435,8 +435,8 @@ def estimate_uniform_stability(
     y = np.array([p.y for p in pts], dtype=np.int64)
     base = int(rng.integers(2**63))
     ra, rb = stream(base, 0), stream(base, 0)  # identical attack randomness
-    Da, _, _ = pgd_attack_batch(model, w, X, y, pset, attack, ra)
-    Db, _, _ = pgd_attack_batch(model, w_prime, X, y, pset, attack, rb)
+    Da = pgd_attack_batch(model, w, X, y, pset, attack, ra)
+    Db = pgd_attack_batch(model, w_prime, X, y, pset, attack, rb)
     la = model.loss_batch(w, X, y, Da)
     lb = model.loss_batch(w_prime, X, y, Db)
     return float(np.abs(la - lb).max())

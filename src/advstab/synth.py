@@ -3,6 +3,7 @@ i.i.d. for train and test from one distribution."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ class SyntheticSpec:
             raise DimensionError("dim must be >= 1")
         if self.kind == "spiral2d" and self.dim != 2:
             raise ConfigError("spiral2d is two-dimensional")
-        if self.noise < 0:
+        if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError("noise must be >= 0")
 
 

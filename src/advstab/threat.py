@@ -30,6 +30,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ class PerturbationSet:
     def __post_init__(self):
         if self.norm not in (L2, LINF):
             raise ConfigError(f"norm must be {L2!r} or {LINF!r}, got {self.norm!r}")
-        if self.radius < 0:
+        if not (math.isfinite(self.radius) and self.radius >= 0):
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
         if self.dim < 1:
             raise DimensionError(f"dim must be >= 1, got {self.dim}")
@@ -104,7 +105,7 @@ class AttackConfig:
             raise ConfigError("attack needs restarts >= 1")
         if self.init not in ("zero", "uniform"):
             raise ConfigError(f"init must be 'zero' or 'uniform', got {self.init!r}")
-        if self.step_size is not None and self.step_size <= 0:
+        if self.step_size is not None and not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ConfigError("step_size must be positive when given")
 
     def resolved_step(self, pset: PerturbationSet) -> float:
@@ -243,7 +244,8 @@ def pgd_attack_batch(
     copy of ``rng``. With ``parts``, row counts that sum to B, ``rng`` is one
     generator per part and each part's rows are drawn from its own, so each
     part equals the attack on its rows alone with its generator.
-    Returns ``(deltas, n_grad_calls, n_loss_calls)``; the counts are per run.
+    Returns the perturbations; ``TrainConfig.oracle_per_update`` states
+    what a training step's attack costs.
     """
     w, X = model._inputs(w, X, None)
     y = model._check_labels(y, X.shape[:-1])
@@ -263,7 +265,7 @@ def pgd_attack_batch(
         for _ in range(cfg.steps):
             _ascend_in_place(D, loss_grad_fn(D)[1], step, pset, scratch)
         if cfg.restarts == 1:
-            return D, cfg.steps, 0
+            return D
         losses, _ = loss_grad_fn(D)
         if best_loss is None:
             best_delta, best_loss = D, losses
@@ -271,7 +273,7 @@ def pgd_attack_batch(
             better = losses > best_loss
             best_delta = np.where(better[..., None], D, best_delta)
             best_loss = np.maximum(losses, best_loss)
-    return best_delta, cfg.steps * cfg.restarts, cfg.restarts
+    return best_delta
 
 
 def _uniform_start(pset: PerturbationSet, rng, shape: tuple, parts) -> np.ndarray:
@@ -294,8 +296,7 @@ def pgd_attack(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Attack a single sample; returns a feasible perturbation."""
-    D, _, _ = pgd_attack_batch(model, w, sample.x[None, :], [sample.y], pset, cfg, rng)
-    return D[0]
+    return pgd_attack_batch(model, w, sample.x[None, :], [sample.y], pset, cfg, rng)[0]
 
 
 def robust_loss(
@@ -331,7 +332,7 @@ def empirical_robust_risk(
     """
     if dataset.n < 1:
         raise DimensionError("dataset must be nonempty")
-    deltas, _, _ = pgd_attack_batch(model, w, dataset.X, dataset.y, pset, cfg, rng, parts=parts)
+    deltas = pgd_attack_batch(model, w, dataset.X, dataset.y, pset, cfg, rng, parts=parts)
     # one forward pass gives both the losses and the predictions
     Z = model.logits_batch(w, dataset.X, deltas)
     losses = _logit_losses(Z, dataset.y, model.bounded)

@@ -25,6 +25,7 @@ descent and perturbation ascent updates simultaneously.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,7 +76,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "vanishing_c_over_t", "vanishing_c_over_mt"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.c <= 0:
+        if not (math.isfinite(self.c) and self.c > 0):
             raise ConfigError("schedule constant c must be positive")
         if self.m < 1:
             raise ConfigError("schedule m must be a positive integer")
@@ -103,6 +104,9 @@ def default_fast_step(pset: PerturbationSet) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run. ``oracle_per_update`` and ``forward_per_update``
+    state what a weight update costs, once: ``train`` counts by them."""
+
     algorithm: str
     pset: PerturbationSet
     schedule: StepSchedule
@@ -124,9 +128,9 @@ class TrainConfig:
             raise ConfigError("total_iterations must be >= 0")
         if self.free_steps < 1:
             raise ConfigError("free_steps must be >= 1")
-        if self.attack_lr is not None and self.attack_lr < 0:
+        if self.attack_lr is not None and not (math.isfinite(self.attack_lr) and self.attack_lr >= 0):
             raise ConfigError(f"attack_lr must be nonnegative, got {self.attack_lr}")
-        if self.fast_step is not None and self.fast_step < 0:
+        if self.fast_step is not None and not (math.isfinite(self.fast_step) and self.fast_step >= 0):
             raise ConfigError(f"fast_step must be nonnegative, got {self.fast_step}")
         if self.total_iterations % self.inner_steps != 0:
             raise ConfigError(
@@ -134,7 +138,8 @@ class TrainConfig:
             )
         if self.rule == FREE and self.schedule.kind == "vanishing_c_over_mt" and self.schedule.m != self.free_steps:
             raise ConfigError(f"c/(m t) schedule m={self.schedule.m} must equal free_steps={self.free_steps}")
-        if self.algorithm != self.rule and (self.trades_lambda is None or self.trades_lambda <= 0):
+        lam = self.trades_lambda
+        if self.algorithm != self.rule and (lam is None or not (math.isfinite(lam) and lam > 0)):
             raise ConfigError("trades_lambda must be a positive float for TRADES variants")
 
     @property
@@ -155,7 +160,14 @@ class TrainConfig:
     @property
     def oracle_per_update(self) -> int:
         """Gradient-oracle calls per weight update."""
-        return {VANILLA: self.inner_attack.steps + 1, FAST: 2, FREE: 1}[self.rule]
+        attack = self.inner_attack
+        return {VANILLA: attack.steps * attack.restarts + 1, FAST: 2, FREE: 1}[self.rule]
+
+    @property
+    def forward_per_update(self) -> int:
+        """Restart-scoring evaluations per weight update (vanilla, restarts > 1)."""
+        restarts = self.inner_attack.restarts
+        return restarts if self.rule == VANILLA and restarts > 1 else 0
 
     @property
     def resolved_attack_lr(self) -> float:
@@ -328,7 +340,7 @@ def _loss_grads(model, w, X, y, D, lam):
     return trades_batch_loss_and_grads(model, w, X, y, D, lam)
 
 
-def _stats(losses, mean_gw, Gd, oracle_calls, forward_calls):
+def _stats(losses, mean_gw, Gd):
     """Step statistics: a dict for one run, a tuple of dicts for a stack.
     The loss mean and the row norms reduce along each run's own last axis,
     and the weight-gradient norm is the 1-D norm of each run's gradient, so
@@ -336,29 +348,21 @@ def _stats(losses, mean_gw, Gd, oracle_calls, forward_calls):
     loss = losses.mean(axis=-1)
     min_gd = np.linalg.norm(Gd, axis=-1).min(axis=-1)
     if mean_gw.ndim == 1:
-        return _run_stats(loss, mean_gw, min_gd, oracle_calls, forward_calls)
-    return tuple(_run_stats(*run, oracle_calls, forward_calls) for run in zip(loss, mean_gw, min_gd))
+        return _run_stats(loss, mean_gw, min_gd)
+    return tuple(map(_run_stats, loss, mean_gw, min_gd))
 
 
-def _run_stats(loss, mean_gw, min_gd, oracle_calls, forward_calls):
-    return {
-        "loss": float(loss),
-        "grad_w_norm": float(np.linalg.norm(mean_gw)),
-        "min_grad_delta_norm": float(min_gd),
-        "oracle_calls": oracle_calls,
-        "forward_calls": forward_calls,
-    }
+def _run_stats(loss, mean_gw, min_gd):
+    return {"loss": float(loss), "grad_w_norm": float(np.linalg.norm(mean_gw)), "min_grad_delta_norm": float(min_gd)}
 
 
 def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, lam=None):
     """Attack every sample in the batch, then one weight step at the
     attacked points. Returns (new_w, stats)."""
     objective = None if lam is None else _trades_attack_objective(model, w, X, y, lam)
-    deltas, grad_calls, loss_calls = pgd_attack_batch(
-        model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=objective
-    )
+    deltas = pgd_attack_batch(model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=objective)
     losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
-    return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd, grad_calls + 1, loss_calls)
+    return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd)
 
 
 def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start):
@@ -368,7 +372,7 @@ def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start):
     _, Gd0 = model.attack_loss_and_grad(w, X, y, delta_start)
     deltas = ascend_rows(delta_start, Gd0, fast_step_size, pset)
     losses, mean_gw, _ = model.batch_loss_and_grads(w, X, y, deltas)
-    return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd0, 2, 0)
+    return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd0)
 
 
 def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam=None):
@@ -379,7 +383,7 @@ def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam
     losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
     new_w = w - alpha_w * mean_gw
     new_deltas = ascend_rows(deltas, Gd, alpha_delta, pset)
-    return new_w, new_deltas, _stats(losses, mean_gw, Gd, 1, 0)
+    return new_w, new_deltas, _stats(losses, mean_gw, Gd)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +498,6 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
     min_grad_delta = np.zeros(U)
     loss = np.zeros(U)
     w_low, w_high = w.copy(), w.copy()
-    oracle_calls = forward_calls = 0
     marks = set() if snapshot_at is None else {int(t) for t in snapshot_at}
     snapshots = {}
     for u, (t, i, aw, idx, (w,), _, (stats,)) in enumerate(updates):
@@ -507,8 +510,6 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
         loss[u] = stats["loss"]
         np.minimum(w_low, w, out=w_low)
         np.maximum(w_high, w, out=w_high)
-        oracle_calls += stats["oracle_calls"]
-        forward_calls += stats["forward_calls"]
         if u + 1 in marks:
             snapshots[u + 1] = w.copy()
     return w, TrainTrace(
@@ -524,7 +525,7 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
         w_final=w.copy(),
         w_low=w_low,
         w_high=w_high,
-        oracle_calls=oracle_calls,
-        forward_calls=forward_calls,
+        oracle_calls=U * cfg.oracle_per_update,
+        forward_calls=U * cfg.forward_per_update,
         snapshots=snapshots,
     )

@@ -152,8 +152,6 @@ def _ref_pgd(model, w, X, y, pset, cfg, rng, loss_grad_fn=None):
             return losses, Gd
 
     step = cfg.resolved_step(pset)
-    grad_calls = 0
-    loss_calls = 0
     best_delta = None
     best_loss = None
     for _ in range(cfg.restarts):
@@ -166,18 +164,16 @@ def _ref_pgd(model, w, X, y, pset, cfg, rng, loss_grad_fn=None):
         for _ in range(cfg.steps):
             G = loss_grad_fn(D)[1]
             D = _per_run(lambda d, g: _ref_ascend(d, g, step, pset), np.broadcast_to(D, X.shape), G)
-        grad_calls += cfg.steps
         if cfg.restarts == 1:
-            return D, grad_calls, loss_calls
+            return D
         losses, _ = loss_grad_fn(D)
-        loss_calls += 1
         if best_loss is None:
             best_delta, best_loss = D, losses
         else:
             better = losses > best_loss
             best_delta = np.where(better[..., None], D, best_delta)
             best_loss = np.maximum(losses, best_loss)
-    return best_delta, grad_calls, loss_calls
+    return best_delta
 
 
 # -- oracles --------------------------------------------------------------------
@@ -271,7 +267,7 @@ def test_pgd_attack_equals_the_reference_loop_bit_for_bit(make, bounded):
             for cfg in ATTACKS:
                 got = pgd_attack_batch(model, w, X, y, pset, cfg, stream(311, 0))
                 want = _ref_pgd(model, w, X, y, pset, cfg, stream(311, 0))
-                assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (R, pset, cfg)
+                assert np.array_equal(got, want), (R, pset, cfg)
 
 
 @pytest.mark.parametrize("bounded", [False, True])
@@ -289,7 +285,7 @@ def test_pgd_attack_on_the_trades_objective_equals_the_reference_loop(make, boun
             for cfg in ATTACKS:
                 got = pgd_attack_batch(model, w, X, y, pset, cfg, stream(313, 0), loss_grad_fn=objective)
                 want = _ref_pgd(model, w, X, y, pset, cfg, stream(313, 0), loss_grad_fn=reference)
-                assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (R, pset, cfg)
+                assert np.array_equal(got, want), (R, pset, cfg)
 
 
 @pytest.mark.parametrize("make", MODELS)
@@ -317,7 +313,7 @@ def test_attack_writes_to_neither_its_inputs_nor_its_start(make):
         return oracle(D)
 
     for cfg in ATTACKS:
-        out, _, _ = pgd_attack_batch(model, w, X, y, pset, cfg, stream(315, 0), loss_grad_fn=recording)
+        out = pgd_attack_batch(model, w, X, y, pset, cfg, stream(315, 0), loss_grad_fn=recording)
         assert not np.shares_memory(out, X)
         if cfg.init == "uniform":  # the first iterate is the shared draw, copied
             assert np.array_equal(seen[0], shared)

@@ -26,6 +26,32 @@ from advstab.rng import stream
 from advstab.threat import PerturbationSet
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["lipschitz", "lipschitz_w", "beta", "psi"])
+def test_constant_estimates_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="the constants must be finite"):
+        ConstantEstimates(**{**dict(lipschitz=2.0, lipschitz_w=1.0, beta=1.0, psi=1.0), name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: lambda_vanilla(v, 0.5),  # positive
+        lambda v: lambda_free(1.0, v, 2, 0.1, 0.3, 1.0),  # positive
+        lambda v: lambda_fast(1.0, 0.5, v, 0.3, 1.0),  # nonnegative
+        lambda v: lambda_free(1.0, 0.5, 2, 0.1, v, 1.0),  # nonnegative
+    ],
+    ids=["beta", "c", "fast_step", "eps"],
+)
+def test_sign_checks_reject_non_finite(call, value):
+    with pytest.raises(ConfigError):
+        call(value)
+
+
 def _sampler(dim=3, radius=0.4, w_scale=1.0, param_dim=None, n_pool=40, seed=5):
     rng = stream(seed, 0)
     X = rng.standard_normal((n_pool, dim))

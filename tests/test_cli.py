@@ -398,6 +398,44 @@ def test_stability_command_rejects_no_pairs_and_no_iterations(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("the command trained before rejecting its input")
+
+
+@pytest.mark.parametrize("probes", [1, 0, -3])
+def test_bounds_command_rejects_fewer_than_two_probes(tmp_path, capsys, monkeypatch, probes):
+    from advstab import cli
+
+    monkeypatch.setattr(cli, "train", _no_training)
+    cfg, out = _write_cfg(tmp_path), tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out), "--probes", str(probes)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": f"bounds needs --probes >= 2, got {probes}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("train", "eps", float("nan"), "radius must be >= 0, got nan"),
+        ("train", "eps", float("inf"), "radius must be >= 0, got inf"),
+        ("train", "attack_lr", float("nan"), "attack_lr must be nonnegative, got nan"),
+        ("data", "noise", float("nan"), "noise must be >= 0"),
+    ],
+)
+def test_non_finite_config_numbers_are_rejected_before_training(tmp_path, capsys, monkeypatch, section, key, value, message):
+    # Python's json reads NaN and Infinity, and both pass the JSON type check
+    from advstab import cli
+
+    monkeypatch.setattr(cli, "run_gap_experiment", _no_training)
+    cfg = _write_cfg(tmp_path, **{section: {**_BASE[section], key: value}})
+    out = tmp_path / "out"
+    assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": message}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_values", ["30", "30,30"])
 def test_vs_n_reports_no_slope_below_two_distinct_sizes(tmp_path, capsys, n_values):
     cfg, out = _write_cfg(tmp_path), tmp_path / "out"

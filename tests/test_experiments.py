@@ -147,6 +147,13 @@ def test_budget_axis_oracle_calls_rescales_iterations():
     assert eff.total_iterations == 10  # K=3 inner steps -> 4 oracle calls per update
     free = _cfg(algorithm="free", budget_axis="oracle_calls", T=40, train_kw=dict(free_steps=4))
     assert free.effective_train_config().total_iterations == 40
+    # K=3 inner steps x 2 restarts + the weight step -> 7 oracle calls per update
+    attack = AttackConfig(steps=3, step_size=1.0, restarts=2)
+    cfg = _cfg(budget_axis="oracle_calls", T=70, train_kw=dict(inner_attack=attack))
+    eff = cfg.effective_train_config()
+    assert eff.total_iterations == 10
+    _, trace = train(cfg.build_model(), make_synthetic(cfg.data)[0], eff)
+    assert trace.oracle_calls == 70 and trace.forward_calls == 20
 
 
 def test_vs_n_experiment_reports_and_slope():

@@ -150,7 +150,7 @@ def test_pgd_attack_per_run_equals_run_alone(kind, bounded, R):
             out = pgd_attack_batch(model, W, X, y, pset, cfg, stream(721, R))
             for r in range(R):
                 alone = pgd_attack_batch(model, W[r], X[r], y[r], pset, cfg, stream(721, R))
-                assert np.array_equal(out[0][r], alone[0]) and out[1:] == alone[1:]
+                assert np.array_equal(out[r], alone)
 
 
 # -- lockstep ------------------------------------------------------------------

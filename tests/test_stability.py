@@ -215,6 +215,15 @@ def test_growth_vanilla_rejects_nonpositive_constants():
         verify_growth_vanilla(trace, 0.0, 1.0, 0.3)
 
 
+@pytest.mark.parametrize("beta, L", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, float("inf"))])
+def test_growth_vanilla_rejects_non_finite_constants(beta, L):
+    # a NaN constant compares false against every bound and would read as no violations
+    data, model = _setup()
+    trace = coupled_run(model, make_neighbor(data, 3, _replacement()), _vanilla_cfg(T=5))
+    with pytest.raises(ConfigError):
+        verify_growth_vanilla(trace, beta, L, 0.3)
+
+
 def test_growth_vanilla_rejects_linf_traces():
     data, model = _setup()
     pair = make_neighbor(data, 3, _replacement())

@@ -14,6 +14,12 @@ def test_same_seed_bit_identical_datasets():
     assert np.array_equal(a_test.X, b_test.X)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), float("-inf")])
+def test_noise_rejects_non_finite(noise):
+    with pytest.raises(ConfigError):
+        SyntheticSpec("two_gaussians", n_train=50, n_test=30, dim=4, noise=noise, seed=9)
+
+
 def test_train_test_independent():
     spec = SyntheticSpec("two_gaussians", n_train=50, n_test=50, dim=4, noise=0.7, seed=9)
     train, test = make_synthetic(spec)

@@ -17,6 +17,14 @@ from advstab.threat import (
 )
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_radius_and_step_size_reject_non_finite(value):
+    with pytest.raises(ConfigError):
+        PerturbationSet("l2", value, 2)
+    with pytest.raises(ConfigError):
+        AttackConfig(step_size=value)
+
+
 def test_l2_projection_radial_scaling():
     pset = PerturbationSet("l2", 1.0, 2)
     assert project_onto_set(np.array([3.0, 4.0]), pset) == pytest.approx([0.6, 0.8], abs=1e-15)
@@ -237,7 +245,7 @@ def test_empirical_robust_risk_one_forward_pass_after_attack(model, bounded):
     pset = PerturbationSet("l2", 0.4, 3)
     cfg = AttackConfig(steps=4, step_size=0.1, restarts=2)
     # the two-call evaluation it replaces: an attack, then loss_batch and predict_batch
-    deltas = pgd_attack_batch(model, w, data.X, data.y, pset, cfg, stream(63, 0))[0]
+    deltas = pgd_attack_batch(model, w, data.X, data.y, pset, cfg, stream(63, 0))
     old_risk = float(model.loss_batch(w, data.X, data.y, deltas).mean())
     old_acc = float((model.predict_batch(w, data.X, deltas) == data.y).mean())
     counted = _counting(model)

@@ -105,6 +105,22 @@ def test_negative_fast_step_rejected():
     assert _cfg("fast", fast_step=0.0).resolved_fast_step == 0.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: StepSchedule("constant", c=v),
+        lambda v: _cfg("free", T=8, free_steps=4, attack_lr=v),
+        lambda v: _cfg("fast", fast_step=v),
+        lambda v: _cfg("free_trades", T=8, free_steps=4, trades_lambda=v),
+    ],
+    ids=["schedule.c", "attack_lr", "fast_step", "trades_lambda"],
+)
+def test_sign_checked_fields_reject_non_finite(make, value):
+    with pytest.raises(ConfigError):
+        make(value)
+
+
 def test_rule_properties_derive_from_algorithm():
     expected = {
         "vanilla": ("vanilla", None, 1, 4),
@@ -483,6 +499,21 @@ def test_fast_oracle_calls_per_step_are_one_attack_only_and_one_full():
     probe = CountingModel(_mlp())
     train(probe, data, _cfg("fast", T=5))
     assert probe.kinds == ["attack", "full"] * 5
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+@pytest.mark.parametrize("algorithm, kw", [("vanilla", {}), ("fast", {}), ("free", dict(free_steps=4))])
+def test_stated_cost_is_the_counted_cost(algorithm, kw, restarts):
+    data, K, U = _data(), 3, 8
+    cfg = _cfg(algorithm, T=U, inner_attack=AttackConfig(steps=K, step_size=1.0, restarts=restarts), **kw)
+    oracle, forward = {"vanilla": (K * restarts + 1, restarts if restarts > 1 else 0), "fast": (2, 0), "free": (1, 0)}[algorithm]
+    assert (cfg.oracle_per_update, cfg.forward_per_update) == (oracle, forward)
+    # every call the model receives per update: attack steps, restart scoring and weight steps
+    probe = CountingModel(_mlp())
+    seen = [len(probe.kinds) for _ in lockstep(probe, [data], cfg)]
+    assert np.diff(seen).tolist() == [oracle + forward] * U
+    _, trace = train(_mlp(), data, cfg)
+    assert (trace.oracle_calls, trace.forward_calls) == (U * oracle, U * forward)
 
 
 def test_stored_deltas_stay_feasible_along_free_runs():
