@@ -18,7 +18,9 @@ only the input gradient, so the closure can skip the weight gradient.
 builds the label index once and, for the MLP, unpacks the weights once and
 writes the activations, logits and input gradient into arrays allocated
 once, so an attack step allocates no array of the batch's size.
-``attack_loss_and_grad`` is its one-call form.
+``attack_loss_and_grad`` is its one-call form, a direct pass that binds
+nothing. ``batch_loss_and_grads`` checks its inputs unless told
+``checked=False``, which the training steps pass.
 
 Run axis. Every batched operation also accepts a leading run axis: weights
 of shape (..., param_dim) and inputs of shape (..., B, d) with the same
@@ -116,10 +118,6 @@ def _log_softmax(Z: np.ndarray) -> np.ndarray:
     # the ufunc reductions are what Z.max and .sum call, minus their dispatch
     s = Z - np.maximum.reduce(Z, axis=-1, keepdims=True)
     return s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
-
-
-def _softmax(Z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(Z))
 
 
 def _label_index(y: np.ndarray):
@@ -263,16 +261,25 @@ class SmoothModel:
         Z, _ = self.logits_and_vjp(w, U)
         return _logit_losses(Z, y, self.bounded)
 
-    def batch_loss_and_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None):
+    def batch_loss_and_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None, *, checked: bool = True):
         """One shared evaluation yielding losses, mean weight gradient, and
         per-sample perturbation gradients.
 
         Returns ``(losses (..., B), mean_grad_w (..., param_dim), grad_delta
         (..., B, d))``; the mean is over the B rows of each run.
+
+        ``checked=False`` skips the input checks: ``w``, ``X`` and
+        ``deltas`` (or None) must then be float64 arrays agreeing on the run
+        axis and ``y`` in-range int64 labels of the inputs' shape. The
+        training steps pass it, since ``trainers.lockstep`` validated their
+        inputs on entry.
         """
-        w, U = self._inputs(w, X, deltas)
-        y = self._check_labels(y, U.shape[:-1])
-        Z, vjp = self.logits_and_vjp(w, U)
+        if checked:
+            w, X = self._inputs(w, X, deltas)
+            y = self._check_labels(y, X.shape[:-1])
+        elif deltas is not None:
+            X = X + deltas
+        Z, vjp = self.logits_and_vjp(w, X)
         losses, G = _softmax_head(Z, y, self.bounded)
         gw_total, gU = vjp(G)
         return losses, gw_total / Z.shape[-2], gU
@@ -308,8 +315,11 @@ class SmoothModel:
 
     def attack_loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas: np.ndarray):
         """The one-call form of ``attack_oracle``: ``(losses, grad_delta)``
-        at ``X + deltas``, unchecked alike."""
-        return self.attack_oracle(w, X, y)(deltas)
+        at ``X + deltas``, unchecked alike. It is the direct pass, since a
+        binding would allocate as much as it saves for a single call."""
+        Z, vjp = self.logits_and_vjp(w, X + deltas)
+        losses, G = _softmax_head(Z, y, self.bounded)
+        return losses, vjp(G, weights=False)[1]
 
     # -- single-sample operations --------------------------------------------
 

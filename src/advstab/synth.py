@@ -41,6 +41,8 @@ class SyntheticSpec:
             raise ConfigError("spiral2d is two-dimensional")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError("noise must be >= 0")
+        if not math.isfinite(self.separation):
+            raise ConfigError(f"separation must be finite, got {self.separation}")
 
 
 def _balanced_labels(n: int) -> np.ndarray:

@@ -12,6 +12,10 @@ Randomness plan. All draws are addressed by (cfg.seed, stream kind, step):
 initialization, mini-batch indices, perturbation initializations, and
 attack restarts each live on their own stream. Because streams are
 re-creatable at any address, a run is a pure function of (cfg, dataset).
+``lockstep`` builds the initialization stream with ``stream``; it derives
+the keys of every step's batch and perturbation or attack stream in one
+``philox_keys`` call and re-keys one generator per stream kind at each
+step, which draws exactly what ``stream`` would at that address.
 
 Mini-batches are drawn uniformly WITH replacement over sample indices at
 every step, so the probability a fixed index appears in the step-t batch
@@ -32,8 +36,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .models import Dataset, LabeledSample, SmoothModel, _label_rows, _log_softmax
-from .rng import stream
-from .threat import AttackConfig, PerturbationSet, ascend_rows, pgd_attack_batch
+from .rng import keyed_stream, philox_keys, stream
+from .threat import AttackConfig, PerturbationSet, _row_norms, ascend_rows, pgd_attack_batch
 
 __all__ = [
     "StepSchedule",
@@ -227,7 +231,8 @@ class TrainTrace:
 
 def batch_indices(seed: int, t: int, n: int, b: int) -> np.ndarray:
     """The step-t mini-batch: b indices uniform with replacement, a pure
-    function of (seed, t)."""
+    function of (seed, t). ``lockstep`` draws the same indices through its
+    re-keyed batch generator."""
     return stream(seed, STREAM_BATCH, t).integers(0, n, size=b)
 
 
@@ -264,21 +269,27 @@ def trades_batch_loss_and_grads(
     y: np.ndarray,
     deltas: np.ndarray,
     lam: float,
+    *,
+    checked: bool = True,
 ):
     """Clean cross-entropy plus (1/lam) times the KL divergence from the
     clean to the perturbed predictive distribution, with analytic gradients.
 
     Returns ``(losses, mean_grad_w, grad_deltas)`` like the plain loss, and
     takes the same run axis; the perturbation gradient flows only through
-    the perturbed forward pass.
+    the perturbed forward pass. ``checked=False`` skips the input checks as
+    ``SmoothModel.batch_loss_and_grads`` does, for inputs that ``lockstep``
+    validated and a ``lam`` that ``TrainConfig`` did.
     """
-    if lam is None or lam <= 0:
-        raise ConfigError("trades_lambda must be positive")
-    w, X = model._inputs(w, X, None)
-    y = model._check_labels(y, X.shape[:-1])
-    D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
-    if D.shape != X.shape:
-        raise DimensionError("deltas shape must match inputs")
+    D = deltas
+    if checked:
+        if lam is None or lam <= 0:
+            raise ConfigError("trades_lambda must be positive")
+        w, X = model._inputs(w, X, None)
+        y = model._check_labels(y, X.shape[:-1])
+        D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
+        if D.shape != X.shape:
+            raise DimensionError("deltas shape must match inputs")
     B = X.shape[-2]
     Zc, vjp_c = model.logits_and_vjp(w, X)
     Za, vjp_a = model.logits_and_vjp(w, X + D)
@@ -331,29 +342,32 @@ def trades_surrogate_loss(
 # Each step takes one run (``w`` (P,), ``X`` (B, d), ``y`` (B,)) or a stack of
 # runs on the models' run axis (``w`` (R, P), ``X`` (R, B, d), ``y`` (R, B));
 # the perturbations are (B, d) or (R, B, d) to match. The stats are one dict,
-# or a tuple of one dict per run.
+# or a tuple of one dict per run. The steps call the full oracles unchecked
+# (``checked=False``): their inputs are lockstep's, validated on entry.
 
 
 def _loss_grads(model, w, X, y, D, lam):
     if lam is None:
-        return model.batch_loss_and_grads(w, X, y, D)
-    return trades_batch_loss_and_grads(model, w, X, y, D, lam)
+        return model.batch_loss_and_grads(w, X, y, D, checked=False)
+    return trades_batch_loss_and_grads(model, w, X, y, D, lam, checked=False)
 
 
 def _stats(losses, mean_gw, Gd):
     """Step statistics: a dict for one run, a tuple of dicts for a stack.
     The loss mean and the row norms reduce along each run's own last axis,
     and the weight-gradient norm is the 1-D norm of each run's gradient, so
-    every run gets the numbers of the unstacked step bit for bit."""
-    loss = losses.mean(axis=-1)
-    min_gd = np.linalg.norm(Gd, axis=-1).min(axis=-1)
+    every run gets the numbers of the unstacked step bit for bit. The
+    reductions are the ufuncs that ``mean`` and ``np.linalg.norm`` run,
+    minus their dispatch."""
+    loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
+    min_gd = np.minimum.reduce(_row_norms(Gd)[..., 0], axis=-1)
     if mean_gw.ndim == 1:
         return _run_stats(loss, mean_gw, min_gd)
     return tuple(map(_run_stats, loss, mean_gw, min_gd))
 
 
-def _run_stats(loss, mean_gw, min_gd):
-    return {"loss": float(loss), "grad_w_norm": float(np.linalg.norm(mean_gw)), "min_grad_delta_norm": float(min_gd)}
+def _run_stats(loss, g, min_gd):
+    return {"loss": float(loss), "grad_w_norm": math.sqrt(g.dot(g)), "min_grad_delta_norm": float(min_gd)}
 
 
 def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, lam=None):
@@ -371,7 +385,7 @@ def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start):
     give the stats' min perturbation-gradient norm."""
     _, Gd0 = model.attack_loss_and_grad(w, X, y, delta_start)
     deltas = ascend_rows(delta_start, Gd0, fast_step_size, pset)
-    losses, mean_gw, _ = model.batch_loss_and_grads(w, X, y, deltas)
+    losses, mean_gw, _ = model.batch_loss_and_grads(w, X, y, deltas, checked=False)
     return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd0)
 
 
@@ -455,27 +469,34 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     def shared(draw):  # one draw for every trajectory
         return draw if single else np.broadcast_to(draw, (runs,) + draw.shape)
 
+    # every step's keys at once, then one re-keyed generator per stream kind
+    draw = STREAM_ATTACK if rule == VANILLA else STREAM_DELTA
+    kinds = [draw] if batch_plan is not None else [STREAM_BATCH, draw]
+    steps = np.arange(1, n_steps + 1)
+    paths = np.column_stack([np.repeat(kinds, n_steps), np.tile(steps, len(kinds))])
+    keys = philox_keys(cfg.seed, paths).reshape(len(kinds), n_steps, 2)
+    draw_rng = keyed_stream(keys[-1])
+    batch_rng = keyed_stream(keys[0]) if batch_plan is None else None
+
     X_all = stacked([dataset.X for dataset in datasets])
     y_all = stacked([dataset.y for dataset in datasets])
     W = stacked([model.init_params(stream(cfg.seed, STREAM_INIT))] * runs)
     yield 0, 0, 0.0, None, per_run(W), None, None
     for t in range(1, n_steps + 1):
-        idx = batch_plan[t - 1] if batch_plan is not None else batch_indices(cfg.seed, t, n, b)
+        idx = batch_plan[t - 1] if batch_plan is not None else batch_rng(t - 1).integers(0, n, size=b)
         X, y = X_all[..., idx, :], y_all[..., idx]
         aw = step_size(cfg.schedule, t)
         if rule == FREE:
-            D = shared(pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b))
+            D = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
             for i in range(1, m + 1):
                 W, D, stats = free_inner_iteration(model, X, y, W, D, aw, cfg.resolved_attack_lr, pset, lam=lam)
                 _require_finite(W, (t - 1) * m + i)
                 yield t, i, aw, idx, per_run(W), per_run(D), per_run(stats)
             continue
         if rule == VANILLA:
-            W, stats = vanilla_batch_step(
-                model, X, y, W, aw, pset, cfg.inner_attack, stream(cfg.seed, STREAM_ATTACK, t), lam=lam
-            )
+            W, stats = vanilla_batch_step(model, X, y, W, aw, pset, cfg.inner_attack, draw_rng(t - 1), lam=lam)
         else:
-            delta0 = shared(pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=b))
+            delta0 = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
             W, stats = fast_batch_step(model, X, y, W, aw, cfg.resolved_fast_step, pset, delta0)
         _require_finite(W, t)
         yield t, 1, aw, idx, per_run(W), None, per_run(stats)

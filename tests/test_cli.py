@@ -436,6 +436,20 @@ def test_non_finite_config_numbers_are_rejected_before_training(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_separation_is_rejected_before_any_data_is_drawn(tmp_path, capsys, monkeypatch, value):
+    from advstab import cli, experiments
+
+    monkeypatch.setattr(experiments, "make_synthetic", _no_training)
+    monkeypatch.setattr(cli, "make_synthetic", _no_training)
+    cfg = _write_cfg(tmp_path, data={**_BASE["data"], "separation": value})
+    out = tmp_path / "out"
+    assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": f"separation must be finite, got {value}"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_values", ["30", "30,30"])
 def test_vs_n_reports_no_slope_below_two_distinct_sizes(tmp_path, capsys, n_values):
     cfg, out = _write_cfg(tmp_path), tmp_path / "out"

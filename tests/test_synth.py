@@ -20,6 +20,12 @@ def test_noise_rejects_non_finite(noise):
         SyntheticSpec("two_gaussians", n_train=50, n_test=30, dim=4, noise=noise, seed=9)
 
 
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), float("-inf")])
+def test_separation_rejects_non_finite(separation):
+    with pytest.raises(ConfigError, match="separation"):
+        SyntheticSpec("two_gaussians", n_train=50, n_test=30, dim=4, noise=0.7, seed=9, separation=separation)
+
+
 def test_train_test_independent():
     spec = SyntheticSpec("two_gaussians", n_train=50, n_test=50, dim=4, noise=0.7, seed=9)
     train, test = make_synthetic(spec)

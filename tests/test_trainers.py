@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from advstab import trainers
 from advstab.bounds import estimate_psi
 from advstab.errors import ConfigError
 from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhMLP
@@ -11,6 +12,7 @@ from advstab.stability import coupled_run, make_neighbor
 from advstab.synth import SyntheticSpec, make_synthetic
 from advstab.threat import AttackConfig, PerturbationSet
 from advstab.trainers import (
+    STREAM_ATTACK,
     STREAM_DELTA,
     STREAM_INIT,
     StepSchedule,
@@ -206,6 +208,74 @@ def test_batch_stream_is_pure_function_of_seed():
     b = batch_indices(9, 4, 30, 8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, batch_indices(9, 5, 30, 8))
+
+
+# -- the draws are the addressed ones ------------------------------------------
+#
+# lockstep re-keys one generator per stream kind from keys derived in bulk;
+# these pin its draws to ``stream`` at each step's address.
+
+ADDRESS_SEEDS = [5, 2**32 + 9]
+
+
+@pytest.mark.parametrize("seed", ADDRESS_SEEDS)
+@pytest.mark.parametrize("algorithm, kw", [("vanilla", {}), ("fast", {}), ("free", dict(free_steps=4))])
+def test_batches_are_the_addressed_batches(algorithm, kw, seed):
+    data = _data()
+    cfg = _cfg(algorithm, T=12, seed=seed, **kw)
+    _, trace = train(_mlp(), data, cfg)
+    for u in range(len(trace)):
+        assert np.array_equal(trace.batch[u], batch_indices(seed, int(trace.step[u]), data.n, cfg.batch_size))
+
+
+@pytest.mark.parametrize("seed", ADDRESS_SEEDS)
+def test_free_starts_are_the_addressed_draws(seed):
+    # with a zero ascent rate the carried perturbations stay at each step's start
+    data = _data()
+    cfg = _cfg("free", T=12, seed=seed, free_steps=3, attack_lr=0.0)
+    for t, i, _, _, _, deltas, _ in list(lockstep(_mlp(), [data], cfg))[1:]:
+        want = cfg.pset.sample_uniform(stream(seed, STREAM_DELTA, t), size=cfg.batch_size)
+        assert np.array_equal(deltas[0], want), (t, i)
+
+
+@pytest.mark.parametrize("seed", ADDRESS_SEEDS)
+@pytest.mark.parametrize("algorithm", ["vanilla", "fast"])
+def test_attack_draws_are_the_addressed_draws(algorithm, seed):
+    # a reference loop that hands each step a stream built at its address
+    data, model = _data(), _mlp()
+    cfg = _cfg(algorithm, T=6, seed=seed, inner_attack=AttackConfig(steps=2, step_size=0.5, restarts=2))
+    w_ref = model.init_params(stream(seed, STREAM_INIT))
+    for t in range(1, 7):
+        idx = batch_indices(seed, t, data.n, cfg.batch_size)
+        X, y, aw = data.X[idx], data.y[idx], step_size(cfg.schedule, t)
+        if algorithm == "vanilla":
+            rng = stream(seed, STREAM_ATTACK, t)
+            w_ref, _ = vanilla_batch_step(model, X, y, w_ref, aw, cfg.pset, cfg.inner_attack, rng)
+        else:
+            start = cfg.pset.sample_uniform(stream(seed, STREAM_DELTA, t), size=cfg.batch_size)
+            w_ref, _ = fast_batch_step(model, X, y, w_ref, aw, cfg.resolved_fast_step, cfg.pset, start)
+    w, _ = train(model, data, cfg)
+    assert np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("T", [8, 60])
+@pytest.mark.parametrize("algorithm, kw", [("vanilla", {}), ("fast", {}), ("free", dict(free_steps=4))])
+def test_training_builds_one_stream_per_run(monkeypatch, algorithm, kw, T):
+    # only the initialization goes through stream(); the steps re-key
+    built = []
+
+    def counted(seed, *path):
+        built.append(path)
+        return stream(seed, *path)
+
+    monkeypatch.setattr(trainers, "stream", counted)
+    data = _data()
+    cfg = _cfg(algorithm, T=T, inner_attack=AttackConfig(steps=1, step_size=1.0), **kw)
+    train(_mlp(), data, cfg)
+    assert built == [(STREAM_INIT,)]
+    built.clear()
+    coupled_run(_mlp(), make_neighbor(data, 3, data.sample(4)), cfg)
+    assert built == [(STREAM_INIT,)]
 
 
 # -- collapse identities -----------------------------------------------------
@@ -425,7 +495,7 @@ def test_free_trades_lambda_limit_tracks_clean_sgd():
 
 class CountingModel:
     """Wrapper counting gradient evaluations and their evaluation points:
-    full-oracle calls in ``calls``, attack-only calls (one-call or through a
+    full-oracle calls (checked or unchecked) in ``calls``, attack-only calls (one-call or through a
     bound oracle) in ``attack_calls``, and the order of both kinds in
     ``kinds``."""
 
@@ -438,10 +508,10 @@ class CountingModel:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def batch_loss_and_grads(self, w, X, y, deltas=None):
+    def batch_loss_and_grads(self, w, X, y, deltas=None, **checked):
         self.calls.append((w.copy(), None if deltas is None else np.asarray(deltas).copy()))
         self.kinds.append("full")
-        return self.inner.batch_loss_and_grads(w, X, y, deltas)
+        return self.inner.batch_loss_and_grads(w, X, y, deltas, **checked)
 
     def attack_loss_and_grad(self, w, X, y, deltas):
         self.attack_calls.append((w.copy(), np.asarray(deltas).copy()))
