@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: gap, vs-n, transfer, free-trades, stability, bounds, check.
-A JSON config file supplies the experiment fields; a key the defaults do
-not list, or a value whose type does not fit its default, is a
-ConfigError. Flags override the common fields.
-Outputs land in --out as report.json / trace.csv / plotdata_*.csv. Exit
-code 0 on success; failures print a machine-readable error object to
-stderr and exit nonzero. ``advstab --debug <command>``
-prints the full traceback of a failure before that error object.
+A JSON config file (the layout of ``experiments.config_from_dict``), then
+the --config-b overrides, then the common flags are laid over the defaults
+and validated as a whole; an unknown key or a value whose type does not fit
+its default is a ConfigError. Outputs land in --out as report.json /
+trace.csv / plotdata_*.csv; the ``config`` that gap, vs-n and free-trades
+reports echo is in that layout, so ``--config`` replays it. Exit code 0 on
+success; failures print a machine-readable error object to stderr and exit
+nonzero. ``advstab --debug <command>`` prints the full traceback of a
+failure before that error object.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import ConfigError
 from .experiments import (
     ExperimentConfig,
     bound_inputs,
+    config_from_dict,
     run_free_trades_comparison,
     run_gap_experiment,
     run_transfer_experiment,
@@ -32,99 +35,19 @@ from .experiments import (
 )
 from .reportio import emit_report
 from .stability import RULE_FACTS, coupled_run, make_neighbor
-from .synth import SyntheticSpec, draw_replacement, make_synthetic
-from .threat import AttackConfig, PerturbationSet
-from .trainers import FREE_TRADES, RULES, TRADES_SEQ, StepSchedule, TrainConfig, train
-
-_DEFAULT_CONFIG = {
-    "model": {"kind": "mlp", "hidden_dim": 16, "class_count": 2, "bounded_loss": False},
-    "data": {"kind": "two_gaussians", "n_train": 500, "n_test": 1000, "dim": 20, "noise": 1.0, "seed": 1, "separation": 2.0},
-    "train": {
-        "algorithm": "free",
-        "norm": "l2",
-        "eps": 0.5,
-        "schedule": {"kind": "constant", "c": 0.2, "m": 4},
-        "batch_size": 25,
-        "total_iterations": 400,
-        "seed": 11,
-        "attack_lr": None,
-        "fast_step": None,
-        "free_steps": 4,
-        "trades_lambda": None,
-        "inner_attack": {"steps": 10, "step_size": None, "restarts": 1, "init": "uniform"},
-    },
-    "eval": {"attack": {"steps": 10, "step_size": None, "restarts": 1, "init": "uniform"}, "seed": 9999, "checkpoint_every": None},
-    "trials": 2,
-    "budget_axis": "updates",
-}
-
-
-# the JSON types a scalar may take, by the type of its default: ints pass
-# where floats are expected, and a null default stands for an optional number
-_SCALAR_TYPES = {
-    bool: ("a bool", (bool,)),
-    int: ("an int", (int,)),
-    float: ("a number", (int, float)),
-    str: ("a string", (str,)),
-    type(None): ("a number or null", (int, float, type(None))),
-}
-
-
-def _merge(base: dict, extra: dict, path: str = "", defaults: dict = _DEFAULT_CONFIG) -> dict:
-    """``base`` overlaid with ``extra``, section by section. A key that
-    ``base`` lacks, a section that is not an object, or a scalar whose type
-    does not fit its entry in ``defaults`` is rejected with its dotted path."""
-    if not isinstance(extra, dict):
-        raise ConfigError(f"config {path[:-1] or 'file'} must be an object, got {type(extra).__name__}")
-    out = dict(base)
-    for key, value in extra.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key {path}{key}")
-        if isinstance(base[key], dict):
-            out[key] = _merge(base[key], value, f"{path}{key}.", defaults[key])
-            continue
-        expected, types = _SCALAR_TYPES[type(defaults[key])]
-        if type(value) not in types:
-            raise ConfigError(f"config {path}{key} must be {expected}, got {type(value).__name__}")
-        out[key] = value
-    return out
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """The experiment config of ``raw`` laid over ``_DEFAULT_CONFIG``, the
-    one list of the keys the CLI accepts."""
-    cfg = _merge(_DEFAULT_CONFIG, raw)
-    data = SyntheticSpec(**cfg["data"])
-    t = dict(cfg["train"])
-    train_cfg = TrainConfig(
-        pset=PerturbationSet(t.pop("norm"), t.pop("eps"), data.dim),
-        schedule=StepSchedule(**t.pop("schedule")),
-        inner_attack=AttackConfig(**t.pop("inner_attack")),
-        **t,
-    )
-    model, ev = dict(cfg["model"]), cfg["eval"]
-    return ExperimentConfig(
-        model_kind=model.pop("kind"),
-        data=data,
-        train=train_cfg,
-        eval_attack=AttackConfig(**ev["attack"]),
-        eval_seed=ev["seed"],
-        checkpoint_every=ev["checkpoint_every"],
-        trials=cfg["trials"],
-        budget_axis=cfg["budget_axis"],
-        **model,
-    )
+from .synth import draw_replacement, make_synthetic
+from .trainers import FREE_TRADES, RULES, TRADES_SEQ, train
 
 
 def _load_config(args, overrides: dict | None = None) -> ExperimentConfig:
-    """The --config file, merged with ``overrides``, then the common flags,
-    validated once as a whole."""
+    """The --config file, then ``overrides``, then the common flags, laid
+    over the defaults and validated once as a whole."""
     raw = json.loads(Path(args.config).read_text()) if args.config else {}
     train = {"seed": args.seed, "algorithm": args.algorithm, "total_iterations": args.iterations}
     flags = {"train": {key: value for key, value in train.items() if value is not None}}
     if args.trials is not None:
         flags["trials"] = args.trials
-    return config_from_dict(_merge(_merge(_merge(_DEFAULT_CONFIG, raw), overrides or {}), flags))
+    return config_from_dict(raw, overrides or {}, flags)
 
 
 def _emit(reports, out: str):
@@ -164,8 +87,11 @@ def cmd_gap(args) -> int:
 
 
 def cmd_vs_n(args) -> int:
+    try:
+        n_values = [int(v) for v in args.n_values.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
     cfg = _load_config(args)
-    n_values = [int(v) for v in args.n_values.split(",")]
     res = run_vs_n_experiment(cfg, n_values)
     _emit(res.reports, args.out)
     payload = {

@@ -4,8 +4,10 @@ transferred attacks, and the sequential-vs-simultaneous TRADES comparison.
 Fairness rules. Every algorithm inside one experiment is evaluated by the
 identical attack (same steps, step size, restarts, and evaluation seed),
 and trial k of every algorithm shares training seed ``train.seed + k``, so
-comparisons are paired. Reports echo the full configuration; re-running a
-config reproduces every number bit-exactly.
+comparisons are paired. ``config_to_dict`` writes a config in the one
+layout ``config_from_dict`` reads (``model``, ``data``, ``train``, ``eval``,
+``trials``, ``budget_axis``); reports echo it, so feeding a report's
+``config`` back in reproduces every number bit-exactly.
 
 Compute accounting. A vanilla step whose inner attack runs K iterations
 from each of r restarts costs K*r + 1 gradient evaluations, plus r
@@ -31,11 +33,13 @@ from .models import Dataset, SmoothModel, make_model
 from .rng import stream
 from .stability import RULE_FACTS
 from .synth import SyntheticSpec, make_synthetic
-from .threat import AttackConfig, empirical_robust_risk, pgd_attack_batch
-from .trainers import FREE_TRADES, TRADES_SEQ, TrainConfig, TrainTrace, train
+from .threat import AttackConfig, PerturbationSet, empirical_robust_risk, pgd_attack_batch
+from .trainers import FREE_TRADES, TRADES_SEQ, StepSchedule, TrainConfig, TrainTrace, train
 
 __all__ = [
     "ExperimentConfig",
+    "config_to_dict",
+    "config_from_dict",
     "CheckpointStat",
     "TrialResult",
     "GapReport",
@@ -70,12 +74,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+        every = self.checkpoint_every
+        if every is not None and (isinstance(every, bool) or not isinstance(every, int)):
+            raise ConfigError(f"checkpoint_every must be an int or None, got {every!r}")
+        if every is not None and every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
         if self.budget_axis not in ("updates", "oracle_calls"):
             raise ConfigError("budget_axis must be 'updates' or 'oracle_calls'")
         if self.data.dim != self.train.pset.dim:
             raise DimensionError("data dim and perturbation set dim disagree")
+        self.build_model()  # an unknown or self-contradicting model section fails here
 
     def build_model(self) -> SmoothModel:
         return make_model(
@@ -99,6 +107,93 @@ class ExperimentConfig:
             return cfg
         T, m = cfg.total_iterations // cfg.oracle_per_update, cfg.inner_steps
         return replace(cfg, total_iterations=max(m, T - T % m))
+
+
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """``cfg`` in the layout ``config_from_dict`` reads, each field as set,
+    so ``config_from_dict(config_to_dict(cfg)) == cfg`` up to
+    ``attach_bounds``, which the layout leaves out (it reads back True)."""
+    train = asdict(cfg.train)
+    pset = train.pop("pset")
+    return {
+        "model": {"kind": cfg.model_kind, "hidden_dim": cfg.hidden_dim, "class_count": cfg.class_count, "bounded_loss": cfg.bounded_loss},
+        "data": asdict(cfg.data),
+        "train": {"algorithm": train.pop("algorithm"), "norm": pset["norm"], "eps": pset["radius"], **train},
+        "eval": {"attack": asdict(cfg.eval_attack), "seed": cfg.eval_seed, "checkpoint_every": cfg.checkpoint_every},
+        "trials": cfg.trials,
+        "budget_axis": cfg.budget_axis,
+    }
+
+
+# what config_from_dict fills in: the command line's choices, every other
+# field at its dataclass default
+_DEFAULTS = ExperimentConfig(
+    model_kind="mlp",
+    data=SyntheticSpec("two_gaussians", n_train=500, n_test=1000, dim=20, noise=1.0, seed=1),
+    train=TrainConfig(
+        "free", PerturbationSet("l2", 0.5, 20), StepSchedule("constant", c=0.2, m=4), batch_size=25, total_iterations=400, seed=11
+    ),
+    trials=2,
+)
+
+# the JSON types a scalar may take, by the type of its default: ints pass
+# where floats are expected, and a null default stands for an optional number
+_SCALAR_TYPES = {
+    bool: ("a bool", (bool,)),
+    int: ("an int", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("a number or null", (int, float, type(None))),
+}
+
+
+def _merge(base: dict, extra: dict, defaults: dict, path: str = "") -> dict:
+    """``base`` overlaid with ``extra``, section by section. A key that
+    ``defaults`` lacks, a section that is not an object, or a scalar whose
+    type does not fit its default is rejected with its dotted path."""
+    if not isinstance(extra, dict):
+        raise ConfigError(f"config {path[:-1] or 'file'} must be an object, got {type(extra).__name__}")
+    out = dict(base)
+    for key, value in extra.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {path}{key}")
+        if isinstance(defaults[key], dict):
+            out[key] = _merge(base[key], value, defaults[key], f"{path}{key}.")
+            continue
+        expected, types = _SCALAR_TYPES[type(defaults[key])]
+        if type(value) not in types:
+            raise ConfigError(f"config {path}{key} must be {expected}, got {type(value).__name__}")
+        out[key] = value
+    return out
+
+
+def config_from_dict(*layers: dict) -> ExperimentConfig:
+    """The experiment config of ``layers`` laid over the defaults in turn,
+    each checked against the defaults' keys and types, then validated once
+    as a whole."""
+    defaults = cfg = config_to_dict(_DEFAULTS)
+    for layer in layers:
+        cfg = _merge(cfg, layer, defaults)
+    data = SyntheticSpec(**cfg["data"])
+    t = dict(cfg["train"])
+    train_cfg = TrainConfig(
+        pset=PerturbationSet(t.pop("norm"), t.pop("eps"), data.dim),
+        schedule=StepSchedule(**t.pop("schedule")),
+        inner_attack=AttackConfig(**t.pop("inner_attack")),
+        **t,
+    )
+    model, ev = dict(cfg["model"]), cfg["eval"]
+    return ExperimentConfig(
+        model_kind=model.pop("kind"),
+        data=data,
+        train=train_cfg,
+        eval_attack=AttackConfig(**ev["attack"]),
+        eval_seed=ev["seed"],
+        checkpoint_every=ev["checkpoint_every"],
+        trials=cfg["trials"],
+        budget_axis=cfg["budget_axis"],
+        **model,
+    )
 
 
 @dataclass
@@ -178,32 +273,6 @@ class GapReport:
         return out
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    """The config as the dataclasses lay it out, with the perturbation set
-    flattened to the train section's ``norm`` and ``eps``. It is not the
-    layout ``--config`` reads: the model fields sit at the top level here
-    (``model_kind``, ...), not in a ``model`` section."""
-    train = {}
-    for key, value in asdict(cfg.train).items():
-        if key == "pset":
-            train.update(norm=value["norm"], eps=value["radius"])
-        else:
-            train[key] = value
-    return {
-        "model_kind": cfg.model_kind,
-        "hidden_dim": cfg.hidden_dim,
-        "class_count": cfg.class_count,
-        "bounded_loss": cfg.bounded_loss,
-        "data": asdict(cfg.data),
-        "train": train,
-        "eval_attack": asdict(cfg.eval_attack),
-        "eval_seed": cfg.eval_seed,
-        "checkpoint_every": cfg.resolved_checkpoint(),
-        "trials": cfg.trials,
-        "budget_axis": cfg.budget_axis,
-    }
-
-
 def _evaluate(model, w, eval_set, parts, pset, attack, eval_seed, iteration) -> CheckpointStat:
     """One attack on the train rows followed by the test rows of
     ``eval_set``, each drawing its starts from its own stream, so each
@@ -273,7 +342,7 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
     if tc.total_iterations < 1:
         raise ConfigError("gap experiments need at least one training iteration")
     cadence = cfg.resolved_checkpoint()
-    report = GapReport(algorithm=tc.algorithm, config=_config_echo(cfg), trials=[])
+    report = GapReport(algorithm=tc.algorithm, config=config_to_dict(cfg), trials=[])
     # both sets in one batch, read by every evaluation thread
     eval_set = Dataset(np.concatenate([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
     parts = (train_ds.n, test_ds.n)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 __all__ = [
     "LabeledSample",
@@ -502,8 +502,10 @@ def make_model(kind: str, input_dim: int, class_count: int = 2, hidden_dim: int 
     if kind == "mlp":
         return TwoLayerTanhMLP(input_dim, hidden_dim, class_count, bounded)
     if kind == "scalar_logistic":
+        if class_count != 2:
+            raise ConfigError(f"scalar_logistic has 2 classes, got class_count={class_count}")
         return ScalarLogistic(input_dim, bounded)
-    raise ValueError(f"unknown model kind {kind!r}")
+    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def batch_grads(model: SmoothModel, w: np.ndarray, deltas, batch):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from advstab.cli import config_from_dict, main
+from advstab import experiments
+from advstab.cli import main
 from advstab.errors import ConfigError, DimensionError
+from advstab.experiments import config_from_dict, config_to_dict
 
 _BASE = {
     "model": {"kind": "mlp", "hidden_dim": 5},
@@ -46,6 +48,76 @@ def test_gap_command_writes_outputs(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["algorithm"] == "vanilla"
     assert report["config"]["train"]["total_iterations"] == 20
+
+
+def _files(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+# free under a c/(m t) schedule attaches bounds; without checkpoint_every the
+# echo holds null and the cadence is one epoch
+_FREE_BOUNDED = {
+    "train": {**_BASE["train"], "algorithm": "free", "schedule": {"kind": "vanishing_c_over_mt", "c": 0.5, "m": 4}},
+    "eval": {"attack": {"steps": 3, "step_size": 1.0}, "seed": 99},
+}
+
+
+@pytest.mark.parametrize("overrides", [{}, _FREE_BOUNDED], ids=["vanilla", "free-bounded"])
+def test_gap_report_config_replays_every_output_byte_for_byte(tmp_path, overrides):
+    cfg, out = _write_cfg(tmp_path, **overrides), tmp_path / "out"
+    assert main(["gap", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(json.loads((out / "report.json").read_text())["config"]))
+    replay = tmp_path / "replay"
+    assert main(["gap", "--config", str(echo), "--out", str(replay)]) == 0
+    assert _files(replay) == _files(out)
+    assert {"report.json", "trace.csv"} < set(_files(out))
+
+
+@pytest.mark.parametrize("command", [["vs-n", "--n-values", "20,30"], ["free-trades"]])
+def test_each_sub_report_config_replays_through_gap(tmp_path, command):
+    cfg, out = _write_cfg(tmp_path), tmp_path / "out"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 0
+    reports = json.loads((out / "report.json").read_text())
+    assert len(reports) == 2
+    for k, report in enumerate(reports):
+        echo = tmp_path / f"echo{k}.json"
+        echo.write_text(json.dumps(report["config"]))
+        assert main(["gap", "--config", str(echo), "--out", str(tmp_path / f"replay{k}")]) == 0
+        assert json.loads((tmp_path / f"replay{k}" / "report.json").read_text()) == report
+
+
+# the defaults as the command line wrote them out before they were derived
+# from one ExperimentConfig; no default may move
+_DEFAULT_CONFIG = {
+    "model": {"kind": "mlp", "hidden_dim": 16, "class_count": 2, "bounded_loss": False},
+    "data": {"kind": "two_gaussians", "n_train": 500, "n_test": 1000, "dim": 20, "noise": 1.0, "seed": 1, "separation": 2.0},
+    "train": {
+        "algorithm": "free",
+        "norm": "l2",
+        "eps": 0.5,
+        "schedule": {"kind": "constant", "c": 0.2, "m": 4},
+        "batch_size": 25,
+        "total_iterations": 400,
+        "seed": 11,
+        "attack_lr": None,
+        "fast_step": None,
+        "free_steps": 4,
+        "trades_lambda": None,
+        "inner_attack": {"steps": 10, "step_size": None, "restarts": 1, "init": "uniform"},
+    },
+    "eval": {"attack": {"steps": 10, "step_size": None, "restarts": 1, "init": "uniform"}, "seed": 9999, "checkpoint_every": None},
+    "trials": 2,
+    "budget_axis": "updates",
+}
+
+
+def test_derived_defaults_equal_the_written_out_defaults():
+    derived = config_to_dict(experiments._DEFAULTS)
+    assert derived == _DEFAULT_CONFIG
+    # the text also pins each number's JSON type (1.0, not 1), which the type checks read
+    assert json.dumps(derived) == json.dumps(_DEFAULT_CONFIG)
+    assert config_from_dict() == experiments._DEFAULTS
 
 
 def test_gap_flag_overrides(tmp_path):
@@ -284,6 +356,10 @@ _BAD_VALUES = [
     ({"budget_axis": None}, "config budget_axis must be a string, got NoneType"),
     ({"eval": {"attack": {"steps": [10]}}}, "config eval.attack.steps must be an int, got list"),
     ({"eval": {"checkpoint_every": 0}}, "checkpoint_every must be >= 1"),
+    ({"eval": {"checkpoint_every": 2.5}}, "checkpoint_every must be an int or None, got 2.5"),
+    ({"eval": {"checkpoint_every": 4.0}}, "checkpoint_every must be an int or None, got 4.0"),
+    ({"model": {"kind": "scalar_logistic", "class_count": 3}}, "scalar_logistic has 2 classes, got class_count=3"),
+    ({"model": {"kind": "linear"}}, "unknown model kind 'linear'"),
 ]
 
 
@@ -473,3 +549,15 @@ def test_vs_n_summary_is_strict_json_with_two_sizes(tmp_path, capsys):
     assert -1.0 <= summary["spearman"] <= 1.0 and len(summary["mean_gaps"]) == 2
     shown = capsys.readouterr().out
     assert _strict_json(shown[shown.index("{") :]) == summary
+
+
+@pytest.mark.parametrize("n_values", ["250,,500", "20,2.5", "", "20,x"])
+def test_vs_n_rejects_a_size_that_is_not_an_integer_before_training(tmp_path, capsys, monkeypatch, n_values):
+    from advstab import cli
+
+    monkeypatch.setattr(cli, "run_vs_n_experiment", _no_training)
+    cfg, out = _write_cfg(tmp_path), tmp_path / "out"
+    assert main(["vs-n", "--config", str(cfg), "--out", str(out), "--n-values", n_values]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": f"--n-values must be comma-separated integers, got {n_values!r}"}
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -16,8 +17,9 @@ from advstab.errors import ConfigError, DimensionError
 from advstab.experiments import (
     CheckpointStat,
     ExperimentConfig,
-    _config_echo,
     _spearman,
+    config_from_dict,
+    config_to_dict,
     run_free_trades_comparison,
     run_gap_experiment,
     run_transfer_experiment,
@@ -28,7 +30,7 @@ from advstab.reportio import emit_report, load_report, report_to_dict
 from advstab.rng import stream
 from advstab.synth import SyntheticSpec, make_synthetic
 from advstab.threat import AttackConfig, PerturbationSet, empirical_robust_risk
-from advstab.trainers import StepSchedule, TrainConfig, train
+from advstab.trainers import RULES, StepSchedule, TrainConfig, train
 
 
 def _cfg(algorithm="vanilla", eps=0.3, T=30, trials=2, dim=4, n_train=40, **kw):
@@ -203,6 +205,24 @@ def test_transfer_experiment_eps_zero_all_clean():
         assert res.accuracy[key] == pytest.approx(res.clean_accuracy[key[1]], abs=0)
 
 
+@pytest.mark.parametrize("value", [2.5, 4.0, True])
+def test_checkpoint_every_must_be_an_int_or_none(value):
+    with pytest.raises(ConfigError, match=f"^checkpoint_every must be an int or None, got {value!r}$"):
+        replace(_cfg(), checkpoint_every=value)
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"model_kind": "linear"}, "unknown model kind 'linear'"),
+        ({"model_kind": "scalar_logistic", "class_count": 3}, "scalar_logistic has 2 classes, got class_count=3"),
+    ],
+)
+def test_model_section_is_checked_at_construction(model, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        replace(_cfg(), **model)
+
+
 def test_checkpoint_every_below_one_rejected_at_construction():
     for bad in (0, -3):
         with pytest.raises(ConfigError, match="checkpoint_every must be >= 1"):
@@ -284,14 +304,16 @@ def test_oracle_call_counts_recorded():
 
 
 def _reference_echo(cfg):
-    """The config echo as written out field by field before it was derived
-    from the dataclasses; reports must keep this layout byte for byte."""
+    """The config echo written out field by field: the layout ``--config``
+    reads, with every field as set; reports must keep it byte for byte."""
     t = cfg.train
     return {
-        "model_kind": cfg.model_kind,
-        "hidden_dim": cfg.hidden_dim,
-        "class_count": cfg.class_count,
-        "bounded_loss": cfg.bounded_loss,
+        "model": {
+            "kind": cfg.model_kind,
+            "hidden_dim": cfg.hidden_dim,
+            "class_count": cfg.class_count,
+            "bounded_loss": cfg.bounded_loss,
+        },
         "data": {
             "kind": cfg.data.kind,
             "n_train": cfg.data.n_train,
@@ -320,14 +342,16 @@ def _reference_echo(cfg):
                 "init": t.inner_attack.init,
             },
         },
-        "eval_attack": {
-            "steps": cfg.eval_attack.steps,
-            "step_size": cfg.eval_attack.step_size,
-            "restarts": cfg.eval_attack.restarts,
-            "init": cfg.eval_attack.init,
+        "eval": {
+            "attack": {
+                "steps": cfg.eval_attack.steps,
+                "step_size": cfg.eval_attack.step_size,
+                "restarts": cfg.eval_attack.restarts,
+                "init": cfg.eval_attack.init,
+            },
+            "seed": cfg.eval_seed,
+            "checkpoint_every": cfg.checkpoint_every,
         },
-        "eval_seed": cfg.eval_seed,
-        "checkpoint_every": cfg.resolved_checkpoint(),
         "trials": cfg.trials,
         "budget_axis": cfg.budget_axis,
     }
@@ -350,7 +374,7 @@ def _every_field_set(algorithm):
         inner_attack=AttackConfig(steps=2, step_size=0.03, restarts=3, init="zero"),
     )
     return ExperimentConfig(
-        model_kind="linear",
+        model_kind="softmax_linear",
         data=data,
         train=train,
         eval_attack=AttackConfig(steps=5, step_size=0.02, restarts=2, init="zero"),
@@ -372,9 +396,101 @@ _ECHO_CASES += [_every_field_set(algorithm) for algorithm in ("vanilla", "trades
 
 @pytest.mark.parametrize("cfg", _ECHO_CASES, ids=lambda c: f"{c.train.algorithm}-{c.train.pset.norm}-{c.train.schedule.kind}")
 def test_config_echo_equals_the_hand_written_layout(cfg):
-    echo = _config_echo(cfg)
+    echo = config_to_dict(cfg)
     assert echo == _reference_echo(cfg)
     assert json.dumps(echo, indent=2) == json.dumps(_reference_echo(cfg), indent=2)
+
+
+@pytest.mark.parametrize("cfg", _ECHO_CASES, ids=lambda c: f"{c.train.algorithm}-{c.train.pset.norm}-{c.train.schedule.kind}")
+def test_config_round_trips_through_its_layout(cfg):
+    # attach_bounds is not part of the layout and reads back as True
+    expected = replace(cfg, attach_bounds=True)
+    assert config_from_dict(config_to_dict(cfg)) == expected
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == expected
+
+
+# the fields that may be None, by dotted key
+_OPTIONAL = (
+    "train.attack_lr",
+    "train.fast_step",
+    "train.trades_lambda",
+    "train.inner_attack.step_size",
+    "eval.attack.step_size",
+    "eval.checkpoint_every",
+)
+
+
+def _random_config(r: random.Random) -> ExperimentConfig:
+    """A valid config with every field drawn: the constraints between fields
+    (spiral2d is 2-d, free's T and c/(m t) schedule follow its m, TRADES
+    needs a lambda, scalar_logistic has 2 classes) are met by construction."""
+
+    def maybe(value):
+        return value if r.random() < 0.5 else None
+
+    def attack():
+        return AttackConfig(r.randint(1, 12), maybe(r.uniform(0.01, 1.0)), r.randint(1, 3), r.choice(["zero", "uniform"]))
+
+    data_kind = r.choice(["two_gaussians", "xor_clusters", "spiral2d"])
+    dim = 2 if data_kind == "spiral2d" else r.randint(1, 30)
+    data = SyntheticSpec(
+        data_kind, r.randint(2, 3000), r.randint(2, 3000), dim, r.uniform(0.0, 3.0), r.randint(0, 2**32), r.uniform(-4.0, 4.0)
+    )
+    algorithm = r.choice(list(RULES))
+    free = RULES[algorithm] == "free"
+    free_steps = r.randint(1, 8)
+    schedule_kind = r.choice(["constant", "vanishing_c_over_t", "vanishing_c_over_mt"])
+    m = free_steps if free and schedule_kind == "vanishing_c_over_mt" else r.randint(1, 8)
+    lam = r.uniform(0.01, 10.0)
+    train = TrainConfig(
+        algorithm,
+        PerturbationSet(r.choice(["l2", "linf"]), r.uniform(0.0, 2.0), dim),
+        StepSchedule(schedule_kind, r.uniform(0.01, 5.0), m),
+        batch_size=r.randint(1, 64),
+        total_iterations=(free_steps if free else 1) * r.randint(0, 100),
+        seed=r.randint(0, 2**63),
+        attack_lr=maybe(r.uniform(0.0, 2.0)),
+        fast_step=maybe(r.uniform(0.0, 2.0)),
+        free_steps=free_steps,
+        trades_lambda=lam if algorithm != RULES[algorithm] else maybe(lam),
+        inner_attack=attack(),
+    )
+    model_kind = r.choice(["softmax_linear", "mlp", "scalar_logistic"])
+    return ExperimentConfig(
+        model_kind,
+        data,
+        train,
+        eval_attack=attack(),
+        eval_seed=r.randint(0, 2**32),
+        checkpoint_every=maybe(r.randint(1, 500)),
+        trials=r.randint(1, 6),
+        hidden_dim=r.randint(1, 40),
+        class_count=2 if model_kind == "scalar_logistic" else r.randint(2, 5),
+        bounded_loss=r.random() < 0.5,
+        budget_axis=r.choice(["updates", "oracle_calls"]),
+        attach_bounds=True,
+    )
+
+
+def test_random_valid_configs_round_trip_through_their_layout():
+    r = random.Random(12)
+    seen, optional = set(), {key: set() for key in _OPTIONAL}
+    for _ in range(240):
+        cfg = _random_config(r)
+        layout = config_to_dict(cfg)
+        assert config_from_dict(layout) == cfg
+        assert config_from_dict(json.loads(json.dumps(layout))) == cfg
+        t = cfg.train
+        seen |= {t.algorithm, t.pset.norm, t.schedule.kind, cfg.model_kind, cfg.budget_axis}
+        for key in _OPTIONAL:
+            section, *rest = key.split(".")
+            value = layout[section]
+            for part in rest:
+                value = value[part]
+            optional[key].add(value is None)
+    assert seen >= set(RULES) | {"l2", "linf", "constant", "vanishing_c_over_t", "vanishing_c_over_mt"}
+    assert seen >= {"softmax_linear", "mlp", "scalar_logistic", "updates", "oracle_calls"}
+    assert all(both == {True, False} for both in optional.values()), optional
 
 
 def test_spearman_equals_scipy_bit_for_bit():
