@@ -15,14 +15,23 @@ restart-scoring evaluations when r > 1, while a free update costs one
 (``TrainConfig.oracle_per_update`` and ``forward_per_update``); reports
 carry the oracle-call counts, and ``budget_axis="oracle_calls"`` rescales
 the iteration budget so algorithms match on evaluations instead of updates.
+
+Checkpoint evaluation. Each checkpoint is one attack over the train and test
+rows together (each set drawing its starts from its own stream) plus one
+forward pass. On more than one CPU, ``run_gap_experiment`` forks workers at
+a trial's first snapshot; they evaluate the checkpoints while the trial
+still trains, and the caller meanwhile estimates the bound constants, on a
+stream of their own. On one CPU, or where ``fork`` does not exist, the
+caller evaluates the checkpoints in order after training. The reports are
+the same either way, byte for byte.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
-import threading
+import signal
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -287,39 +296,120 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _in_order(fn, items: list) -> list:
-    """``[fn(item) for item in items]`` on the calling thread and up to
-    ``_cores() - 1`` workers, which NumPy's large calls let run at once.
-    For checkpoint evaluation each item is one fused attack on the train and
-    test rows; the threads share the model and the data read-only, and each
-    attack owns its arrays. Each call runs in a copy of the caller's context
-    (so its ``np.errstate`` holds). After a failure no item starts, and the
-    failure of the lowest index is raised, as the plain loop would."""
-    results, errors = [None] * len(items), {}
-    indices, lock = iter(range(len(items))), threading.Lock()
-    context = contextvars.copy_context()
+class _RemoteTraceback(Exception):
+    """A worker's traceback, chained as the cause of the failure it sent."""
 
-    def work():
-        while True:
-            with lock:
-                i = None if errors else next(indices, None)
-            if i is None:
-                return
-            try:
-                results[i] = context.copy().run(fn, items[i])
-            except BaseException as exc:  # raised again below, on the calling thread
-                with lock:
-                    errors[i] = exc
+    def __str__(self):
+        return self.args[0]
 
-    workers = [threading.Thread(target=work) for _ in range(min(_cores(), len(items)) - 1)]
-    for t in workers:
-        t.start()
-    work()
-    for t in workers:
-        t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+
+class _Checkpoints:
+    """The evaluation of one trial's checkpoint marks, ``evaluate(w, mark)``
+    each, in mark order.
+
+    On more than one CPU, ``min(_cores(), len(marks))`` workers start by
+    ``fork`` at the trial's first snapshot and evaluate while training goes
+    on. They inherit ``evaluate`` (so the model, the data and the attack)
+    and the caller's ``np.errstate``. ``put``, given to ``train`` as its
+    ``on_snapshot`` hook, copies each snapshot into a slot of one shared
+    buffer; only slot indices and results cross a pipe, so the trainer
+    never waits on a full one. On one CPU, or where ``fork`` does not
+    exist, ``results`` evaluates the marks in order on the calling process.
+
+    Either way the failure of the lowest failing mark is raised, as the plain
+    loop would, and no mark above a failure starts after it. Used as a
+    context manager: every worker is joined and the pipes are closed before
+    the block is left, and the workers are killed first when it raises.
+    """
+
+    def __init__(self, evaluate, marks: list):
+        import multiprocessing
+
+        self.evaluate, self.marks = evaluate, marks
+        self.slot = {mk: i for i, mk in enumerate(marks)}
+        self.forks = _cores() > 1 and "fork" in multiprocessing.get_all_start_methods()
+        self.procs, self.sent, self.got = [], 0, {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        for p in self.procs:
+            if exc_type is None:
+                self.tasks.put(None)
+            else:
+                p.kill()
+        for p in self.procs:
+            p.join()
+            p.close()
+        if self.procs:
+            self.tasks.close()
+            self.reader.close()
+            self.writer.close()
+
+    def _start(self, size: int) -> None:
+        import mmap
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        shared = mmap.mmap(-1, len(self.marks) * size * 8)  # anonymous, so shared with the forked workers
+        self.slots = np.frombuffer(shared, dtype=np.float64).reshape(len(self.marks), size)
+        self.tasks = ctx.SimpleQueue()
+        self.reader, self.writer = ctx.Pipe(duplex=False)
+        self.write_lock = ctx.Lock()
+        self.lowest_failure = ctx.Value("q", len(self.marks))
+        for _ in range(min(_cores(), len(self.marks))):
+            p = ctx.Process(target=self._work, daemon=True)
+            p.start()
+            self.procs.append(p)  # once started, so that a failed start leaves nothing to join
+
+    def _work(self) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's, which kills the workers
+        while (i := self.tasks.get()) is not None:
+            stat = error = None
+            if i < self.lowest_failure.value:
+                try:
+                    stat = self.evaluate(self.slots[i].copy(), self.marks[i])
+                except Exception as exc:  # raised again by the parent
+                    with self.lowest_failure.get_lock():
+                        self.lowest_failure.value = min(self.lowest_failure.value, i)
+                    error = (exc, traceback.format_exc())
+            with self.write_lock:
+                self.writer.send((i, stat, error))
+
+    def _take(self) -> None:
+        i, stat, error = self.reader.recv()
+        self.got[i] = (stat, error)
+
+    def put(self, update: int, w: np.ndarray) -> None:
+        """``train``'s ``on_snapshot`` hook."""
+        if not self.forks:
+            return
+        if not self.procs:
+            self._start(w.size)
+        i = self.slot[update]
+        self.slots[i] = w
+        while self.reader.poll():  # read as we go, so no worker waits on a full pipe
+            self._take()
+        self.tasks.put(i)
+        self.sent += 1
+
+    def results(self, snapshots: dict) -> list:
+        """Every mark's result, in mark order, once training has stored
+        ``snapshots``."""
+        if not self.forks:
+            return [self.evaluate(snapshots[mk], mk) for mk in self.marks]
+        from multiprocessing.connection import wait
+
+        while len(self.got) < self.sent:
+            if self.reader not in wait([self.reader] + [p.sentinel for p in self.procs]):
+                raise RuntimeError("a checkpoint worker exited before its marks were evaluated")
+            self._take()
+        failures = {i: error for i, (_, error) in self.got.items() if error is not None}
+        if failures:
+            exc, remote = failures[min(failures)]
+            raise exc from _RemoteTraceback(remote)
+        return [self.got[i][0] for i in range(len(self.marks))]
 
 
 def _checkpoint_marks(tc: TrainConfig, cadence: int) -> list:
@@ -343,25 +433,27 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
         raise ConfigError("gap experiments need at least one training iteration")
     cadence = cfg.resolved_checkpoint()
     report = GapReport(algorithm=tc.algorithm, config=config_to_dict(cfg), trials=[])
-    # both sets in one batch, read by every evaluation thread
+    # both sets in one batch, read by every evaluation worker
     eval_set = Dataset(np.concatenate([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
     parts = (train_ds.n, test_ds.n)
+
+    def evaluate(w, mk):
+        return _evaluate(model, w, eval_set, parts, tc.pset, cfg.eval_attack, cfg.eval_seed, mk)
 
     for k in range(cfg.trials):
         trial_cfg = tc.with_seed(tc.seed + k)
         marks = _checkpoint_marks(trial_cfg, cadence)
-        w, trace = train(model, train_ds, trial_cfg, snapshot_at=marks)
-        if k == 0:
-            first_trace = trace
-        checkpoints = _in_order(
-            lambda mk: _evaluate(model, trace.snapshots[mk], eval_set, parts, trial_cfg.pset, cfg.eval_attack, cfg.eval_seed, mk),
-            marks,
-        )
+        with _Checkpoints(evaluate, marks) as checkpoints:
+            _, trace = train(model, train_ds, trial_cfg, snapshot_at=marks, on_snapshot=checkpoints.put)
+            if k == 0 and cfg.attach_bounds:
+                # over the envelope of the first trial's run, while its checkpoints are evaluated
+                bounds = _estimate_bounds(model, train_ds, tc, trace, cfg.eval_seed)
+            stats = checkpoints.results(trace.snapshots)
         min_gd = trace.min_grad_delta_norm()
         report.trials.append(
             TrialResult(
                 seed=trial_cfg.seed,
-                checkpoints=checkpoints,
+                checkpoints=stats,
                 oracle_calls=trace.oracle_calls,
                 forward_calls=trace.forward_calls,
                 min_grad_delta_norm=min_gd,
@@ -370,7 +462,7 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
         )
 
     if cfg.attach_bounds:
-        _attach_bounds(cfg, tc, report, model, train_ds, first_trace)
+        _attach_bounds(report, tc.rule, bounds)
     return report
 
 
@@ -395,18 +487,27 @@ def bound_inputs(model: SmoothModel, train_ds, tc: TrainConfig, trace: TrainTrac
     return inputs, psi
 
 
-def _attach_bounds(cfg: ExperimentConfig, tc: TrainConfig, report: GapReport, model, train_ds, trace: TrainTrace):
+def _estimate_bounds(model, train_ds, tc: TrainConfig, trace: TrainTrace, eval_seed: int):
+    """The bound inputs over the envelope of ``trace``, or the note that
+    says why there are none."""
     if not tc.schedule.vanishing:
-        report.notes.append("bounds_not_applicable: constant step schedule")
-        return
+        return "bounds_not_applicable: constant step schedule"
     if tc.pset.norm != "l2":
-        report.notes.append("bounds_not_applicable: bounds are stated for L2 balls")
+        return "bounds_not_applicable: bounds are stated for L2 balls"
+    try:
+        return bound_inputs(model, train_ds, tc, trace, eval_seed, probes=800)[0]
+    except (ValueError, OverflowError) as exc:  # a failed estimate must not sink the experiment
+        return f"bounds_attachment_failed: {type(exc).__name__}: {exc}"
+
+
+def _attach_bounds(report: GapReport, rule: str, inputs):
+    """Set ``_estimate_bounds``'s result against the measured gap."""
+    if isinstance(inputs, str):
+        report.notes.append(inputs)
         return
     try:
-        # constants over the envelope of the first trial's run
-        inputs, _ = bound_inputs(model, train_ds, tc, trace, cfg.eval_seed, probes=800)
-        rep = RULE_FACTS[tc.rule].bound(inputs).with_measured_gap(float(np.mean(report.final_risk_gaps())))
-    except (ValueError, OverflowError) as exc:  # a failed estimate must not sink the experiment
+        rep = RULE_FACTS[rule].bound(inputs).with_measured_gap(float(np.mean(report.final_risk_gaps())))
+    except (ValueError, OverflowError) as exc:
         report.notes.append(f"bounds_attachment_failed: {type(exc).__name__}: {exc}")
         return
     report.bounds.append(rep)

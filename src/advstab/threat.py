@@ -230,6 +230,8 @@ def pgd_attack_batch(
     rng,
     loss_grad_fn=None,
     parts=None,
+    *,
+    checked: bool = True,
 ):
     """Vectorized projected-gradient ascent over a batch of samples.
 
@@ -237,20 +239,23 @@ def pgd_attack_batch(
     adversarial loss through the model's attack-only oracle, bound once for
     the attack; pass a surrogate to attack a different objective. ``w``,
     ``X`` and ``y`` are checked once here, since they stay fixed for the
-    whole attack. The iterate is stepped in place, so the attack allocates
-    its arrays once, not once per step. With a run axis (``w`` (R,
-    param_dim), ``X`` (R, B, d), ``y`` (R, B)) every run starts each restart
-    from the same draw, so run r equals the attack on run r alone with a
-    copy of ``rng``. With ``parts``, row counts that sum to B, ``rng`` is one
+    whole attack; ``checked=False`` skips those checks, as it does for the
+    models' oracles, for inputs that ``trainers.lockstep`` validated. The
+    iterate is stepped in place, so the attack allocates its arrays once,
+    not once per step. With a run axis (``w`` (R, param_dim), ``X``
+    (R, B, d), ``y`` (R, B)) every run starts each restart from the same
+    draw, so run r equals the attack on run r alone with a copy of
+    ``rng``. With ``parts``, row counts that sum to B, ``rng`` is one
     generator per part and each part's rows are drawn from its own, so each
     part equals the attack on its rows alone with its generator.
     Returns the perturbations; ``TrainConfig.oracle_per_update`` states
     what a training step's attack costs.
     """
-    w, X = model._inputs(w, X, None)
-    y = model._check_labels(y, X.shape[:-1])
-    if pset.dim != model.input_dim:
-        raise DimensionError(f"perturbation set dimension {pset.dim} does not match inputs {model.input_dim}")
+    if checked:
+        w, X = model._inputs(w, X, None)
+        y = model._check_labels(y, X.shape[:-1])
+        if pset.dim != model.input_dim:
+            raise DimensionError(f"perturbation set dimension {pset.dim} does not match inputs {model.input_dim}")
     if parts is not None and (sum(parts) != X.shape[-2] or len(parts) != len(rng)):
         raise DimensionError(f"parts {parts} must sum to the {X.shape[-2]} rows, with one generator each")
     step = cfg.resolved_step(pset)

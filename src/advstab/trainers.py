@@ -342,8 +342,9 @@ def trades_surrogate_loss(
 # Each step takes one run (``w`` (P,), ``X`` (B, d), ``y`` (B,)) or a stack of
 # runs on the models' run axis (``w`` (R, P), ``X`` (R, B, d), ``y`` (R, B));
 # the perturbations are (B, d) or (R, B, d) to match. The stats are one dict,
-# or a tuple of one dict per run. The steps call the full oracles unchecked
-# (``checked=False``): their inputs are lockstep's, validated on entry.
+# or a tuple of one dict per run. The steps call the full oracles and the
+# attack unchecked (``checked=False``): their inputs are lockstep's,
+# validated on entry.
 
 
 def _loss_grads(model, w, X, y, D, lam):
@@ -374,7 +375,7 @@ def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, la
     """Attack every sample in the batch, then one weight step at the
     attacked points. Returns (new_w, stats)."""
     objective = None if lam is None else _trades_attack_objective(model, w, X, y, lam)
-    deltas = pgd_attack_batch(model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=objective)
+    deltas = pgd_attack_batch(model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=objective, checked=False)
     losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
     return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd)
 
@@ -502,11 +503,13 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
         yield t, 1, aw, idx, per_run(W), None, per_run(stats)
 
 
-def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=None):
+def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=None, *, on_snapshot=None):
     """Run ``cfg.algorithm`` on one dataset; returns (final weights, TrainTrace).
 
     ``snapshot_at`` collects weight copies at the given global update
     indices into ``trace.snapshots`` for checkpoint evaluation.
+    ``on_snapshot(update, w)`` is called with each copy right after it is
+    stored, so a caller can start on a checkpoint while training goes on.
     """
     updates = lockstep(model, [dataset], cfg)
     (w,) = next(updates)[4]
@@ -533,6 +536,8 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
         np.maximum(w_high, w, out=w_high)
         if u + 1 in marks:
             snapshots[u + 1] = w.copy()
+            if on_snapshot is not None:
+                on_snapshot(u + 1, snapshots[u + 1])
     return w, TrainTrace(
         algorithm=cfg.algorithm,
         seed=cfg.seed,

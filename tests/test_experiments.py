@@ -1,10 +1,10 @@
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -525,16 +525,21 @@ from advstab.synth import SyntheticSpec
 from advstab.threat import AttackConfig, PerturbationSet
 from advstab.trainers import StepSchedule, TrainConfig
 data = SyntheticSpec("two_gaussians", n_train=200, n_test=400, dim=8, noise=1.0, seed=5)
-train = TrainConfig("free", PerturbationSet("l2", 0.5, 8), StepSchedule("vanishing_c_over_mt", c=2.0, m=4), batch_size=20,
-                    total_iterations=80, seed=3, inner_attack=AttackConfig(steps=3))
-cfg = ExperimentConfig("mlp", data, train, eval_attack=AttackConfig(steps=5, restarts=2), checkpoint_every=8, trials=2, hidden_dim=8)
-report = json.dumps(report_to_dict(run_gap_experiment(cfg))).encode()
-print(len(os.sched_getaffinity(0)), len(json.loads(report)["trials"][1]["checkpoints"]), hashlib.sha256(report).hexdigest())
+print(len(os.sched_getaffinity(0)))
+for algorithm, schedule in [("free", StepSchedule("vanishing_c_over_mt", c=2.0, m=4)), ("vanilla", StepSchedule("vanishing_c_over_t", c=0.5))]:
+    train = TrainConfig(algorithm, PerturbationSet("l2", 0.5, 8), schedule, batch_size=20, total_iterations=80, seed=3,
+                        inner_attack=AttackConfig(steps=3))
+    cfg = ExperimentConfig("mlp", data, train, eval_attack=AttackConfig(steps=5, restarts=2), checkpoint_every=8, trials=2, hidden_dim=8)
+    report = report_to_dict(run_gap_experiment(cfg))
+    text = json.dumps(report).encode()
+    print(len(report["trials"][1]["checkpoints"]), len(report["bounds"]), hashlib.sha256(text).hexdigest())
 """
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_gap_report_is_the_same_on_one_cpu_and_on_all(threads):
+    """Inline and forked evaluation give the same reports, bound constants
+    included: the constants are estimated while the workers evaluate."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
@@ -543,17 +548,22 @@ def test_gap_report_is_the_same_on_one_cpu_and_on_all(threads):
         done = subprocess.run([sys.executable, "-c", _PINNED_GAP, mode], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         runs[mode] = done.stdout.split()
-    assert runs["pin"][:2] == ["1", "10"]
+    assert runs["pin"][:3] == ["1", "10", "1"] and runs["pin"][4:6] == ["10", "1"]  # a bound attached to each
     assert runs["pin"][1:] == runs["all"][1:]
 
 
+def _lines(path) -> list:
+    return path.read_text().split() if path.exists() else []
+
+
 @pytest.mark.parametrize("cores", [1, 4])
-def test_evaluation_failure_raises_the_lowest_failing_mark(monkeypatch, cores):
-    started, evaluate = [], experiments._evaluate
+def test_evaluation_failure_raises_the_lowest_failing_mark(monkeypatch, tmp_path, cores):
+    log, evaluate = tmp_path / "started", experiments._evaluate
 
     def failing(*args):
         iteration = args[-1]
-        started.append(iteration)
+        with open(log, "a") as fh:  # written by the workers, read by the test
+            fh.write(f"{iteration}\n")
         if iteration == 3:
             time.sleep(0.3)  # so that mark 5 fails first
         if iteration in (3, 5):
@@ -565,37 +575,110 @@ def test_evaluation_failure_raises_the_lowest_failing_mark(monkeypatch, cores):
     monkeypatch.setattr(experiments, "_cores", lambda: cores)
     with pytest.raises(ValueError, match="^mark 3$"):
         run_gap_experiment(replace(_cfg(T=24, trials=1), checkpoint_every=1))
+    started = [int(mark) for mark in _lines(log)]
     if cores == 1:
         assert started == [1, 2, 3]
     else:
         assert 5 in started and 24 not in started  # no mark starts after a failure
+    assert multiprocessing.active_children() == []
 
 
-def test_caller_errstate_reaches_the_worker_threads(monkeypatch):
+def test_caller_errstate_reaches_the_worker_processes(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "_cores", lambda: 4)
+    evaluate = experiments._evaluate
 
-    def divide(i):
-        time.sleep(0.01)
-        with pytest.raises(FloatingPointError):
+    def divide(*args):
+        try:
             np.divide(np.ones(3), 0.0)
-        return threading.get_ident()
+            raised = "no"
+        except FloatingPointError:
+            raised = "yes"
+        (tmp_path / f"{args[-1]}").write_text(f"{os.getpid()} {raised}")
+        time.sleep(0.01)
+        return evaluate(*args)
 
+    monkeypatch.setattr(experiments, "_evaluate", divide)
     with np.errstate(all="raise"):
-        idents = experiments._in_order(divide, list(range(16)))
-    assert len(set(idents)) > 1
+        run_gap_experiment(replace(_cfg(T=16, trials=1), checkpoint_every=1))
+    seen = [path.read_text().split() for path in tmp_path.iterdir()]
+    assert len(seen) == 16 and all(raised == "yes" for _, raised in seen)
+    pids = {int(pid) for pid, _ in seen}
+    assert os.getpid() not in pids and len(pids) > 1  # the workers, not the caller, evaluated
 
 
-def test_in_order_hands_out_every_index_once(monkeypatch):
-    monkeypatch.setattr(experiments, "_cores", lambda: 8)  # more threads than CPUs
+def test_every_mark_is_evaluated_exactly_once(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments, "_cores", lambda: 8)  # more workers than CPUs
+    log, evaluate = tmp_path / "evaluated", experiments._evaluate
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{args[-1]}\n")
+        return evaluate(*args)
+
+    monkeypatch.setattr(experiments, "_evaluate", logged)
+    report = run_gap_experiment(replace(_cfg(T=300, trials=2), checkpoint_every=1))
+    marks = list(range(1, 301))
+    assert [c.iteration for t in report.trials for c in t.checkpoints] == marks * 2
+    assert sorted(int(mark) for mark in _lines(log)) == sorted(marks * 2)
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_no_worker_outlives_a_call(monkeypatch, cores):
+    monkeypatch.setattr(experiments, "_cores", lambda: cores)
+    cfg = replace(_cfg(T=24, trials=2), checkpoint_every=2)
+    run_gap_experiment(cfg)
+    assert multiprocessing.active_children() == []
+
+    def failing(*args):
+        raise ValueError("evaluation failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_evaluate", failing)
+        with pytest.raises(ValueError, match="evaluation failed"):
+            run_gap_experiment(cfg)
+    assert multiprocessing.active_children() == []
+
+    workers = []
+
+    def blowing_up(*args, on_snapshot, **kwargs):
+        def hook(update, w):
+            on_snapshot(update, w)
+            if update == 6:
+                workers.extend(p.pid for p in multiprocessing.active_children())
+                raise FloatingPointError("update 6 made the weights of trajectory 0 non-finite")
+
+        return train(*args, on_snapshot=hook, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", blowing_up)
+    with pytest.raises(FloatingPointError, match="update 6"):
+        run_gap_experiment(cfg)
+    assert len(workers) == (4 if cores > 1 else 0)  # the workers were running mid-trial
+    assert multiprocessing.active_children() == []
+    for pid in workers:  # joined, so reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_a_worker_failure_carries_its_traceback(monkeypatch):
+    monkeypatch.setattr(experiments, "_cores", lambda: 2)
+
+    def failing(*args):
+        raise ValueError("evaluation failed")
+
+    monkeypatch.setattr(experiments, "_evaluate", failing)
+    with pytest.raises(ValueError, match="evaluation failed") as info:
+        run_gap_experiment(_cfg(T=8, trials=1))
+    assert "in failing" in str(info.value.__cause__)
+
+
+def test_on_snapshot_sees_each_mark_once_in_order():
+    cfg = _cfg("free", T=40, train_kw=dict(free_steps=4)).train
+    data, _ = make_synthetic(_cfg().data)
+    model = make_model("mlp", input_dim=4, class_count=2, hidden_dim=6)
     seen = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = experiments._in_order(lambda i: seen.append(i) or i * i, list(range(3000)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert out == [i * i for i in range(3000)]
-    assert sorted(seen) == list(range(3000))
+    _, trace = train(model, data, cfg, snapshot_at=[12, 4, 40, 20], on_snapshot=lambda u, w: seen.append((u, w.copy())))
+    assert [u for u, _ in seen] == [4, 12, 20, 40]
+    assert all(np.array_equal(w, trace.snapshots[u]) for u, w in seen)
 
 
 # -- fused checkpoint evaluation ---------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from advstab import trainers
 from advstab.bounds import estimate_psi
-from advstab.errors import ConfigError
+from advstab.errors import ConfigError, DimensionError
 from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhMLP
 from advstab.rng import stream
 from advstab.stability import coupled_run, make_neighbor
@@ -698,6 +698,39 @@ def test_out_of_range_labels_rejected_before_any_oracle_call(bad_label, algorith
     with pytest.raises(ValueError, match="label"):
         coupled_run(probe, make_neighbor(data, 3, LabeledSample(x=data.X[3], y=bad_label)), cfg)
     assert probe.kinds == []
+
+
+@pytest.mark.parametrize("algorithm", ["vanilla", "trades_seq"])
+def test_the_unchecked_inner_attack_trains_bit_identically(monkeypatch, algorithm):
+    data = _data()
+    cfg = _cfg(algorithm, T=12, trades_lambda=1.0, inner_attack=AttackConfig(steps=3, restarts=2))
+    w, trace = train(_mlp(), data, cfg)
+    attack, flags = trainers.pgd_attack_batch, []
+
+    def checked_attack(*args, checked, **kwargs):
+        flags.append(checked)
+        return attack(*args, **kwargs)  # with every input check
+
+    monkeypatch.setattr(trainers, "pgd_attack_batch", checked_attack)
+    w_checked, trace_checked = train(_mlp(), data, cfg)
+    assert flags == [False] * 12  # lockstep's validated inputs go unchecked
+    assert np.array_equal(w, w_checked)
+    for name in ("grad_w_norm", "min_grad_delta", "loss", "w_low", "w_high"):
+        assert np.array_equal(getattr(trace, name), getattr(trace_checked, name)), name
+
+
+def test_the_attack_still_checks_its_inputs_by_default():
+    data, model = _data(), _mlp()
+    w, X, y = model.init_params(stream(91, 0)), data.X[:6], data.y[:6]
+    pset, cfg = PerturbationSet("l2", 0.3, 5), AttackConfig(steps=2)
+    with pytest.raises(ValueError, match="label"):
+        trainers.pgd_attack_batch(model, w, X, np.full(6, 2), pset, cfg, stream(91, 1))
+    with pytest.raises(DimensionError):
+        trainers.pgd_attack_batch(model, w, X, y[:5], pset, cfg, stream(91, 1))
+    with pytest.raises(DimensionError):
+        trainers.pgd_attack_batch(model, w[:-1], X, y, pset, cfg, stream(91, 1))
+    with pytest.raises(DimensionError):
+        trainers.pgd_attack_batch(model, w, X, y, PerturbationSet("l2", 0.3, 4), cfg, stream(91, 1))
 
 
 @pytest.mark.parametrize("algorithm", ["vanilla", "trades_seq", "fast", "free", "free_trades"])
