@@ -34,6 +34,7 @@ from .experiments import (
     run_vs_n_experiment,
 )
 from .reportio import emit_report
+from .rng import _check_seed
 from .stability import RULE_FACTS, coupled_run, make_neighbor
 from .synth import draw_replacement, make_synthetic
 from .trainers import FREE_TRADES, RULES, TRADES_SEQ, train
@@ -135,6 +136,7 @@ def cmd_stability(args) -> int:
     tc = cfg.effective_train_config()
     if args.pairs < 1:
         raise ConfigError(f"stability needs --pairs >= 1, got {args.pairs}")
+    _check_seed(tc.seed + args.pairs - 1, "train.seed + pairs - 1")  # the last pair's seed
     if tc.total_iterations < 1:
         raise ConfigError("stability needs at least one training iteration")
     train_ds, _ = make_synthetic(cfg.data)

@@ -39,7 +39,7 @@ import numpy as np
 from .bounds import BoundInputs, RegionSampler, estimate_constants, estimate_psi
 from .errors import ConfigError, DimensionError
 from .models import Dataset, SmoothModel, make_model
-from .rng import stream
+from .rng import _check_seed, stream
 from .stability import RULE_FACTS
 from .synth import SyntheticSpec, make_synthetic
 from .threat import AttackConfig, PerturbationSet, empirical_robust_risk, pgd_attack_batch
@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError("budget_axis must be 'updates' or 'oracle_calls'")
         if self.data.dim != self.train.pset.dim:
             raise DimensionError("data dim and perturbation set dim disagree")
+        _check_seed(self.eval_seed, "eval.seed")
+        _check_seed(self.train.seed + self.trials - 1, "train.seed + trials - 1")  # the last trial's seed
         self.build_model()  # an unknown or self-contradicting model section fails here
 
     def build_model(self) -> SmoothModel:

@@ -5,7 +5,8 @@ Each model maps a flat float64 weight vector ``w`` and a perturbed input
 Activations are C-infinity (tanh hidden units, softmax head), so the loss
 is continuously differentiable in ``(w, delta)`` and finite-difference
 checks converge cleanly. Model objects are immutable architecture
-descriptions; every operation is a pure function of its inputs.
+descriptions; every operation is a pure function of its inputs, except
+that an ``AttackOracle`` writes into the arrays it owns.
 
 The core primitive is ``logits_and_vjp``: a batched forward pass returning
 the logits plus a closure that pulls an upstream logits gradient back to
@@ -14,12 +15,13 @@ adversarial loss, bounded squashed loss, the consistency surrogate in
 ``trainers``) are built on it, which is what lets simultaneous-update
 algorithms obtain both gradients from one evaluation point. An attack needs
 only the input gradient, so the closure can skip the weight gradient.
-``attack_oracle(w, X, y)`` binds that unchecked oracle once per attack: it
-builds the label index once and, for the MLP, unpacks the weights once and
-writes the activations, logits and input gradient into arrays allocated
-once, so an attack step allocates no array of the batch's size.
-``attack_loss_and_grad`` is its one-call form, a direct pass that binds
-nothing. ``batch_loss_and_grads`` checks its inputs unless told
+``attack_oracle(X, y, rows)`` binds that unchecked oracle, an
+``AttackOracle``, once: it owns the weights, the rows and their one-hot
+labels, and builds the model's views of the weights once, so
+``point(w, idx)`` re-points it at new weights and rows by copying, and an
+attack step allocates no array of the batch's size and computes no losses
+unless asked. ``attack_loss_and_grad`` is the one-call form, a direct pass
+that binds nothing. ``batch_loss_and_grads`` checks its inputs unless told
 ``checked=False``, which the training steps pass.
 
 Run axis. Every batched operation also accepts a leading run axis: weights
@@ -51,6 +53,7 @@ __all__ = [
     "SoftmaxLinear",
     "TwoLayerTanhMLP",
     "ScalarLogistic",
+    "AttackOracle",
     "make_model",
     "batch_grads",
     "finite_diff_report",
@@ -107,32 +110,44 @@ class Dataset:
         return Dataset(X, y)
 
 
-def _log_softmax(Z: np.ndarray) -> np.ndarray:
+def _log_softmax(Z: np.ndarray, out=None) -> np.ndarray:
+    """Log-softmax over the last axis, into ``out`` when given: the arrays
+    of ``_log_softmax_arrays(Z, E)``, written over on every call."""
+    LS, E, m, cols = out or (None, None, None, None)
     if Z.shape[-1] == 2:
         # by columns: a max rounds nothing and a sum of two terms rounds once
         # in any order, so these are the bits of the reductions below
-        s = Z - np.maximum(Z[..., :1], Z[..., 1:])
-        e = np.exp(s)
-        t = np.add(e[..., :1], e[..., 1:])
-        return np.subtract(s, np.log(t, out=t), out=s)
-    # the ufunc reductions are what Z.max and .sum call, minus their dispatch
-    s = Z - np.maximum.reduce(Z, axis=-1, keepdims=True)
-    return s - np.log(np.add.reduce(np.exp(s), axis=-1, keepdims=True))
+        z0, z1, e0, e1 = cols or (Z[..., :1], Z[..., 1:], None, None)
+        m = np.maximum(z0, z1, out=m)
+        LS = np.subtract(Z, m, out=LS)
+        E = np.exp(LS, out=E)
+        if cols is None:
+            e0, e1 = E[..., :1], E[..., 1:]
+        t = np.add(e0, e1, out=m)
+    else:
+        # the ufunc reductions are what Z.max and .sum call, minus their dispatch
+        m = np.maximum.reduce(Z, axis=-1, keepdims=True, out=m)
+        LS = np.subtract(Z, m, out=LS)
+        t = np.add.reduce(np.exp(LS, out=E), axis=-1, keepdims=True, out=m)
+    return np.subtract(LS, np.log(t, out=t), out=LS)
 
 
-def _label_index(y: np.ndarray):
-    """The index of each row's label entry in the flattened rows (N, C)."""
-    y = y.reshape(-1)
-    return np.arange(y.size), y
+def _log_softmax_arrays(Z: np.ndarray, E: np.ndarray):
+    """``out`` for ``_log_softmax`` of the logits array ``Z``: the result,
+    the exponentials (``E``, scratch), the row max and sum, and for two
+    classes the column views of ``Z`` and ``E``, built once."""
+    cols = (Z[..., :1], Z[..., 1:], E[..., :1], E[..., 1:]) if Z.shape[-1] == 2 else None
+    return np.empty(Z.shape), E, np.empty(Z.shape[:-1] + (1,)), cols
 
 
-def _label_rows(A: np.ndarray, y: np.ndarray, at=None):
-    """``A`` as rows (N, C) and the index of each row's label entry, or
-    ``at`` when the caller built it once. A stack (..., B, C) is flattened,
-    to a view of ``A`` when it is contiguous."""
+def _label_rows(A: np.ndarray, y: np.ndarray):
+    """``A`` as rows (N, C) and the index of each row's label entry. A
+    stack (..., B, C) is flattened, to a view of ``A`` when it is
+    contiguous."""
     if A.ndim > 2:
         A = A.reshape(-1, A.shape[-1])
-    return A, (_label_index(y) if at is None else at)
+    y = y.reshape(-1)
+    return A, (np.arange(y.size), y)
 
 
 def _logit_losses(Z: np.ndarray, y: np.ndarray, bounded: bool) -> np.ndarray:
@@ -145,12 +160,11 @@ def _logit_losses(Z: np.ndarray, y: np.ndarray, bounded: bool) -> np.ndarray:
     return raw / (1.0 + raw) if bounded else raw
 
 
-def _softmax_head(Z: np.ndarray, y: np.ndarray, bounded: bool, at=None):
+def _softmax_head(Z: np.ndarray, y: np.ndarray, bounded: bool):
     """Per-row cross-entropy of logits ``Z`` (squashed when ``bounded``) and
-    its gradient with respect to ``Z``, computed on the flattened rows;
-    ``at`` is ``_label_index(y)`` when the caller has it.
+    its gradient with respect to ``Z``, computed on the flattened rows.
     Returns ``(losses (..., B), G (..., B, C))``."""
-    LS, at = _label_rows(_log_softmax(Z), y, at)
+    LS, at = _label_rows(_log_softmax(Z), y)
     raw = -LS[at]
     G = np.exp(LS)
     G[at] -= 1.0
@@ -166,7 +180,8 @@ class SmoothModel:
     """Base class: shared loss head, gradient assembly, and conveniences.
 
     Subclasses set ``kind``, ``input_dim``, ``class_count``, ``param_dim``,
-    ``bounded`` and implement ``logits_and_vjp`` plus ``_init_scales``.
+    ``bounded`` and implement ``logits_and_vjp``, ``_init_scales`` and, to
+    be attacked, ``_bound_pass``.
     """
 
     kind: str
@@ -284,37 +299,23 @@ class SmoothModel:
         gw_total, gU = vjp(G)
         return losses, gw_total / Z.shape[-2], gU
 
-    def attack_oracle(self, w: np.ndarray, X: np.ndarray, y: np.ndarray):
-        """The attack-only oracle bound to one attack's weights, inputs and
-        labels: ``oracle(D) -> (losses (..., B), grad_delta (..., B, d))`` at
-        ``X + D``, equal bit for bit to the first and last outputs of
-        ``batch_loss_and_grads``, without the weight gradient. Each call
-        writes into arrays the binding owns, so the gradient is valid until
-        the next call; nothing is stored on the model, which threads share.
+    def attack_oracle(self, X: np.ndarray, y: np.ndarray, rows: int | None = None) -> "AttackOracle":
+        """The attack-only oracle of this model bound to the rows ``X``,
+        ``y``, or to ``rows`` of them at a time (see ``AttackOracle``)."""
+        return AttackOracle(self, X, y, rows)
 
-        Nothing is checked: ``w`` must be float64 weights (..., param_dim),
-        ``X`` and every ``D`` float64 (..., B, input_dim) inputs with the
-        same leading run shape (``D`` may be a broadcast view) and ``y``
-        (..., B) in-range labels. ``pgd_attack_batch`` validates them once
-        on entry.
-        """
-        U = np.empty(X.shape)
-        forward, at, bounded = self._attack_pass(w, U.shape), _label_index(y), self.bounded
-
-        def oracle(D):
-            Z, vjp = forward(np.add(X, D, out=U))
-            losses, G = _softmax_head(Z, y, bounded, at)
-            return losses, vjp(G, weights=False)[1]
-
-        return oracle
-
-    def _attack_pass(self, w: np.ndarray, shape: tuple):
-        """``U -> logits_and_vjp(w, U)`` for ``attack_oracle``, whose ``U`` is
-        always its own array of ``shape``; a model may bind more here."""
-        return lambda U: self.logits_and_vjp(w, U)
+    def _bound_pass(self, w: np.ndarray, U: np.ndarray):
+        """``logits_and_vjp`` bound to the weight array ``w`` and the input
+        array ``U`` (..., B, d), for ``AttackOracle``, which owns both and
+        writes new values into them. Returns ``(Z, forward, input_grad)``:
+        ``forward(V)`` writes the logits at ``V`` (``U``'s shape) into
+        ``Z``, and ``input_grad(G)`` writes the input gradient at the last
+        forward's point over ``U`` and returns it. Views of ``w`` are built
+        here, once."""
+        raise NotImplementedError
 
     def attack_loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas: np.ndarray):
-        """The one-call form of ``attack_oracle``: ``(losses, grad_delta)``
+        """The one-call form of the attack oracle: ``(losses, grad_delta)``
         at ``X + deltas``, unchecked alike. It is the direct pass, since a
         binding would allocate as much as it saves for a single call."""
         Z, vjp = self.logits_and_vjp(w, X + deltas)
@@ -333,6 +334,92 @@ class SmoothModel:
     def grad_delta(self, w: np.ndarray, delta: np.ndarray, sample: LabeledSample) -> np.ndarray:
         _, _, gd = self.batch_loss_and_grads(w, sample.x[None, :], [sample.y], np.asarray(delta)[None, :])
         return gd[0]
+
+
+class AttackOracle:
+    """The attack-only oracle of a model, bound once and re-pointed by copying.
+
+    ``oracle(D, losses=True) -> (losses (..., B), grad_delta (..., B, d))``
+    at ``X + D`` equals the first and last outputs of
+    ``batch_loss_and_grads`` bit for bit, without the weight gradient. An
+    attack step passes ``losses=False`` and gets ``(None, grad_delta)``:
+    the losses are computed only for the bounded rescale. Every call writes
+    into arrays the oracle owns, so the gradient is valid until the next
+    call; the losses, when asked for, are an array of their own.
+
+    Bound to ``X`` (..., n, d) and ``y`` (..., n) with ``rows=None``, the
+    oracle attacks those rows; ``point(w)`` sets its weights. With
+    ``rows=b`` it owns b rows, their labels and their one-hot labels,
+    taken from the pool ``X``, ``y`` by ``point(w, idx)`` (idx (b,) in
+    ``[0, n)``), and ``X`` and ``y`` are its own copies. Nothing is
+    checked: the inputs are float64 arrays and in-range int64 labels with
+    the same leading run shape as ``w`` (..., param_dim), and ``D`` may be
+    a broadcast view. ``point`` returns the oracle.
+    """
+
+    def __init__(self, model: SmoothModel, X: np.ndarray, y: np.ndarray, rows: int | None = None):
+        lead, C = X.shape[:-2], model.class_count
+        onehot = (y[..., None] == np.arange(C)) * 1.0
+        if rows is None:
+            self._pool = None
+            self.X, self.y, self.onehot = X, y, onehot
+        else:
+            self._pool = X, y, onehot
+            self.X = np.empty(lead + (rows, X.shape[-1]))
+            self.y = np.empty(lead + (rows,), dtype=np.int64)
+            self.onehot = np.empty(lead + (rows, C))
+        self.bounded = model.bounded
+        self.w = np.empty(lead + (model.param_dim,))
+        self._U = np.empty(self.X.shape)
+        self._Z, self._forward, self._input_grad = model._bound_pass(self.w, self._U)
+        self._G = np.empty(self._Z.shape)
+        self._ls = _log_softmax_arrays(self._Z, self._G)
+        # each row's label entry in the flattened logits, and the losses
+        self._label_starts = np.arange(self.y.size) * C
+        self._at = np.empty(self.y.size, dtype=np.intp)
+        self._raw, self._scale = np.empty(self.y.shape + (1,)), np.empty(self.y.shape + (1,))
+        if rows is None:
+            self._locate_labels()
+
+    def _locate_labels(self):
+        np.add(self._label_starts, self.y.reshape(-1), out=self._at)
+
+    def point(self, w: np.ndarray, idx: np.ndarray | None = None) -> "AttackOracle":
+        np.copyto(self.w, w)
+        if idx is not None:
+            X, y, onehot = self._pool
+            # clip, not raise: the indices are in range, and raise buffers ``out``
+            np.take(X, idx, axis=-2, out=self.X, mode="clip")
+            np.take(y, idx, axis=-1, out=self.y, mode="clip")
+            np.take(onehot, idx, axis=-2, out=self.onehot, mode="clip")
+            self._locate_labels()
+        return self
+
+    def _label_losses(self, LS: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``-LS`` at each row's label, ``out`` (..., B, 1)."""
+        np.take(LS.reshape(-1), self._at, out=out.reshape(-1), mode="clip")
+        return np.negative(out, out=out)
+
+    def _head(self, losses: bool):
+        """The logits gradient in ``_G``, and the unsquashed losses (..., B, 1)
+        when ``losses``, else None."""
+        LS = _log_softmax(self._Z, self._ls)
+        raw = self._label_losses(LS, self._raw) if losses else None
+        G = np.exp(LS, out=self._G)
+        # the one-hot subtracts 1.0 at the label and 0.0, exactly, elsewhere
+        return np.subtract(G, self.onehot, out=G), raw
+
+    def __call__(self, D: np.ndarray, losses: bool = True):
+        self._forward(np.add(self.X, D, out=self._U))
+        G, raw = self._head(losses or self.bounded)
+        if self.bounded:
+            s = np.add(1.0, raw, out=self._scale)
+            np.divide(1.0, np.multiply(s, s, out=s), out=s)
+            np.multiply(G, s, out=G)
+            values = (raw / (1.0 + raw))[..., 0] if losses else None
+        else:
+            values = raw[..., 0].copy() if losses else None
+        return values, self._input_grad(G)
 
 
 class SoftmaxLinear(SmoothModel):
@@ -367,6 +454,16 @@ class SoftmaxLinear(SmoothModel):
             return np.concatenate([gW, G.sum(axis=-2)], axis=-1), gU
 
         return Z, vjp
+
+    def _bound_pass(self, w, U):
+        W, b = self.unpack(w)
+        WT, b = W.swapaxes(-1, -2), b[..., None, :]
+        Z = np.empty(U.shape[:-1] + (self.class_count,))
+
+        def forward(V):
+            np.add(np.matmul(V, WT, out=Z), b, out=Z)
+
+        return Z, forward, lambda G: np.matmul(G, W, out=U)
 
     def _init_scales(self):
         s = np.zeros(self.param_dim)
@@ -409,37 +506,18 @@ class TwoLayerTanhMLP(SmoothModel):
         b2 = w[..., i : i + C]
         return W1, b1, W2, b2
 
+    def _views(self, w: np.ndarray):
+        """The unpacked weights with the transposes and bias rows the passes
+        take: ``(W1, W1^T, b1 row, W2, W2^T, b2 row)``, views of ``w``."""
+        W1, b1, W2, b2 = self.unpack(w)
+        return W1, W1.swapaxes(-1, -2), b1[..., None, :], W2, W2.swapaxes(-1, -2), b2[..., None, :]
+
     def logits_and_vjp(self, w, U):
-        return self._pass(self.unpack(w), U)
-
-    def _attack_pass(self, w, shape):
-        # the weights unpacked, and the activations, logits and their
-        # gradient allocated, once per attack
-        lead, h = shape[:-1], self.hidden_dim
-        params = self.unpack(w)
-        arrays = (np.empty(lead + (h,)), np.empty(lead + (self.class_count,)), np.empty(lead + (h,)))
-        return lambda U: self._pass(params, U, arrays)
-
-    def _pass(self, params, U, arrays=None):
-        """``logits_and_vjp`` on unpacked weights. With ``arrays`` (H, Z, A)
-        the pass writes into them, and ``vjp(G, weights=False)`` writes tanh'
-        over H and the input gradient over ``U``, which it no longer needs."""
-        # in place, in the operand order of tanh(U @ W1^T + b1): the same bits
-        W1, b1, W2, b2 = params
-        H, Z, A = arrays or (None, None, None)
-        H = np.matmul(U, W1.swapaxes(-1, -2), out=H)
-        H += b1[..., None, :]
-        np.tanh(H, out=H)
-        Z = np.matmul(H, W2.swapaxes(-1, -2), out=Z)
-        Z += b2[..., None, :]
+        views = self._views(w)
+        H, Z = _mlp_forward(views, U)
 
         def vjp(G, weights=True):
-            reuse = arrays is not None and not weights
-            d = np.multiply(H, H, out=H if reuse else None)
-            np.subtract(1.0, d, out=d)  # tanh'
-            gA = np.matmul(G, W2, out=A)
-            gA *= d
-            gU = np.matmul(gA, W1, out=U if reuse else None)
+            gA, gU = _mlp_input_grad(views, G, H)
             if not weights:
                 return None, gU
             lead = G.shape[:-2] + (-1,)
@@ -452,6 +530,16 @@ class TwoLayerTanhMLP(SmoothModel):
             return np.concatenate(gw, axis=-1), gU
 
         return Z, vjp
+
+    def _bound_pass(self, w, U):
+        # the activations, logits and their gradient allocated once
+        views, lead = self._views(w), U.shape[:-1]
+        H, Z, A = np.empty(lead + (self.hidden_dim,)), np.empty(lead + (self.class_count,)), np.empty(lead + (self.hidden_dim,))
+
+        def forward(V):
+            _mlp_forward(views, V, H, Z)
+
+        return Z, forward, lambda G: _mlp_input_grad(views, G, H, A, U)[1]
 
     def _init_scales(self):
         d, h, C = self.input_dim, self.hidden_dim, self.class_count
@@ -492,8 +580,44 @@ class ScalarLogistic(SmoothModel):
 
         return Z, vjp
 
+    def _bound_pass(self, w, U):
+        lead = U.shape[:-1]
+        Z, z = np.zeros(lead + (2,)), np.empty(lead + (1,))
+        z1, w_col, w_row = Z[..., 1:], w[..., None], w[..., None, :]
+
+        def forward(V):
+            np.copyto(z1, np.matmul(V, w_col, out=z))
+
+        return Z, forward, lambda G: np.multiply(G[..., 1:], w_row, out=U)
+
     def _init_scales(self):
         return np.full(self.param_dim, 1.0 / np.sqrt(self.input_dim))
+
+
+def _mlp_forward(views, U, H=None, Z=None):
+    """Hidden activations and logits of the tanh MLP at ``U``, written into
+    ``H`` and ``Z`` when given, in the operand order of
+    ``tanh(U @ W1^T + b1) @ W2^T + b2``: the same bits either way."""
+    _, W1T, b1, _, W2T, b2 = views
+    H = np.matmul(U, W1T, out=H)
+    H += b1
+    np.tanh(H, out=H)
+    Z = np.matmul(H, W2T, out=Z)
+    Z += b2
+    return H, Z
+
+
+def _mlp_input_grad(views, G, H, A=None, out=None):
+    """``(gA, gU)``: the gradient at the hidden pre-activations,
+    ``(G @ W2) * tanh'``, and at the inputs, ``gA @ W1``. With ``out`` the
+    pass is done with ``H``: tanh' is written over it, ``gA`` into ``A`` and
+    ``gU`` into ``out``."""
+    W1, _, _, W2, _, _ = views
+    d = np.multiply(H, H, out=None if out is None else H)
+    np.subtract(1.0, d, out=d)  # tanh'
+    gA = np.matmul(G, W2, out=A)
+    gA *= d
+    return gA, np.matmul(gA, W1, out=out)
 
 
 def make_model(kind: str, input_dim: int, class_count: int = 2, hidden_dim: int = 16, bounded: bool = False) -> SmoothModel:

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 _U64_MAX = 2**64 - 1
 
 
-def _check_seed(seed) -> int:
+def _check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as an int, or a ``ConfigError`` naming ``name`` when it is
+    not a 64-bit unsigned integer. Configs check their seeds by it when
+    they are built, before any stream is drawn."""
     seed = int(seed)
     if not 0 <= seed <= _U64_MAX:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {seed}")
     return seed
 
 

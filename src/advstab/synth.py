@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .models import Dataset, LabeledSample
-from .rng import stream
+from .rng import _check_seed, stream
 
 __all__ = ["SyntheticSpec", "make_synthetic", "draw_replacement"]
 
@@ -43,6 +43,7 @@ class SyntheticSpec:
             raise ConfigError("noise must be >= 0")
         if not math.isfinite(self.separation):
             raise ConfigError(f"separation must be finite, got {self.separation}")
+        _check_seed(self.seed, "data.seed")
 
 
 def _balanced_labels(n: int) -> np.ndarray:

@@ -19,8 +19,10 @@ shape; ``pgd_attack_batch`` accepts the models' run axis (weights
 per step, all of them from one shared start per restart.
 
 An attack allocates once, not once per step: it binds the model's
-attack-only oracle for its weights and inputs, owns its iterate (a shared
-start is copied first) and steps it in place through one scratch array.
+attack-only oracle for its weights and inputs (a training run passes its
+own, bound once per run), owns its iterate (a shared start is copied
+first) and steps it in place through one scratch array. A step asks the
+oracle for the gradient only, not the losses.
 ``ascend_rows``, the step as a new array, is a copy followed by that same
 in-place step. Consecutive parts of the rows may draw their starts from
 generators of their own (``parts``), which lets checkpoint evaluation
@@ -130,10 +132,16 @@ def _row_norms(G: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
 def project_rows(G: np.ndarray, pset: PerturbationSet, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Euclidean projection of each row onto the ball, written to ``out``
     when given (``out`` may be ``G``); ``scratch`` as in ``_row_norms``."""
-    if pset.norm == L2:
-        norms = _row_norms(G, scratch)
-        return np.multiply(G, np.divide(pset.radius, norms, out=np.ones(norms.shape), where=norms > pset.radius), out=out)
-    return np.clip(G, -pset.radius, pset.radius, out=out)
+    r = pset.radius
+    if pset.norm != L2:
+        return np.clip(G, -r, r, out=out)
+    norms = _row_norms(G, scratch)
+    if r > 0.0:
+        # the factor r / max(norm, r) is r / r = 1.0, exactly, inside the
+        # ball; fmax keeps a NaN norm's factor at 1.0, as the masked form did
+        f = np.fmax(norms, r, out=norms)
+        return np.multiply(G, np.divide(r, f, out=f), out=out)
+    return np.multiply(G, np.divide(r, norms, out=np.ones(norms.shape), where=norms > r), out=out)
 
 
 def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
@@ -160,8 +168,9 @@ def _ascend_in_place(D: np.ndarray, G: np.ndarray, rate: float, pset: Perturbati
     if rate == 0.0:
         return
     norms = _row_norms(G, scratch)
-    live = norms[..., 0] > 0.0
-    if not live.all():
+    # one reduction: a zero or NaN norm takes the row by row path
+    if not np.minimum.reduce(norms, axis=None, initial=np.inf) > 0.0:
+        live = norms[..., 0] > 0.0
         if live.any():
             D[live] = ascend_rows(D[live], G[live], rate, pset)
         return
@@ -235,19 +244,22 @@ def pgd_attack_batch(
 ):
     """Vectorized projected-gradient ascent over a batch of samples.
 
-    ``loss_grad_fn(deltas) -> (losses, grad_deltas)`` defaults to the plain
-    adversarial loss through the model's attack-only oracle, bound once for
-    the attack; pass a surrogate to attack a different objective. ``w``,
-    ``X`` and ``y`` are checked once here, since they stay fixed for the
-    whole attack; ``checked=False`` skips those checks, as it does for the
-    models' oracles, for inputs that ``trainers.lockstep`` validated. The
-    iterate is stepped in place, so the attack allocates its arrays once,
-    not once per step. With a run axis (``w`` (R, param_dim), ``X``
-    (R, B, d), ``y`` (R, B)) every run starts each restart from the same
-    draw, so run r equals the attack on run r alone with a copy of
-    ``rng``. With ``parts``, row counts that sum to B, ``rng`` is one
-    generator per part and each part's rows are drawn from its own, so each
-    part equals the attack on its rows alone with its generator.
+    ``loss_grad_fn(deltas, losses=True) -> (losses, grad_deltas)`` defaults
+    to the plain adversarial loss through the model's attack-only oracle,
+    bound once for the attack; pass another oracle pointed at ``(w, X, y)``
+    (``trainers.lockstep`` passes its training run's) or a surrogate. The
+    steps call it with ``losses=False``, since they read only the gradient;
+    only restart scoring asks for the losses. ``w``, ``X`` and ``y`` are
+    checked once here, since they stay fixed for the whole attack;
+    ``checked=False`` skips those checks, as it does for the models'
+    oracles, for inputs that ``trainers.lockstep`` validated. The iterate
+    is stepped in place, so the attack allocates its arrays once, not once
+    per step. With a run axis (``w`` (R, param_dim), ``X`` (R, B, d), ``y``
+    (R, B)) every run starts each restart from the same draw, so run r
+    equals the attack on run r alone with a copy of ``rng``. With
+    ``parts``, row counts that sum to B, ``rng`` is one generator per part
+    and each part's rows are drawn from its own, so each part equals the
+    attack on its rows alone with its generator.
     Returns the perturbations; ``TrainConfig.oracle_per_update`` states
     what a training step's attack costs.
     """
@@ -266,9 +278,9 @@ def pgd_attack_batch(
         if scratch is None:  # after the first draw, so they reuse its temporaries' memory
             scratch = np.empty(X.shape)
             if loss_grad_fn is None:
-                loss_grad_fn = model.attack_oracle(w, X, y)
+                loss_grad_fn = model.attack_oracle(X, y).point(w)
         for _ in range(cfg.steps):
-            _ascend_in_place(D, loss_grad_fn(D)[1], step, pset, scratch)
+            _ascend_in_place(D, loss_grad_fn(D, losses=False)[1], step, pset, scratch)
         if cfg.restarts == 1:
             return D
         losses, _ = loss_grad_fn(D)

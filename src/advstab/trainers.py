@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .models import Dataset, LabeledSample, SmoothModel, _label_rows, _log_softmax
-from .rng import keyed_stream, philox_keys, stream
+from .models import AttackOracle, Dataset, LabeledSample, SmoothModel, _label_rows, _log_softmax, _log_softmax_arrays
+from .rng import _check_seed, keyed_stream, philox_keys, stream
 from .threat import AttackConfig, PerturbationSet, _row_norms, ascend_rows, pgd_attack_batch
 
 __all__ = [
@@ -132,6 +132,7 @@ class TrainConfig:
             raise ConfigError("total_iterations must be >= 0")
         if self.free_steps < 1:
             raise ConfigError("free_steps must be >= 1")
+        _check_seed(self.seed, "train.seed")
         if self.attack_lr is not None and not (math.isfinite(self.attack_lr) and self.attack_lr >= 0):
             raise ConfigError(f"attack_lr must be nonnegative, got {self.attack_lr}")
         if self.fast_step is not None and not (math.isfinite(self.fast_step) and self.fast_step >= 0):
@@ -310,19 +311,46 @@ def trades_batch_loss_and_grads(
     return losses, (gw_c + gw_a) / B, gU_a
 
 
-def _trades_attack_objective(model, w, X, y, lam):
-    """``D -> (surrogate losses, grad_deltas)`` for the inner attack, equal bit
-    for bit to ``trades_batch_loss_and_grads``. The clean pass does not depend
-    on ``D``, so it runs once; the perturbation gradient flows through the
-    perturbed pass only, so no weight gradient is computed."""
-    lp, p, ce = _trades_clean_head(model.logits_and_vjp(w, X)[0], y)
+class _TradesAttack(AttackOracle):
+    """The inner attack's oracle on the TRADES surrogate: bound, re-pointed
+    and called like the plain ``AttackOracle``, and equal bit for bit to the
+    surrogate losses and perturbation gradients of
+    ``trades_batch_loss_and_grads``. The clean pass does not depend on the
+    perturbations, so ``point`` runs it once; the perturbation gradient
+    ``(exp(lq) - p) / lam`` flows through the perturbed pass only."""
 
-    def objective(D):
-        Za, vjp_a = model.logits_and_vjp(w, X + D)
-        losses, Ga, _, _ = _trades_perturbed_head(Za, lp, p, ce, lam, model.bounded)
-        return losses, vjp_a(Ga, weights=False)[1]
+    def __init__(self, model, X, y, lam, rows=None):
+        super().__init__(model, X, y, rows)
+        self.lam = lam
+        self._p, self._ce = np.empty(self._Z.shape), np.empty(self._raw.shape)
+        self._clean = _log_softmax_arrays(self._Z, self._p)  # lp in its first array
 
-    return objective
+    def point(self, w, idx=None):
+        super().point(w, idx)
+        self._forward(self.X)
+        lp = _log_softmax(self._Z, self._clean)
+        np.exp(lp, out=self._p)
+        self._label_losses(lp, self._ce)
+        return self
+
+    def _head(self, losses):
+        lq = _log_softmax(self._Z, self._ls)
+        G, p, lam = self._G, self._p, self.lam
+        raw = None
+        if losses:  # ce + (p * (lp - lq)).sum(axis=-1) / lam, through G
+            np.multiply(p, np.subtract(self._clean[0], lq, out=G), out=G)
+            raw = np.add.reduce(G, axis=-1, keepdims=True, out=self._raw)
+            np.add(self._ce, np.divide(raw, lam, out=raw), out=raw)
+        np.subtract(np.exp(lq, out=G), p, out=G)
+        return np.divide(G, lam, out=G), raw
+
+
+def _bind_attack(model, X, y, lam, rows=None) -> AttackOracle:
+    """The inner attack's oracle on the plain loss (``lam`` None) or on the
+    TRADES surrogate, bound to ``X``, ``y`` as ``AttackOracle`` is."""
+    if lam is None:
+        return model.attack_oracle(X, y, rows)
+    return _TradesAttack(model, X, y, lam, rows)
 
 
 def trades_surrogate_loss(
@@ -371,11 +399,15 @@ def _run_stats(loss, g, min_gd):
     return {"loss": float(loss), "grad_w_norm": math.sqrt(g.dot(g)), "min_grad_delta_norm": float(min_gd)}
 
 
-def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, lam=None):
+def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, lam=None, attack=None):
     """Attack every sample in the batch, then one weight step at the
-    attacked points. Returns (new_w, stats)."""
-    objective = None if lam is None else _trades_attack_objective(model, w, X, y, lam)
-    deltas = pgd_attack_batch(model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=objective, checked=False)
+    attacked points. ``attack`` is the inner attack's oracle
+    (``_bind_attack``) pointed at ``(w, X, y)``: ``lockstep`` passes the one
+    it re-points every step, and without it the step binds its own.
+    Returns (new_w, stats)."""
+    if attack is None:
+        attack = _bind_attack(model, X, y, lam).point(w)
+    deltas = pgd_attack_batch(model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=attack, checked=False)
     losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
     return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd)
 
@@ -456,6 +488,8 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
         batch_plan = np.asarray(batch_plan, dtype=np.int64)
         if batch_plan.shape != (n_steps, b):
             raise ConfigError(f"batch_plan must have shape ({n_steps}, {b})")
+        if batch_plan.size and not (0 <= batch_plan.min() and batch_plan.max() < n):
+            raise ConfigError(f"batch_plan indices must lie in [0, {n})")
 
     # one trajectory keeps the unstacked shapes; several get a leading run axis
     runs = len(datasets)
@@ -481,11 +515,17 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
 
     X_all = stacked([dataset.X for dataset in datasets])
     y_all = stacked([dataset.y for dataset in datasets])
+    # the vanilla rule's inner attack is bound once, then re-pointed at each
+    # step's weights and rows
+    attack = _bind_attack(model, X_all, y_all, lam, rows=b) if rule == VANILLA else None
     W = stacked([model.init_params(stream(cfg.seed, STREAM_INIT))] * runs)
     yield 0, 0, 0.0, None, per_run(W), None, None
     for t in range(1, n_steps + 1):
         idx = batch_plan[t - 1] if batch_plan is not None else batch_rng(t - 1).integers(0, n, size=b)
-        X, y = X_all[..., idx, :], y_all[..., idx]
+        if attack is not None:
+            X, y = attack.point(W, idx).X, attack.y
+        else:
+            X, y = X_all[..., idx, :], y_all[..., idx]
         aw = step_size(cfg.schedule, t)
         if rule == FREE:
             D = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
@@ -495,7 +535,7 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
                 yield t, i, aw, idx, per_run(W), per_run(D), per_run(stats)
             continue
         if rule == VANILLA:
-            W, stats = vanilla_batch_step(model, X, y, W, aw, pset, cfg.inner_attack, draw_rng(t - 1), lam=lam)
+            W, stats = vanilla_batch_step(model, X, y, W, aw, pset, cfg.inner_attack, draw_rng(t - 1), lam=lam, attack=attack)
         else:
             delta0 = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
             W, stats = fast_batch_step(model, X, y, W, aw, cfg.resolved_fast_step, pset, delta0)

@@ -1,21 +1,22 @@
 """The lean attack path against reference copies of the code it replaced.
 
-The attack-only oracle, the TRADES attack objective, the one-norm ascent
-step, the in-place attack loop and the two-class log-softmax do the same
-arithmetic as the code they replace, only less of it or into arrays they
-own, so every comparison here is exact (``np.array_equal``), not up to a
-tolerance.
+The bound attack-only oracle (plain and TRADES, fresh or re-pointed), the
+one-norm ascent step, the in-place attack loop and the two-class
+log-softmax do the same arithmetic as the code they replace, only less of
+it or into arrays they own, so every comparison here is exact
+(``np.array_equal``), not up to a tolerance.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from advstab.models import ScalarLogistic, SoftmaxLinear, TwoLayerTanhMLP, _log_softmax
 from advstab.rng import sample_uniform_l2_ball, stream
-from advstab.threat import AttackConfig, PerturbationSet, ascend_rows, pgd_attack_batch
-from advstab.trainers import _trades_attack_objective, trades_batch_loss_and_grads
+from advstab.threat import AttackConfig, PerturbationSet, _ascend_in_place, ascend_rows, pgd_attack_batch, project_rows
+from advstab.trainers import _bind_attack, trades_batch_loss_and_grads
 
 # -- reference copies -----------------------------------------------------------
 
@@ -205,6 +206,13 @@ def test_attack_only_oracle_equals_full_oracle_bit_for_bit(make, bounded):
         ref_losses, ref_gw, ref_gd = _ref_loss_and_grads(model, w, X, y, D)
         losses, gd = model.attack_loss_and_grad(w, X, y, D)
         assert np.array_equal(losses, ref_losses) and np.array_equal(gd, ref_gd)
+        oracle = model.attack_oracle(X, y).point(w)
+        for D_k in (D, 0.5 * D, D):  # the bound arrays serve every call
+            want = _ref_loss_and_grads(model, w, X, y, D_k)
+            losses, gd = oracle(D_k)
+            assert np.array_equal(losses, want[0]) and np.array_equal(gd, want[2])
+            none, gd = oracle(D_k, losses=False)
+            assert none is None and np.array_equal(gd, want[2])
         full = model.batch_loss_and_grads(w, X, y, D)
         for got, want in zip(full, (ref_losses, ref_gw, ref_gd)):
             assert np.array_equal(got, want)
@@ -217,11 +225,13 @@ def test_trades_attack_objective_equals_full_surrogate_bit_for_bit(make, bounded
     for lam in (0.7, 3.0):
         for w, X, y, D in _batches(model, 301):
             ref_losses, ref_gw, ref_gd = _ref_trades(model, w, X, y, D, lam)
-            objective = _trades_attack_objective(model, w, X, y, lam)
+            objective = _bind_attack(model, X, y, lam).point(w)
             for D_k in (D, 0.5 * D, D):  # the hoisted clean pass serves every call
                 want = _ref_trades(model, w, X, y, D_k, lam)
                 losses, gd = objective(D_k)
                 assert np.array_equal(losses, want[0]) and np.array_equal(gd, want[2])
+                none, gd = objective(D_k, losses=False)
+                assert none is None and np.array_equal(gd, want[2])
             full = trades_batch_loss_and_grads(model, w, X, y, D, lam)
             for got, want in zip(full, (ref_losses, ref_gw, ref_gd)):
                 assert np.array_equal(got, want)
@@ -276,9 +286,9 @@ def test_pgd_attack_on_the_trades_objective_equals_the_reference_loop(make, boun
     model = make(bounded)
     for R in (None, 2):
         w, X, y = _attack_inputs(model, 312, R)
-        objective = _trades_attack_objective(model, w, X, y, 0.7)
+        objective = _bind_attack(model, X, y, 0.7).point(w)
 
-        def reference(D):
+        def reference(D, losses=True):
             return _per_run(lambda *run: _ref_trades(model, *run, 0.7), w, X, y, D)[::2]
 
         for pset in _psets(model.input_dim)[:2]:
@@ -298,8 +308,8 @@ def test_attack_writes_to_neither_its_inputs_nor_its_start(make):
     start = pset.sample_uniform(stream(315, 0), size=X.shape[-2])
     start.setflags(write=False)
     shared = np.broadcast_to(start, X.shape)
-    oracle = model.attack_oracle(w, X, y)
-    objective = _trades_attack_objective(model, w, X, y, 0.7)
+    oracle = model.attack_oracle(X, y).point(w)
+    objective = _bind_attack(model, X, y, 0.7).point(w)
     for D in (shared, np.zeros(X.shape)):
         before = D.copy()
         for fn in (oracle, objective, lambda D: model.attack_loss_and_grad(w, X, y, D)):
@@ -308,9 +318,9 @@ def test_attack_writes_to_neither_its_inputs_nor_its_start(make):
         assert np.array_equal(D, before)
     seen = []
 
-    def recording(D):
+    def recording(D, losses=True):
         seen.append(D.copy())
-        return oracle(D)
+        return oracle(D, losses)
 
     for cfg in ATTACKS:
         out = pgd_attack_batch(model, w, X, y, pset, cfg, stream(315, 0), loss_grad_fn=recording)
@@ -319,6 +329,103 @@ def test_attack_writes_to_neither_its_inputs_nor_its_start(make):
             assert np.array_equal(seen[0], shared)
         seen.clear()
     assert np.array_equal(start, pset.sample_uniform(stream(315, 0), size=X.shape[-2]))
+
+
+def test_attack_steps_ask_for_the_gradient_only():
+    model = MODELS[1](False)
+    w, X, y = _attack_inputs(model, 317, None)
+    oracle, asked = model.attack_oracle(X, y).point(w), []
+
+    def recording(D, losses=True):
+        asked.append(losses)
+        return oracle(D, losses)
+
+    for restarts in (1, 2):
+        asked.clear()
+        cfg = AttackConfig(steps=3, restarts=restarts)
+        pgd_attack_batch(model, w, X, y, PerturbationSet("l2", 0.4, 6), cfg, stream(317, 1), loss_grad_fn=recording)
+        assert asked == ([False] * 3 + [True] * (restarts > 1)) * restarts  # only restart scoring reads losses
+
+
+def _pool(model, seed, R, B=9):
+    """A pool of 2B rows for a binding of B rows, and three (w, idx) points:
+    the first B rows, the same inputs with every label moved to the next
+    class, then a mix of both halves with repeats. Each point has weights
+    of its own, so a stale weight, row or one-hot array shows."""
+    w, X, y = _attack_inputs(model, seed, R, B)
+    rng = stream(seed, 1)
+    X_pool = np.concatenate([X, X], axis=-2)
+    y_pool = np.concatenate([y, (y + 1) % model.class_count], axis=-1)
+    points = [
+        (w, np.arange(B)),
+        (w + 0.5 * rng.standard_normal(w.shape), np.arange(B, 2 * B)),
+        (w - 0.5 * rng.standard_normal(w.shape), rng.integers(0, 2 * B, size=B)),
+    ]
+    return X_pool, y_pool, points
+
+
+@pytest.mark.parametrize("lam", [None, 0.7])
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("make", MODELS)
+def test_a_re_pointed_binding_equals_the_reference_at_every_point(make, bounded, lam):
+    model = make(bounded)
+    for R in (None, 2):
+        X_pool, y_pool, points = _pool(model, 320, R)
+        oracle = _bind_attack(model, X_pool, y_pool, lam, rows=X_pool.shape[-2] // 2)
+        for w, idx in points:
+            oracle.point(w, idx)
+            X, y = np.take(X_pool, idx, axis=-2), np.take(y_pool, idx, axis=-1)
+            assert np.array_equal(oracle.X, X) and np.array_equal(oracle.y, y)
+            full = _ref_loss_and_grads if lam is None else lambda *args: _ref_trades(*args, lam)
+
+            def reference(D, losses=True):
+                return _per_run(lambda *run: full(model, *run), w, X, y, D)[::2]
+
+            D = 0.3 * stream(321, 0).standard_normal(X.shape)
+            want = reference(D)
+            losses, gd = oracle(D)
+            assert np.array_equal(losses, want[0]) and np.array_equal(gd, want[1])
+            for pset in _psets(model.input_dim):
+                for cfg in ATTACKS:
+                    got = pgd_attack_batch(model, w, oracle.X, oracle.y, pset, cfg, stream(322, 0), loss_grad_fn=oracle)
+                    want = _ref_pgd(model, w, X, y, pset, cfg, stream(322, 0), loss_grad_fn=reference)
+                    assert np.array_equal(got, want), (R, pset, cfg)
+
+
+SIZED_MODELS = [
+    lambda d, bounded: SoftmaxLinear(input_dim=d, class_count=3, bounded=bounded),
+    lambda d, bounded: TwoLayerTanhMLP(input_dim=d, hidden_dim=16, class_count=3, bounded=bounded),
+    lambda d, bounded: ScalarLogistic(input_dim=d, bounded=bounded),
+]
+
+
+@pytest.mark.parametrize("rows, dim", [(25, 1000), (2500, 20)])
+@pytest.mark.parametrize("lam", [None, 0.7])
+@pytest.mark.parametrize("make", SIZED_MODELS)
+def test_an_attack_step_allocates_no_array_of_the_batch_size(make, lam, rows, dim):
+    # NumPy reports its arrays to tracemalloc, so an array of the batch's
+    # size made by a step would show in the peak. A broadcasting ufunc
+    # call also takes buffers of up to 8192 elements for its iterator; the
+    # batch here has more (d = 1000 at 25 rows), so those stay below it.
+    for bounded in (False, True):
+        model = make(dim, bounded)
+        rng = stream(323, rows)
+        w = model.init_params(rng)
+        X = rng.standard_normal((rows, dim))
+        y = rng.integers(model.class_count, size=rows)
+        oracle = _bind_attack(model, X, y, lam).point(w)
+        for pset in (PerturbationSet("l2", 0.4, dim), PerturbationSet("linf", 0.15, dim)):
+            D, scratch = pset.sample_uniform(rng, size=rows), np.empty(X.shape)
+            _ascend_in_place(D, oracle(D, losses=False)[1], 0.1, pset, scratch)  # warm up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in range(10):
+                    _ascend_in_place(D, oracle(D, losses=False)[1], 0.1, pset, scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - base < X.nbytes, (bounded, pset.norm, peak - base)
 
 
 # -- log-softmax ----------------------------------------------------------------
@@ -359,6 +466,25 @@ def test_ascend_rows_equals_masked_step_bit_for_bit(norm, radius):
             G[rng.random((8, 4)) < 0.5] = 0.0  # zero entries, mostly in live rows
         for rate in (0.05, 0.7, 3.0):
             assert np.array_equal(ascend_rows(D, G, rate, pset), _ref_ascend(D, G, rate, pset))
+
+
+@pytest.mark.parametrize("radius", [0.7, 0.0])
+def test_l2_projection_equals_the_masked_factor_bit_for_bit(radius):
+    # rows inside, on and outside the ball, zero rows, and rows with an
+    # infinite or NaN entry, whose factor the masked form left at 1.0 or 0.0
+    pset = PerturbationSet("l2", radius, 3)
+    rng = stream(306, 0)
+    G = rng.standard_normal((12, 3)) * np.array([[0.1], [0.5], [1.0], [3.0]]).repeat(3, axis=0)
+    G[3] = 0.0
+    G[4, 1], G[5, 2], G[6] = np.inf, np.nan, [radius, 0.0, 0.0]
+    norms = np.linalg.norm(G, axis=1, keepdims=True)
+    scale = np.ones_like(norms)
+    with np.errstate(invalid="ignore"):
+        over = norms[:, 0] > radius
+        scale[over] = radius / norms[over]
+        want = G * scale
+        for got in (project_rows(G, pset), project_rows(G.copy(), pset, out=np.empty(G.shape))):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])

@@ -278,8 +278,11 @@ def test_debug_flag_prints_traceback_before_the_error_line(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "advstab", "gap", "--help"],
+        env=env,
         capture_output=True,
         text=True,
     )
@@ -523,6 +526,47 @@ def test_non_finite_separation_is_rejected_before_any_data_is_drawn(tmp_path, ca
     assert main(["gap", "--config", str(cfg), "--out", str(out)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "ConfigError", "message": f"separation must be finite, got {value}"}
+    assert not out.exists()
+
+
+_U64 = 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "overrides, name, seed",
+    [
+        ({"eval": {**_BASE["eval"], "seed": -5}}, "eval.seed", -5),
+        ({"eval": {**_BASE["eval"], "seed": 2**64}}, "eval.seed", 2**64),
+        ({"data": {**_BASE["data"], "seed": -1}}, "data.seed", -1),
+        ({"train": {**_BASE["train"], "seed": -1}}, "train.seed", -1),
+        ({"train": {**_BASE["train"], "seed": _U64}, "trials": 2}, "train.seed + trials - 1", 2**64),
+    ],
+)
+@pytest.mark.parametrize("command", ["gap", "stability"])
+def test_out_of_range_seeds_are_rejected_before_any_data_is_drawn(tmp_path, capsys, monkeypatch, command, overrides, name, seed):
+    from advstab import cli, experiments
+
+    for module in (experiments, cli):
+        monkeypatch.setattr(module, "make_synthetic", _no_training)
+    cfg, out = _write_cfg(tmp_path, **overrides), tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ConfigError", "message": f"{name} must be a 64-bit unsigned integer, got {seed}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs, accepted", [(1, True), (2, False)])
+def test_stability_rejects_a_last_pair_seed_out_of_range(tmp_path, capsys, monkeypatch, pairs, accepted):
+    from advstab import cli
+
+    monkeypatch.setattr(cli, "coupled_run", _no_training)
+    cfg, out = _write_cfg(tmp_path, train={**_BASE["train"], "seed": _U64}), tmp_path / "out"
+    main(["stability", "--config", str(cfg), "--out", str(out), "--pairs", str(pairs)])
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    if accepted:  # the seed itself is in range, so the command went on to train
+        assert payload["error"] == "AssertionError"
+        return
+    assert payload == {"error": "ConfigError", "message": f"train.seed + pairs - 1 must be a 64-bit unsigned integer, got {2**64}"}
     assert not out.exists()
 
 

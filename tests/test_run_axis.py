@@ -24,7 +24,7 @@ from advstab.trainers import (
     RULES,
     StepSchedule,
     TrainConfig,
-    _trades_attack_objective,
+    _bind_attack,
     lockstep,
     trades_batch_loss_and_grads,
 )
@@ -91,9 +91,10 @@ def test_model_oracles_per_run_equal_run_alone(kind, bounded, R):
             lambda: trades_batch_loss_and_grads(model, W, X, y, D, 0.7),
             lambda r: trades_batch_loss_and_grads(model, W[r], X[r], y[r], D[r], 0.7),
         ),
+        (lambda: model.attack_oracle(X, y).point(W)(D), lambda r: model.attack_oracle(X[r], y[r]).point(W[r])(D[r])),
         (
-            lambda: _trades_attack_objective(model, W, X, y, 0.7)(D),
-            lambda r: _trades_attack_objective(model, W[r], X[r], y[r], 0.7)(D[r]),
+            lambda: _bind_attack(model, X, y, 0.7).point(W)(D),
+            lambda r: _bind_attack(model, X[r], y[r], 0.7).point(W[r])(D[r]),
         ),
     ]
     for stacked_fn, alone_fn in cases:

@@ -137,6 +137,12 @@ def test_forced_plan_shape_validation():
     pair = make_neighbor(data, 0, _replacement())
     with pytest.raises(ConfigError):
         coupled_run(model, pair, _vanilla_cfg(T=10), batch_plan=np.zeros((3, 2), dtype=int))
+    cfg = _vanilla_cfg(T=10)
+    for bad in (-1, data.n):  # the attack takes its rows by index, so an index out of range fails here
+        plan = np.zeros((10, cfg.batch_size), dtype=int)
+        plan[4, 1] = bad
+        with pytest.raises(ConfigError, match="batch_plan indices"):
+            coupled_run(model, pair, cfg, batch_plan=plan)
 
 
 def test_encounter_probability_union_bound():

@@ -223,12 +223,21 @@ def test_empirical_robust_risk_trivial_cases():
 
 
 def _counting(model):
-    """A copy of ``model`` that counts its forward passes."""
+    """A copy of ``model`` that counts its forward passes, direct or bound."""
 
     class Counting(type(model)):
         def logits_and_vjp(self, w, U):
             self.forwards += 1
             return super().logits_and_vjp(w, U)
+
+        def _bound_pass(self, w, U):
+            Z, forward, input_grad = super()._bound_pass(w, U)
+
+            def counted(V):
+                self.forwards += 1
+                forward(V)
+
+            return Z, counted, input_grad
 
     counted = Counting(**model._ctor_args())
     counted.forwards = 0

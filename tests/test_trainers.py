@@ -518,15 +518,25 @@ class CountingModel:
         self.kinds.append("attack")
         return self.inner.attack_loss_and_grad(w, X, y, deltas)
 
-    def attack_oracle(self, w, X, y):
-        oracle = self.inner.attack_oracle(w, X, y)
+    def attack_oracle(self, X, y, rows=None):
+        oracle, probe = self.inner.attack_oracle(X, y, rows), self
 
-        def counted(deltas):
-            self.attack_calls.append((w.copy(), np.asarray(deltas).copy()))
-            self.kinds.append("attack")
-            return oracle(deltas)
+        class Counted:
+            """The bound oracle, counting each call at the weights it is pointed at."""
 
-        return counted
+            def __getattr__(self, name):
+                return getattr(oracle, name)
+
+            def point(self, w, idx=None):
+                oracle.point(w, idx)
+                return self
+
+            def __call__(self, deltas, losses=True):
+                probe.attack_calls.append((oracle.w.copy(), np.asarray(deltas).copy()))
+                probe.kinds.append("attack")
+                return oracle(deltas, losses)
+
+        return Counted()
 
 
 def test_free_uses_one_evaluation_per_inner_iteration():
