@@ -26,6 +26,7 @@ constants, so every estimate is reported together with its region.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,8 +66,46 @@ ENVELOPE_MARGIN = 0.1
 PSI_FLOOR = 1e-6
 
 
+class _ProbeSampler:
+    """The probe draw both samplers share: a weight vector (``_draw_w``, then
+    ``_weights`` on the stack), a perturbation from the ball, a pool row."""
+
+    def _check_pool(self):
+        if np.ndim(self.X) != 2 or np.shape(self.y) != (np.shape(self.X)[0],):
+            raise DimensionError(f"the pool needs X (n, d) and y (n,), got {np.shape(self.X)} and {np.shape(self.y)}")
+        if self.pset.dim != self.X.shape[1]:
+            raise DimensionError(f"pset.dim {self.pset.dim} does not match the pool's {self.X.shape[1]} columns")
+
+    def draw(self, rng: np.random.Generator, size: int | None = None, directions: bool = False):
+        """One probe ``(w, delta, x, y)``, or with ``size`` k probes stacked
+        as ``(W (k, P), D (k, d), X (k, d), y (k,))``: probe i is drawn with
+        the generator calls of the i-th one-probe draw, in the same order,
+        and the arithmetic then runs once on the stack, so the chunk equals
+        k one-probe draws bit for bit and leaves ``rng`` where they do.
+        ``directions`` appends to each probe's draws P + d standard normals,
+        returned last (a smoothness probe's start direction)."""
+        k = 1 if size is None else int(size)
+        W, D, u = np.empty((k, self.param_dim)), np.empty((k, self.pset.dim)), np.empty((k, 1))
+        V = np.empty((k, W.shape[1] + D.shape[1])) if directions else None
+        anchors, rows = np.empty(k, dtype=np.intp), np.empty(k, dtype=np.intp)
+        draw_w, draw_delta, n = self._draw_w, self.pset._draw_into, self.X.shape[0]
+        for i in range(k):
+            anchors[i] = draw_w(rng, W[i])
+            draw_delta(rng, D[i], u[i])
+            rows[i] = rng.integers(n)
+            if directions:
+                rng.standard_normal(out=V[i])
+        probes = (self._weights(W, anchors), self.pset._points(D, u), self.X[rows], self.y[rows])
+        if directions:
+            probes += (V,)
+        if size is None:
+            w, delta, x, y, *v = (a[0] for a in probes)
+            return (w, delta, x, int(y), *v)
+        return probes
+
+
 @dataclass(frozen=True)
-class RegionSampler:
+class RegionSampler(_ProbeSampler):
     """Draws probe points (w, delta, x, y): weights uniform in a box,
     perturbations uniform in the ball, samples uniform from a pool."""
 
@@ -76,6 +115,14 @@ class RegionSampler:
     X: np.ndarray
     y: np.ndarray
 
+    def __post_init__(self):
+        if np.ndim(self.w_low) != 1 or np.shape(self.w_low) != np.shape(self.w_high):
+            raise DimensionError(f"w_low and w_high must be vectors of one shape, got {np.shape(self.w_low)} and {np.shape(self.w_high)}")
+        lo, hi = np.asarray(self.w_low, dtype=np.float64), np.asarray(self.w_high, dtype=np.float64)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
+            raise ConfigError("w_low and w_high must be finite with w_low <= w_high")
+        self._check_pool()
+
     @classmethod
     def from_envelope(cls, w_low, w_high, pset, dataset: Dataset):
         """Box around a visited weight envelope, widened by
@@ -84,11 +131,19 @@ class RegionSampler:
         hi = np.asarray(w_high, dtype=np.float64) + ENVELOPE_MARGIN
         return cls(w_low=lo, w_high=hi, pset=pset, X=dataset.X, y=dataset.y)
 
-    def draw(self, rng: np.random.Generator):
-        w = rng.uniform(self.w_low, self.w_high)
-        delta = self.pset.sample_uniform(rng)
-        i = int(rng.integers(self.X.shape[0]))
-        return w, delta, self.X[i], int(self.y[i])
+    # in the class's own namespace too, where bench/tracer.py looks it up
+    draw = _ProbeSampler.draw
+
+    @property
+    def param_dim(self) -> int:
+        return len(self.w_low)
+
+    def _draw_w(self, rng, row) -> int:
+        row[...] = rng.uniform(self.w_low, self.w_high)
+        return 0
+
+    def _weights(self, W, anchors):
+        return W
 
     def describe(self) -> dict:
         return {
@@ -102,7 +157,7 @@ class RegionSampler:
 
 
 @dataclass(frozen=True)
-class TrajectorySampler:
+class TrajectorySampler(_ProbeSampler):
     """Probes anchored to visited weights: a random stored trajectory point
     plus Gaussian jitter of scale ``jitter``. Tighter than a coordinate box
     around the same trajectory, whose corners are never visited; constants
@@ -114,6 +169,13 @@ class TrajectorySampler:
     X: np.ndarray
     y: np.ndarray
 
+    def __post_init__(self):
+        if np.ndim(self.w_points) != 2 or len(self.w_points) < 1:
+            raise DimensionError(f"w_points must be a nonempty (k, param_dim) array, got shape {np.shape(self.w_points)}")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
+        self._check_pool()
+
     @classmethod
     def from_traces(cls, traces, pset, dataset: Dataset, jitter: float = 0.05):
         pts = []
@@ -122,12 +184,19 @@ class TrajectorySampler:
             pts.append(tr.w_final)
         return cls(w_points=np.stack(pts), jitter=jitter, pset=pset, X=dataset.X, y=dataset.y)
 
-    def draw(self, rng: np.random.Generator):
-        i = int(rng.integers(self.w_points.shape[0]))
-        w = self.w_points[i] + self.jitter * rng.standard_normal(self.w_points.shape[1])
-        delta = self.pset.sample_uniform(rng)
-        j = int(rng.integers(self.X.shape[0]))
-        return w, delta, self.X[j], int(self.y[j])
+    draw = _ProbeSampler.draw
+
+    @property
+    def param_dim(self) -> int:
+        return self.w_points.shape[1]
+
+    def _draw_w(self, rng, row) -> int:
+        i = rng.integers(self.w_points.shape[0])
+        rng.standard_normal(out=row)
+        return i
+
+    def _weights(self, W, anchors):
+        return self.w_points[anchors] + self.jitter * W
 
     def describe(self) -> dict:
         return {
@@ -180,13 +249,16 @@ PROBE_CHUNK = 32
 
 def _probe_chunks(probes: int):
     """Chunk sizes covering ``probes`` probes in order."""
-    for start in range(0, int(probes), PROBE_CHUNK):
-        yield min(PROBE_CHUNK, int(probes) - start)
+    for start in range(0, probes, PROBE_CHUNK):
+        yield min(PROBE_CHUNK, probes - start)
 
 
-def _stack_probes(rows):
-    """Columns of per-probe tuples as arrays: one row per probe."""
-    return [np.array(col) for col in zip(*rows)]
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int, or a ``ConfigError`` naming ``name`` when it is
+    not an integer of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _joint_grads(model: SmoothModel, W, D, X, y):
@@ -197,21 +269,32 @@ def _joint_grads(model: SmoothModel, W, D, X, y):
     return gw, gd[:, 0]
 
 
+def _row_dots(A: np.ndarray) -> np.ndarray:
+    """``np.dot(a, a)`` for each row ``a`` of ``A`` (k, n), bit for bit: a
+    stacked matmul takes the same dot product per row. ``np.linalg.norm``
+    of a vector is the square root of that dot product."""
+    return np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0]
+
+
+def _running_max(m: float, values: np.ndarray) -> float:
+    """``m`` after ``m = max(m, v)`` for each v in turn: a NaN never wins."""
+    return float(np.fmax.reduce(values, initial=m))
+
+
 def estimate_lipschitz(model: SmoothModel, sampler, probes: int, rng: np.random.Generator):
     """Max joint gradient norm (the local joint Lipschitz constant) and max
     weight-gradient norm over random probe points. Returns (L, L_w).
 
-    Probes are drawn one by one from ``rng`` and evaluated in stacked
-    chunks of ``PROBE_CHUNK``; the result equals a probe-by-probe loop."""
-    if probes < 2:
-        raise ConfigError("need at least 2 probes")
+    Probes are drawn from ``rng`` a chunk of ``PROBE_CHUNK`` at a time, in
+    the order of a probe-by-probe loop, and each chunk is evaluated by one
+    stacked oracle call; the result equals that loop."""
+    probes = _count(probes, "probes", 2)
     L = Lw = 0.0
     for k in _probe_chunks(probes):
-        W, D, X, y = _stack_probes([sampler.draw(rng) for _ in range(k)])
-        for gw, gd in zip(*_joint_grads(model, W, D, X, y)):
-            nw = float(np.linalg.norm(gw))
-            L = max(L, float(np.sqrt(nw * nw + np.dot(gd, gd))))
-            Lw = max(Lw, nw)
+        GW, GD = _joint_grads(model, *sampler.draw(rng, size=k))
+        nw = np.sqrt(_row_dots(GW))
+        L = _running_max(L, np.sqrt(nw * nw + _row_dots(GD)))
+        Lw = _running_max(Lw, nw)
     return L, Lw
 
 
@@ -233,39 +316,32 @@ def estimate_smoothness(
     so the result stays a max over probe pairs, just better-aimed ones. A
     probe whose gradient change is exactly zero stops iterating.
 
-    Probes and their start directions are drawn one by one from ``rng`` and
-    evaluated in stacked chunks of ``PROBE_CHUNK``; the result equals a
-    probe-by-probe loop.
+    Probes, each followed by its start direction, are drawn from ``rng`` a
+    chunk of ``PROBE_CHUNK`` at a time, in the order of a probe-by-probe
+    loop, and each chunk is evaluated by stacked oracle calls; the result
+    equals that loop.
     """
-    if probes < 2:
-        raise ConfigError("need at least 2 probes")
-    if pair_scale <= 0:
-        raise ConfigError("pair_scale must be positive")
+    probes = _count(probes, "probes", 2)
+    power_iters = _count(power_iters, "power_iters", 0)
+    if not (math.isfinite(pair_scale) and pair_scale > 0):
+        raise ConfigError(f"pair_scale must be positive and finite, got {pair_scale}")
     beta = 0.0
     for k in _probe_chunks(probes):
-        rows = []
-        for _ in range(k):
-            w, delta, x, y = sampler.draw(rng)
-            v = rng.standard_normal(w.size + delta.size)
-            v /= np.linalg.norm(v)
-            rows.append((w, delta, x, y, v))
-        W, D, X, y, V = _stack_probes(rows)
-        del rows  # the stacked copies are all that is needed from here on
+        W, D, X, y, V = sampler.draw(rng, size=k, directions=True)
+        V /= np.sqrt(_row_dots(V))[:, None]
         P = W.shape[1]
         GW1, GD1 = _joint_grads(model, W, D, X, y)
-        live = np.ones(k, dtype=bool)
-        for _ in range(1 + int(power_iters)):
+        live = np.arange(k)  # the probes still iterating
+        for _ in range(1 + power_iters):
             GW2, GD2 = _joint_grads(model, W + pair_scale * V[:, :P], D + pair_scale * V[:, P:], X, y)
-            diff = np.concatenate([GW2 - GW1, GD2 - GD1], axis=1)
-            for i in np.flatnonzero(live):
-                nrm = float(np.linalg.norm(diff[i]))
-                beta = max(beta, nrm / pair_scale)
-                if nrm == 0.0:
-                    live[i] = False
-                else:
-                    V[i] = diff[i] / nrm
-            if not live.any():
+            diff = np.concatenate([GW2 - GW1, GD2 - GD1], axis=1)[live]
+            nrm = np.sqrt(_row_dots(diff))
+            beta = _running_max(beta, nrm / pair_scale)
+            moving = nrm != 0.0  # a stopped probe's direction is never 0/0
+            live = live[moving]
+            if not live.size:
                 break
+            V[live] = diff[moving] / nrm[moving, None]
     return beta
 
 

@@ -15,14 +15,16 @@ adversarial loss, bounded squashed loss, the consistency surrogate in
 ``trainers``) are built on it, which is what lets simultaneous-update
 algorithms obtain both gradients from one evaluation point. An attack needs
 only the input gradient, so the closure can skip the weight gradient.
-``attack_oracle(X, y, rows)`` binds that unchecked oracle, an
+``attack_oracle(X, y, rows)`` binds the plain loss's unchecked oracles, an
 ``AttackOracle``, once: it owns the weights, the rows and their one-hot
-labels, and builds the model's views of the weights once, so
-``point(w, idx)`` re-points it at new weights and rows by copying, and an
-attack step allocates no array of the batch's size and computes no losses
-unless asked. ``attack_loss_and_grad`` is the one-call form, a direct pass
-that binds nothing. ``batch_loss_and_grads`` checks its inputs unless told
-``checked=False``, which the training steps pass.
+labels, the gradients and the model's views of all of them, so
+``point(w, idx)`` re-points it at new weights and rows by copying. Called,
+it is the attack-only oracle: an attack step allocates no array of the
+batch's size and computes no losses unless asked. ``full(D)`` is the full
+oracle, whose backward step writes the weight gradient block by block into
+the array it owns; the training steps take both from one binding.
+``batch_loss_and_grads`` is the direct full oracle and checks its inputs
+unless told ``checked=False``.
 
 Run axis. Every batched operation also accepts a leading run axis: weights
 of shape (..., param_dim) and inputs of shape (..., B, d) with the same
@@ -307,20 +309,15 @@ class SmoothModel:
     def _bound_pass(self, w: np.ndarray, U: np.ndarray):
         """``logits_and_vjp`` bound to the weight array ``w`` and the input
         array ``U`` (..., B, d), for ``AttackOracle``, which owns both and
-        writes new values into them. Returns ``(Z, forward, input_grad)``:
-        ``forward(V)`` writes the logits at ``V`` (``U``'s shape) into
-        ``Z``, and ``input_grad(G)`` writes the input gradient at the last
-        forward's point over ``U`` and returns it. Views of ``w`` are built
-        here, once."""
+        writes new values into them. Returns ``(Z, forward, input_grad,
+        full_grad)``: ``forward(V)`` writes the logits at ``V`` (``U``'s
+        shape) into ``Z``; ``input_grad(G)`` writes the input gradient at
+        the last forward's point over ``U`` and returns it; ``full_grad(G)``
+        first writes the total weight gradient into an array of its own
+        (..., param_dim), block by block, then the input gradient over
+        ``U``, and returns both. Views of ``w`` and of the weight gradient
+        are built here, once."""
         raise NotImplementedError
-
-    def attack_loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas: np.ndarray):
-        """The one-call form of the attack oracle: ``(losses, grad_delta)``
-        at ``X + deltas``, unchecked alike. It is the direct pass, since a
-        binding would allocate as much as it saves for a single call."""
-        Z, vjp = self.logits_and_vjp(w, X + deltas)
-        losses, G = _softmax_head(Z, y, self.bounded)
-        return losses, vjp(G, weights=False)[1]
 
     # -- single-sample operations --------------------------------------------
 
@@ -337,15 +334,16 @@ class SmoothModel:
 
 
 class AttackOracle:
-    """The attack-only oracle of a model, bound once and re-pointed by copying.
+    """The gradient oracles of a model, bound once and re-pointed by copying.
 
     ``oracle(D, losses=True) -> (losses (..., B), grad_delta (..., B, d))``
-    at ``X + D`` equals the first and last outputs of
+    at ``X + D`` is the attack-only oracle: the first and last outputs of
     ``batch_loss_and_grads`` bit for bit, without the weight gradient. An
     attack step passes ``losses=False`` and gets ``(None, grad_delta)``:
-    the losses are computed only for the bounded rescale. Every call writes
-    into arrays the oracle owns, so the gradient is valid until the next
-    call; the losses, when asked for, are an array of their own.
+    the losses are computed only for the bounded rescale. ``full(D)`` is
+    the full oracle, all three outputs. Every call writes into arrays the
+    oracle owns, so the gradients are valid until the next call; the
+    losses, when asked for, are an array of their own.
 
     Bound to ``X`` (..., n, d) and ``y`` (..., n) with ``rows=None``, the
     oracle attacks those rows; ``point(w)`` sets its weights. With
@@ -371,7 +369,7 @@ class AttackOracle:
         self.bounded = model.bounded
         self.w = np.empty(lead + (model.param_dim,))
         self._U = np.empty(self.X.shape)
-        self._Z, self._forward, self._input_grad = model._bound_pass(self.w, self._U)
+        self._Z, self._forward, self._input_grad, self._full_grad = model._bound_pass(self.w, self._U)
         self._G = np.empty(self._Z.shape)
         self._ls = _log_softmax_arrays(self._Z, self._G)
         # each row's label entry in the flattened logits, and the losses
@@ -409,7 +407,9 @@ class AttackOracle:
         # the one-hot subtracts 1.0 at the label and 0.0, exactly, elsewhere
         return np.subtract(G, self.onehot, out=G), raw
 
-    def __call__(self, D: np.ndarray, losses: bool = True):
+    def _evaluate(self, D: np.ndarray, losses: bool):
+        """The forward pass at ``X + D`` and the head: the losses (None
+        unless asked) and the logits gradient, rescaled when bounded."""
         self._forward(np.add(self.X, D, out=self._U))
         G, raw = self._head(losses or self.bounded)
         if self.bounded:
@@ -419,7 +419,20 @@ class AttackOracle:
             values = (raw / (1.0 + raw))[..., 0] if losses else None
         else:
             values = raw[..., 0].copy() if losses else None
+        return values, G
+
+    def __call__(self, D: np.ndarray, losses: bool = True):
+        values, G = self._evaluate(D, losses)
         return values, self._input_grad(G)
+
+    def full(self, D: np.ndarray):
+        """The full oracle of the plain loss at ``X + D``: ``(losses (..., B),
+        mean_grad_w (..., param_dim), grad_delta (..., B, d))``, equal to
+        ``batch_loss_and_grads`` bit for bit. Both gradients are written
+        into arrays the oracle owns, valid until the next call."""
+        values, G = self._evaluate(D, True)
+        gw, gU = self._full_grad(G)
+        return values, np.divide(gw, G.shape[-2], out=gw), gU
 
 
 class SoftmaxLinear(SmoothModel):
@@ -458,12 +471,18 @@ class SoftmaxLinear(SmoothModel):
     def _bound_pass(self, w, U):
         W, b = self.unpack(w)
         WT, b = W.swapaxes(-1, -2), b[..., None, :]
-        Z = np.empty(U.shape[:-1] + (self.class_count,))
+        Z, gw = np.empty(U.shape[:-1] + (self.class_count,)), np.empty(w.shape)
+        gW, gb = self.unpack(gw)
 
         def forward(V):
             np.add(np.matmul(V, WT, out=Z), b, out=Z)
 
-        return Z, forward, lambda G: np.matmul(G, W, out=U)
+        def full_grad(G):
+            np.matmul(G.swapaxes(-1, -2), U, out=gW)  # before U holds the input gradient
+            np.add.reduce(G, axis=-2, out=gb)
+            return gw, np.matmul(G, W, out=U)
+
+        return Z, forward, lambda G: np.matmul(G, W, out=U), full_grad
 
     def _init_scales(self):
         s = np.zeros(self.param_dim)
@@ -517,7 +536,8 @@ class TwoLayerTanhMLP(SmoothModel):
         H, Z = _mlp_forward(views, U)
 
         def vjp(G, weights=True):
-            gA, gU = _mlp_input_grad(views, G, H)
+            gA = _mlp_hidden_grad(views, G, H)
+            gU = gA @ views[0]
             if not weights:
                 return None, gU
             lead = G.shape[:-2] + (-1,)
@@ -532,14 +552,28 @@ class TwoLayerTanhMLP(SmoothModel):
         return Z, vjp
 
     def _bound_pass(self, w, U):
-        # the activations, logits and their gradient allocated once
+        # the activations, logits, their gradients and the weight gradient allocated once
         views, lead = self._views(w), U.shape[:-1]
         H, Z, A = np.empty(lead + (self.hidden_dim,)), np.empty(lead + (self.class_count,)), np.empty(lead + (self.hidden_dim,))
+        W1, gw = views[0], np.empty(w.shape)
+        gW1, gb1, gW2, gb2 = self.unpack(gw)
 
         def forward(V):
             _mlp_forward(views, V, H, Z)
 
-        return Z, forward, lambda G: _mlp_input_grad(views, G, H, A, U)[1]
+        def input_grad(G):
+            return np.matmul(_mlp_hidden_grad(views, G, H, A), W1, out=U)
+
+        def full_grad(G):
+            # G^T H before tanh' is written over H, gA^T U before gA W1 over U
+            np.matmul(G.swapaxes(-1, -2), H, out=gW2)
+            np.add.reduce(G, axis=-2, out=gb2)
+            gA = _mlp_hidden_grad(views, G, H, A)
+            np.matmul(gA.swapaxes(-1, -2), U, out=gW1)
+            np.add.reduce(gA, axis=-2, out=gb1)
+            return gw, np.matmul(gA, W1, out=U)
+
+        return Z, forward, input_grad, full_grad
 
     def _init_scales(self):
         d, h, C = self.input_dim, self.hidden_dim, self.class_count
@@ -582,13 +616,20 @@ class ScalarLogistic(SmoothModel):
 
     def _bound_pass(self, w, U):
         lead = U.shape[:-1]
-        Z, z = np.zeros(lead + (2,)), np.empty(lead + (1,))
-        z1, w_col, w_row = Z[..., 1:], w[..., None], w[..., None, :]
+        Z, z, gw = np.zeros(lead + (2,)), np.empty(lead + (1,)), np.empty(w.shape)
+        z1, w_col, w_row, gw_row = Z[..., 1:], w[..., None], w[..., None, :], gw[..., None, :]
 
         def forward(V):
             np.copyto(z1, np.matmul(V, w_col, out=z))
 
-        return Z, forward, lambda G: np.multiply(G[..., 1:], w_row, out=U)
+        def input_grad(G):
+            return np.multiply(G[..., 1:], w_row, out=U)
+
+        def full_grad(G):
+            np.matmul(G[..., 1][..., None, :], U, out=gw_row)  # before U holds the input gradient
+            return gw, input_grad(G)
+
+        return Z, forward, input_grad, full_grad
 
     def _init_scales(self):
         return np.full(self.param_dim, 1.0 / np.sqrt(self.input_dim))
@@ -607,17 +648,16 @@ def _mlp_forward(views, U, H=None, Z=None):
     return H, Z
 
 
-def _mlp_input_grad(views, G, H, A=None, out=None):
-    """``(gA, gU)``: the gradient at the hidden pre-activations,
-    ``(G @ W2) * tanh'``, and at the inputs, ``gA @ W1``. With ``out`` the
-    pass is done with ``H``: tanh' is written over it, ``gA`` into ``A`` and
-    ``gU`` into ``out``."""
-    W1, _, _, W2, _, _ = views
-    d = np.multiply(H, H, out=None if out is None else H)
+def _mlp_hidden_grad(views, G, H, A=None):
+    """The gradient at the hidden pre-activations, ``(G @ W2) * tanh'``.
+    With ``A`` the pass is done with ``H``: tanh' is written over it and the
+    gradient into ``A``."""
+    W2 = views[3]
+    d = np.multiply(H, H, out=None if A is None else H)
     np.subtract(1.0, d, out=d)  # tanh'
     gA = np.matmul(G, W2, out=A)
     gA *= d
-    return gA, np.matmul(gA, W1, out=out)
+    return gA
 
 
 def make_model(kind: str, input_dim: int, class_count: int = 2, hidden_dim: int = 16, bounded: bool = False) -> SmoothModel:

@@ -170,12 +170,20 @@ def _l2_ball(rng, dim, radius, size):
     n = 1 if size is None else int(size)
     g = rng.standard_normal((n, dim))
     u = rng.random((n, 1))
+    _l2_ball_points(g, u, radius)
+    return g[0] if size is None else g
+
+
+def _l2_ball_points(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
+    """The L2 ball's arithmetic: Gaussian rows ``g`` (n, dim) and uniforms
+    ``u`` (n, 1) to points of the ball, written over ``g``. Each row is
+    computed alone, so n rows equal n one-row calls bit for bit."""
     # the arithmetic of np.linalg.norm(g, axis=1, keepdims=True), without its dispatch
     norms = np.sqrt(np.add.reduce(g * g, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     g /= norms
-    g *= radius * u ** (1.0 / dim)
-    return g[0] if size is None else g
+    g *= radius * u ** (1.0 / g.shape[1])
+    return g
 
 
 def _linf_ball(rng, dim, radius, size):

@@ -38,6 +38,7 @@ All of this is stated for L2 balls; the verifiers refuse L-inf traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -47,7 +48,7 @@ from .bounds import ConstantEstimates, _positive, bound_fast, bound_free, bound_
 from .errors import ConfigError, DimensionError, TraceError
 from .models import Dataset, LabeledSample, SmoothModel
 from .rng import stream
-from .threat import AttackConfig, PerturbationSet, pgd_attack_batch
+from .threat import AttackConfig, PerturbationSet, _row_norms, pgd_attack_batch
 from .trainers import FAST, FREE, RULES, VANILLA, StepSchedule, TrainConfig, lockstep
 
 __all__ = [
@@ -137,7 +138,9 @@ class StabilityTrace:
 
 
 def _mean_row_distance(Da: np.ndarray, Db: np.ndarray) -> float:
-    return float(np.linalg.norm(Da - Db, axis=1).mean())
+    """The mean row distance: the arithmetic of
+    ``np.linalg.norm(Da - Db, axis=1).mean()`` without its dispatch."""
+    return float(np.add.reduce(_row_norms(Da - Db)[:, 0]) / Da.shape[0])
 
 
 def coupled_run(model: SmoothModel, pair: NeighborPair, cfg: TrainConfig, batch_plan: np.ndarray | None = None) -> StabilityTrace:
@@ -162,9 +165,10 @@ def coupled_run(model: SmoothModel, pair: NeighborPair, cfg: TrainConfig, batch_
     for t, i, aw, idx, (wa, wb), deltas, (sa, sb) in updates:
         if i == 1:
             alpha_w[t - 1] = aw
-            s_count[t - 1] = int((idx == pair.differing_index).sum())
+            s_count[t - 1] = np.count_nonzero(idx == pair.differing_index)
         min_gd[t - 1] = min(min_gd[t - 1], sa["min_grad_delta_norm"], sb["min_grad_delta_norm"])
-        d_w[t] = np.linalg.norm(wa - wb)
+        d = wa - wb
+        d_w[t] = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic
         if free:
             inner_w[t - 1, i] = d_w[t]
             inner_d[t - 1, i] = _mean_row_distance(*deltas)
@@ -431,12 +435,16 @@ def estimate_uniform_stability(
     pts = list(eval_points)
     if not pts:
         raise DimensionError("eval_points must be nonempty")
+    if np.shape(w) != (model.param_dim,) or np.shape(w_prime) != (model.param_dim,):
+        raise DimensionError(f"w and w_prime must have shape ({model.param_dim},), got {np.shape(w)} and {np.shape(w_prime)}")
     X = np.stack([p.x for p in pts])
     y = np.array([p.y for p in pts], dtype=np.int64)
     base = int(rng.integers(2**63))
-    ra, rb = stream(base, 0), stream(base, 0)  # identical attack randomness
-    Da = pgd_attack_batch(model, w, X, y, pset, attack, ra)
-    Db = pgd_attack_batch(model, w_prime, X, y, pset, attack, rb)
-    la = model.loss_batch(w, X, y, Da)
-    lb = model.loss_batch(w_prime, X, y, Db)
+    # both weights as a stack of two runs on the points, broadcast: each run
+    # starts each restart from the same draw, so it equals its own attack
+    # under stream(base, 0)
+    W = np.stack([w, w_prime])
+    X, y = np.broadcast_to(X, (2,) + X.shape), np.broadcast_to(y, (2,) + y.shape)
+    D = pgd_attack_batch(model, W, X, y, pset, attack, stream(base, 0))
+    la, lb = model.loss_batch(W, X, y, D)
     return float(np.abs(la - lb).max())

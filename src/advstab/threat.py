@@ -86,6 +86,24 @@ class PerturbationSet:
             return _rng._l2_ball(rng, self.dim, self.radius, size)
         return _rng._linf_ball(rng, self.dim, self.radius, size)
 
+    def _draw_into(self, rng: np.random.Generator, row: np.ndarray, u: np.ndarray) -> None:
+        """The generator calls of one ``sample_uniform(rng)``, written into
+        ``row`` (dim,) and, for L2, ``u`` (1,); ``_points`` turns a stack of
+        such draws into the samples. The draws interleave with others,
+        which is what ``sample_uniform(rng, size)`` cannot do."""
+        if self.norm == L2:
+            rng.standard_normal(out=row)
+            rng.random(out=u)
+        elif self.radius > 0:
+            row[...] = rng.uniform(-self.radius, self.radius, size=self.dim)
+        else:
+            row[...] = 0.0
+
+    def _points(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Rows (k, dim) and uniforms (k, 1) of ``_draw_into`` as the k
+        samples that ``sample_uniform(rng)`` returns, written over ``rows``."""
+        return _rng._l2_ball_points(rows, u, self.radius) if self.norm == L2 else rows
+
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -161,13 +179,14 @@ def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None 
     return out
 
 
-def _ascend_in_place(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet, scratch: np.ndarray) -> None:
+def _ascend_in_place(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet, scratch: np.ndarray, norms=None) -> None:
     """``ascend_rows`` written into ``D``, an array of its own, through one
     ``scratch`` array of ``D``'s shape. It adds ``D + rate * extreme`` where
     the step it replaces added ``extreme + D``, which rounds the same."""
     if rate == 0.0:
         return
-    norms = _row_norms(G, scratch)
+    if norms is None:
+        norms = _row_norms(G, scratch)
     # one reduction: a zero or NaN norm takes the row by row path
     if not np.minimum.reduce(norms, axis=None, initial=np.inf) > 0.0:
         live = norms[..., 0] > 0.0
@@ -180,14 +199,15 @@ def _ascend_in_place(D: np.ndarray, G: np.ndarray, rate: float, pset: Perturbati
     project_rows(D, pset, out=D, scratch=scratch)
 
 
-def ascend_rows(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet) -> np.ndarray:
+def ascend_rows(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet, norms=None) -> np.ndarray:
     """One projected ascent step per row, as a new array:
     ``project_rows(D + rate * extreme_rows(G))``. A row whose gradient is
     exactly zero stays where it is, and a zero rate returns an unchanged
     copy of ``D``. ``D`` and ``G`` have the same shape; ``D`` may be a
-    broadcast view. Neither is written to."""
+    broadcast view. Neither is written to. ``norms`` (..., B, 1) passes the
+    row norms of ``G`` when the caller has them (``_row_norms``)."""
     out = D.copy()
-    _ascend_in_place(out, G, rate, pset, np.empty(out.shape))
+    _ascend_in_place(out, G, rate, pset, np.empty(out.shape), norms)
     return out
 
 
@@ -301,7 +321,11 @@ def _uniform_start(pset: PerturbationSet, rng, shape: tuple, parts) -> np.ndarra
         D = pset.sample_uniform(rng, size=shape[-2])
     else:
         D = np.concatenate([pset.sample_uniform(g, size=n) for g, n in zip(rng, parts)])
-    return D if D.shape == shape else np.broadcast_to(D, shape).copy()
+    if D.shape == shape:
+        return D
+    out = np.empty(shape)
+    out[...] = D
+    return out
 
 
 def pgd_attack(

@@ -317,7 +317,8 @@ class _TradesAttack(AttackOracle):
     surrogate losses and perturbation gradients of
     ``trades_batch_loss_and_grads``. The clean pass does not depend on the
     perturbations, so ``point`` runs it once; the perturbation gradient
-    ``(exp(lq) - p) / lam`` flows through the perturbed pass only."""
+    ``(exp(lq) - p) / lam`` flows through the perturbed pass only. It has
+    no full oracle: the surrogate's is ``trades_batch_loss_and_grads``."""
 
     def __init__(self, model, X, y, lam, rows=None):
         super().__init__(model, X, y, rows)
@@ -343,6 +344,9 @@ class _TradesAttack(AttackOracle):
             np.add(self._ce, np.divide(raw, lam, out=raw), out=raw)
         np.subtract(np.exp(lq, out=G), p, out=G)
         return np.divide(G, lam, out=G), raw
+
+    def full(self, D):
+        raise NotImplementedError("the TRADES full oracle is trades_batch_loss_and_grads")
 
 
 def _bind_attack(model, X, y, lam, rows=None) -> AttackOracle:
@@ -370,67 +374,79 @@ def trades_surrogate_loss(
 # Each step takes one run (``w`` (P,), ``X`` (B, d), ``y`` (B,)) or a stack of
 # runs on the models' run axis (``w`` (R, P), ``X`` (R, B, d), ``y`` (R, B));
 # the perturbations are (B, d) or (R, B, d) to match. The stats are one dict,
-# or a tuple of one dict per run. The steps call the full oracles and the
-# attack unchecked (``checked=False``): their inputs are lockstep's,
-# validated on entry.
+# or a tuple of one dict per run. The plain loss's oracles are a binding
+# (``AttackOracle``) pointed at ``(w, X, y)``: ``lockstep`` passes the one it
+# binds once per run, and without it a step binds its own. The TRADES full
+# oracle and the attack are called unchecked (``checked=False``): their
+# inputs are lockstep's, validated on entry.
 
 
-def _loss_grads(model, w, X, y, D, lam):
-    if lam is None:
-        return model.batch_loss_and_grads(w, X, y, D, checked=False)
-    return trades_batch_loss_and_grads(model, w, X, y, D, lam, checked=False)
+def _full_grads(model, w, X, y, D, lam, oracle):
+    """``(losses, mean_grad_w, grad_delta)`` at ``(w, X + D)``: the plain
+    loss through ``oracle`` (bound here when None), whose gradients live
+    until its next call, or the TRADES surrogate when ``lam`` is set."""
+    if lam is not None:
+        return trades_batch_loss_and_grads(model, w, X, y, D, lam, checked=False)
+    if oracle is None:
+        oracle = model.attack_oracle(X, y).point(w)
+    return oracle.full(D)
 
 
-def _stats(losses, mean_gw, Gd):
-    """Step statistics: a dict for one run, a tuple of dicts for a stack.
-    The loss mean and the row norms reduce along each run's own last axis,
-    and the weight-gradient norm is the 1-D norm of each run's gradient, so
-    every run gets the numbers of the unstacked step bit for bit. The
-    reductions are the ufuncs that ``mean`` and ``np.linalg.norm`` run,
-    minus their dispatch."""
+def _stats(losses, mean_gw, norms):
+    """Step statistics from the losses, the mean weight gradient and the
+    row norms (..., B, 1) of the perturbation gradients: a dict for one
+    run, a tuple of dicts for a stack. The loss mean and the smallest row
+    norm reduce along each run's own last axis, and the weight-gradient
+    norm is the square root of each run's ``g.dot(g)`` (a stacked matmul
+    takes the same dot product per run), so every run gets the numbers of
+    the unstacked step bit for bit. The reductions are the ufuncs that
+    ``mean`` and ``np.linalg.norm`` run, minus their dispatch."""
     loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
-    min_gd = np.minimum.reduce(_row_norms(Gd)[..., 0], axis=-1)
+    min_gd = np.minimum.reduce(norms[..., 0], axis=-1)
     if mean_gw.ndim == 1:
-        return _run_stats(loss, mean_gw, min_gd)
-    return tuple(map(_run_stats, loss, mean_gw, min_gd))
-
-
-def _run_stats(loss, g, min_gd):
-    return {"loss": float(loss), "grad_w_norm": math.sqrt(g.dot(g)), "min_grad_delta_norm": float(min_gd)}
+        return {"loss": float(loss), "grad_w_norm": math.sqrt(mean_gw.dot(mean_gw)), "min_grad_delta_norm": float(min_gd)}
+    gw_norm = np.sqrt(np.matmul(mean_gw[:, None, :], mean_gw[:, :, None])[:, 0, 0])
+    rows = zip(loss.tolist(), gw_norm.tolist(), min_gd.tolist())
+    return tuple({"loss": a, "grad_w_norm": g, "min_grad_delta_norm": m} for a, g, m in rows)
 
 
 def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, lam=None, attack=None):
     """Attack every sample in the batch, then one weight step at the
     attacked points. ``attack`` is the inner attack's oracle
-    (``_bind_attack``) pointed at ``(w, X, y)``: ``lockstep`` passes the one
-    it re-points every step, and without it the step binds its own.
-    Returns (new_w, stats)."""
+    (``_bind_attack``) pointed at ``(w, X, y)``; on the plain loss it also
+    serves the weight step. Returns (new_w, stats)."""
     if attack is None:
         attack = _bind_attack(model, X, y, lam).point(w)
     deltas = pgd_attack_batch(model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=attack, checked=False)
-    losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
-    return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd)
+    losses, mean_gw, Gd = _full_grads(model, w, X, y, deltas, lam, attack)
+    return w - alpha_w * mean_gw, _stats(losses, mean_gw, _row_norms(Gd))
 
 
-def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start):
+def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start, oracle=None):
     """One projected attack step from a random start, then one weight step.
     The rescaling identity is applied to the start-point gradients, so they
-    give the stats' min perturbation-gradient norm."""
-    _, Gd0 = model.attack_loss_and_grad(w, X, y, delta_start)
-    deltas = ascend_rows(delta_start, Gd0, fast_step_size, pset)
-    losses, mean_gw, _ = model.batch_loss_and_grads(w, X, y, deltas, checked=False)
-    return w - alpha_w * mean_gw, _stats(losses, mean_gw, Gd0)
+    give the stats' min perturbation-gradient norm. ``oracle`` is the plain
+    loss's binding pointed at ``(w, X, y)``. Returns (new_w, stats)."""
+    if oracle is None:
+        oracle = model.attack_oracle(X, y).point(w)
+    _, Gd0 = oracle(delta_start, losses=False)
+    norms = _row_norms(Gd0)  # before the weight step's call writes over Gd0
+    deltas = ascend_rows(delta_start, Gd0, fast_step_size, pset, norms)
+    losses, mean_gw, _ = oracle.full(deltas)
+    return w - alpha_w * mean_gw, _stats(losses, mean_gw, norms)
 
 
-def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam=None):
+def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam=None, oracle=None):
     """One simultaneous update: both gradients from a single evaluation at
     the pre-update (w, deltas), then descend w and ascend deltas together.
+    ``oracle`` is the plain loss's binding pointed at ``(w, X, y)``.
 
     Returns (new_w, new_deltas, stats)."""
-    losses, mean_gw, Gd = _loss_grads(model, w, X, y, deltas, lam)
+    losses, mean_gw, Gd = _full_grads(model, w, X, y, deltas, lam, oracle)
+    norms = _row_norms(Gd)
     new_w = w - alpha_w * mean_gw
-    new_deltas = ascend_rows(deltas, Gd, alpha_delta, pset)
-    return new_w, new_deltas, _stats(losses, mean_gw, Gd)
+    new_deltas = ascend_rows(deltas, Gd, alpha_delta, pset, norms)
+    return new_w, new_deltas, _stats(losses, mean_gw, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +464,8 @@ def _validate(model: SmoothModel, dataset: Dataset, cfg: TrainConfig):
 
 def _require_finite(W: np.ndarray, update: int) -> None:
     """``W`` is one run's weights (P,) or a stack (R, P)."""
-    finite = np.isfinite(W).all(axis=-1)
-    if not finite.all():
-        trajectory = int(np.argmin(np.atleast_1d(finite)))
+    if not np.isfinite(W).all():
+        trajectory = int(np.argmin(np.atleast_1d(np.isfinite(W).all(axis=-1))))
         raise FloatingPointError(f"update {update} made the weights of trajectory {trajectory} non-finite")
 
 
@@ -501,8 +516,12 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     def per_run(A):
         return (A,) if single else tuple(A)
 
-    def shared(draw):  # one draw for every trajectory
-        return draw if single else np.broadcast_to(draw, (runs,) + draw.shape)
+    def shared(draw):  # one draw, copied to every trajectory
+        if single:
+            return draw
+        out = np.empty((runs,) + draw.shape)
+        out[...] = draw
+        return out
 
     # every step's keys at once, then one re-keyed generator per stream kind
     draw = STREAM_ATTACK if rule == VANILLA else STREAM_DELTA
@@ -515,30 +534,32 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
 
     X_all = stacked([dataset.X for dataset in datasets])
     y_all = stacked([dataset.y for dataset in datasets])
-    # the vanilla rule's inner attack is bound once, then re-pointed at each
-    # step's weights and rows
-    attack = _bind_attack(model, X_all, y_all, lam, rows=b) if rule == VANILLA else None
+    # bound once, then re-pointed at each step's weights and rows: the plain
+    # loss's oracles under every rule, and the vanilla rule's TRADES attack
+    oracle = _bind_attack(model, X_all, y_all, lam, rows=b) if lam is None or rule == VANILLA else None
     W = stacked([model.init_params(stream(cfg.seed, STREAM_INIT))] * runs)
     yield 0, 0, 0.0, None, per_run(W), None, None
     for t in range(1, n_steps + 1):
         idx = batch_plan[t - 1] if batch_plan is not None else batch_rng(t - 1).integers(0, n, size=b)
-        if attack is not None:
-            X, y = attack.point(W, idx).X, attack.y
+        if oracle is not None:
+            X, y = oracle.point(W, idx).X, oracle.y
         else:
             X, y = X_all[..., idx, :], y_all[..., idx]
         aw = step_size(cfg.schedule, t)
         if rule == FREE:
             D = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
             for i in range(1, m + 1):
-                W, D, stats = free_inner_iteration(model, X, y, W, D, aw, cfg.resolved_attack_lr, pset, lam=lam)
+                if oracle is not None and i > 1:
+                    oracle.point(W)
+                W, D, stats = free_inner_iteration(model, X, y, W, D, aw, cfg.resolved_attack_lr, pset, lam=lam, oracle=oracle)
                 _require_finite(W, (t - 1) * m + i)
                 yield t, i, aw, idx, per_run(W), per_run(D), per_run(stats)
             continue
         if rule == VANILLA:
-            W, stats = vanilla_batch_step(model, X, y, W, aw, pset, cfg.inner_attack, draw_rng(t - 1), lam=lam, attack=attack)
+            W, stats = vanilla_batch_step(model, X, y, W, aw, pset, cfg.inner_attack, draw_rng(t - 1), lam=lam, attack=oracle)
         else:
             delta0 = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
-            W, stats = fast_batch_step(model, X, y, W, aw, cfg.resolved_fast_step, pset, delta0)
+            W, stats = fast_batch_step(model, X, y, W, aw, cfg.resolved_fast_step, pset, delta0, oracle=oracle)
         _require_finite(W, t)
         yield t, 1, aw, idx, per_run(W), None, per_run(stats)
 

@@ -1,10 +1,11 @@
 """The lean attack path against reference copies of the code it replaced.
 
 The bound attack-only oracle (plain and TRADES, fresh or re-pointed), the
-one-norm ascent step, the in-place attack loop and the two-class
-log-softmax do the same arithmetic as the code they replace, only less of
-it or into arrays they own, so every comparison here is exact
-(``np.array_equal``), not up to a tolerance.
+bound full oracle of the plain loss, the one-norm ascent step, the
+in-place attack loop and the two-class log-softmax do the same arithmetic
+as the code they replace, only less of it or into arrays they own, so
+every comparison here is exact (``np.array_equal``), not up to a
+tolerance.
 """
 
 import itertools
@@ -204,7 +205,7 @@ def test_attack_only_oracle_equals_full_oracle_bit_for_bit(make, bounded):
     model = make(bounded)
     for w, X, y, D in _batches(model, 300):
         ref_losses, ref_gw, ref_gd = _ref_loss_and_grads(model, w, X, y, D)
-        losses, gd = model.attack_loss_and_grad(w, X, y, D)
+        losses, _, gd = model.batch_loss_and_grads(w, X, y, D, checked=False)
         assert np.array_equal(losses, ref_losses) and np.array_equal(gd, ref_gd)
         oracle = model.attack_oracle(X, y).point(w)
         for D_k in (D, 0.5 * D, D):  # the bound arrays serve every call
@@ -257,7 +258,7 @@ def _attack_inputs(model, seed, R, B=9):
     X[..., :2, :] *= 1e6
     y = model.predict_batch(w, X)
     y[..., 2:] = rng.integers(model.class_count, size=lead + (B - 2,))
-    _, G = model.attack_loss_and_grad(w, X, y, np.zeros(X.shape))
+    G = model.batch_loss_and_grads(w, X, y, np.zeros(X.shape))[2]
     assert (np.abs(G[..., :2, :]) == 0.0).all() and (np.abs(G[..., 2:, :]).max(axis=-1) > 0.0).all()
     return w, X, y
 
@@ -312,7 +313,7 @@ def test_attack_writes_to_neither_its_inputs_nor_its_start(make):
     objective = _bind_attack(model, X, y, 0.7).point(w)
     for D in (shared, np.zeros(X.shape)):
         before = D.copy()
-        for fn in (oracle, objective, lambda D: model.attack_loss_and_grad(w, X, y, D)):
+        for fn in (oracle, objective, lambda D: oracle.full(D)[::2], lambda D: model.batch_loss_and_grads(w, X, y, D)[::2]):
             _, G = fn(D)
             assert not np.shares_memory(G, D) and not np.shares_memory(G, X)
         assert np.array_equal(D, before)
@@ -390,6 +391,39 @@ def test_a_re_pointed_binding_equals_the_reference_at_every_point(make, bounded,
                     got = pgd_attack_batch(model, w, oracle.X, oracle.y, pset, cfg, stream(322, 0), loss_grad_fn=oracle)
                     want = _ref_pgd(model, w, X, y, pset, cfg, stream(322, 0), loss_grad_fn=reference)
                     assert np.array_equal(got, want), (R, pset, cfg)
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("make", MODELS)
+def test_the_bound_full_oracle_equals_the_reference_at_every_point(make, bounded):
+    model = make(bounded)
+    for R, B in itertools.product((None, 2), (9, 25)):
+        X_pool, y_pool, points = _pool(model, 324, R, B)
+        oracle = model.attack_oracle(X_pool, y_pool, rows=B)
+        for w, idx in points:  # fresh weights and rows, the labels of the second flipped
+            oracle.point(w, idx)
+            X, y = np.take(X_pool, idx, axis=-2), np.take(y_pool, idx, axis=-1)
+            rng = stream(325, B)
+            for scale in (0.3, 0.0, 0.3):
+                D = scale * rng.standard_normal(X.shape)
+                want = _per_run(lambda *run: _ref_loss_and_grads(model, *run), w, X, y, D)
+                got = oracle.full(D)
+                assert all(np.array_equal(g, r) for g, r in zip(got, want)), (R, B, scale)
+                oracle(rng.standard_normal(X.shape), losses=False)  # an attack call between full calls
+        # a binding to the rows themselves, as a step without lockstep's makes
+        w, idx = points[1]
+        X, y = np.take(X_pool, idx, axis=-2), np.take(y_pool, idx, axis=-1)
+        D = 0.3 * stream(326, B).standard_normal(X.shape)
+        want = _per_run(lambda *run: _ref_loss_and_grads(model, *run), w, X, y, D)
+        got = model.attack_oracle(X, y).point(w).full(D)
+        assert all(np.array_equal(g, r) for g, r in zip(got, want))
+
+
+def test_the_trades_binding_has_no_full_oracle():
+    model = MODELS[1](False)
+    w, X, y = _attack_inputs(model, 327, None)
+    with pytest.raises(NotImplementedError, match="trades_batch_loss_and_grads"):
+        _bind_attack(model, X, y, 0.7).point(w).full(np.zeros(X.shape))
 
 
 SIZED_MODELS = [

@@ -7,6 +7,7 @@ from advstab.bounds import (
     ExpansivityMatrix,
     GrowthRecursion,
     RegionSampler,
+    TrajectorySampler,
     bound_fast,
     bound_free,
     bound_vanilla,
@@ -123,6 +124,60 @@ def test_estimate_lipschitz_monotone_in_probes():
 def test_estimate_lipschitz_needs_probes():
     with pytest.raises(ConfigError):
         estimate_lipschitz(ConstantLossModel(), _sampler(), probes=1, rng=stream(0, 0))
+
+
+@pytest.mark.parametrize("estimate", [estimate_lipschitz, lambda *args: estimate_smoothness(*args[:3], 1e-3, args[3])])
+@pytest.mark.parametrize("probes", [2.7, 3.0, True, "5", 1, -4])
+def test_estimators_reject_a_probe_count_that_is_not_an_integer_of_at_least_2(estimate, probes):
+    with pytest.raises(ConfigError, match="probes"):
+        estimate(ConstantLossModel(), _sampler(), probes, stream(0, 0))
+
+
+@pytest.mark.parametrize("power_iters", [-1, 1.5])
+def test_estimate_smoothness_rejects_a_bad_power_iteration_count(power_iters):
+    with pytest.raises(ConfigError, match="power_iters"):
+        estimate_smoothness(ConstantLossModel(), _sampler(), 10, 1e-3, stream(0, 0), power_iters=power_iters)
+
+
+@pytest.mark.parametrize("pair_scale", [0.0, -1e-3, float("nan"), float("inf")])
+def test_estimate_smoothness_rejects_a_bad_pair_scale(pair_scale):
+    with pytest.raises(ConfigError, match="pair_scale"):
+        estimate_smoothness(ConstantLossModel(), _sampler(), 10, pair_scale, stream(0, 0))
+
+
+def _trajectory(jitter=0.05, dim=3, pool_dim=3):
+    rng = stream(8, 0)
+    pool = rng.standard_normal((10, pool_dim))
+    return TrajectorySampler(np.zeros((2, dim)), jitter, PerturbationSet("l2", 0.3, dim), pool, np.zeros(10, dtype=np.int64))
+
+
+@pytest.mark.parametrize("jitter", [float("nan"), -0.05, float("inf")])
+def test_trajectory_sampler_rejects_a_bad_jitter(jitter):
+    with pytest.raises(ConfigError, match="jitter"):
+        _trajectory(jitter=jitter)
+    _trajectory(jitter=0.0)  # no jitter is a valid region: the anchors alone
+
+
+def test_region_sampler_rejects_an_inverted_box():
+    lo, hi = -np.ones(3), np.ones(3)
+    hi[1] = -2.0
+    with pytest.raises(ConfigError, match="w_low"):
+        RegionSampler(lo, hi, PerturbationSet("l2", 0.3, 3), np.zeros((5, 3)), np.zeros(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("lo, hi", [(-np.ones(3), np.ones(4)), (-np.ones((2, 3)), np.ones((2, 3)))])
+def test_region_sampler_rejects_box_bounds_of_other_shapes(lo, hi):
+    with pytest.raises(DimensionError, match="w_low"):
+        RegionSampler(lo, hi, PerturbationSet("l2", 0.3, 3), np.zeros((5, 3)), np.zeros(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("kind", ["region", "trajectory"])
+def test_samplers_reject_a_perturbation_set_of_another_dimension(kind):
+    with pytest.raises(DimensionError, match="pset.dim"):
+        if kind == "region":
+            RegionSampler(-np.ones(3), np.ones(3), PerturbationSet("l2", 0.3, 2), np.zeros((5, 3)), np.zeros(5, dtype=np.int64))
+        else:
+            _trajectory(pool_dim=4)
 
 
 class QuadraticModel(SmoothModel):

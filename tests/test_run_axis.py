@@ -83,7 +83,7 @@ def test_model_oracles_per_run_equal_run_alone(kind, bounded, R):
     cases = [
         (lambda: vjp_outputs(W, X + D, G), lambda r: vjp_outputs(W[r], X[r] + D[r], G[r])),
         (lambda: model.batch_loss_and_grads(W, X, y, D), lambda r: model.batch_loss_and_grads(W[r], X[r], y[r], D[r])),
-        (lambda: model.attack_loss_and_grad(W, X, y, D), lambda r: model.attack_loss_and_grad(W[r], X[r], y[r], D[r])),
+        (lambda: model.attack_oracle(X, y).point(W).full(D), lambda r: model.attack_oracle(X[r], y[r]).point(W[r]).full(D[r])),
         (lambda: (model.loss_batch(W, X, y, D),), lambda r: (model.loss_batch(W[r], X[r], y[r], D[r]),)),
         (lambda: (model.logits_batch(W, X, D),), lambda r: (model.logits_batch(W[r], X[r], D[r]),)),
         (lambda: (model.predict_batch(W, X, D),), lambda r: (model.predict_batch(W[r], X[r], D[r]),)),
@@ -222,11 +222,24 @@ def _joint_grad(model, w, delta, x, y):
     return gw, gd[0]
 
 
+def _ref_draw(sampler, rng):
+    """One probe as the samplers drew it before they drew chunks: each
+    probe's generator calls and arithmetic together."""
+    if isinstance(sampler, TrajectorySampler):
+        i = int(rng.integers(sampler.w_points.shape[0]))
+        w = sampler.w_points[i] + sampler.jitter * rng.standard_normal(sampler.w_points.shape[1])
+    else:
+        w = rng.uniform(sampler.w_low, sampler.w_high)
+    delta = sampler.pset.sample_uniform(rng)
+    j = int(rng.integers(sampler.X.shape[0]))
+    return w, delta, sampler.X[j], int(sampler.y[j])
+
+
 def _ref_lipschitz(model, sampler, probes, rng):
     """The probe-by-probe loop the chunked estimator replaced."""
     L = Lw = 0.0
     for _ in range(int(probes)):
-        w, delta, x, y = sampler.draw(rng)
+        w, delta, x, y = _ref_draw(sampler, rng)
         gw, gd = _joint_grad(model, w, delta, x, y)
         nw = float(np.linalg.norm(gw))
         L = max(L, float(np.sqrt(nw * nw + np.dot(gd, gd))))
@@ -238,7 +251,7 @@ def _ref_smoothness(model, sampler, probes, pair_scale, rng, power_iters):
     """The probe-by-probe loop the chunked estimator replaced."""
     beta = 0.0
     for _ in range(int(probes)):
-        w, delta, x, y = sampler.draw(rng)
+        w, delta, x, y = _ref_draw(sampler, rng)
         dim = w.size + delta.size
         gw1, gd1 = _joint_grad(model, w, delta, x, y)
         v = rng.standard_normal(dim)
@@ -285,15 +298,46 @@ class HalfFlatModel(SmoothModel):
 
 
 def _samplers(model):
+    """Both samplers, each over both norms at a positive radius and at
+    radius 0; the first is the L2 box."""
     rng = stream(740, model.param_dim)
     X = rng.standard_normal((30, DIM))
     X[:, 0] += np.sign(X[:, 0])  # keep |x_0| > 1 past the small perturbations
     y = rng.integers(0, model.class_count, size=30)
     P = model.param_dim
-    return [
-        RegionSampler(w_low=-np.ones(P), w_high=np.ones(P), pset=PerturbationSet("l2", 0.3, DIM), X=X, y=y),
-        TrajectorySampler(w_points=rng.standard_normal((3, P)), jitter=0.05, pset=PerturbationSet("linf", 0.2, DIM), X=X, y=y),
-    ]
+    w_points = rng.standard_normal((3, P))
+    samplers = []
+    for norm, radius in (("l2", 0.3), ("linf", 0.2), ("l2", 0.0), ("linf", 0.0)):
+        pset = PerturbationSet(norm, radius, DIM)
+        samplers.append(RegionSampler(w_low=-np.ones(P), w_high=np.ones(P), pset=pset, X=X, y=y))
+        samplers.append(TrajectorySampler(w_points=w_points, jitter=0.05, pset=pset, X=X, y=y))
+    return samplers
+
+
+def _state(rng):
+    """The generator's whole state, comparable with ``==``."""
+    s = rng.bit_generator.state
+    return tuple(s["state"]["counter"]), tuple(s["state"]["key"]), tuple(s["buffer"]), s["buffer_pos"], s["has_uint32"], s["uinteger"]
+
+
+@pytest.mark.parametrize("directions", [False, True])
+def test_a_chunk_draw_equals_single_draws_and_leaves_the_generator_there(directions):
+    model = _model("mlp", False)
+    P = model.param_dim
+    for sampler in _samplers(model):
+        for k in (1, 2, 5, 32):
+            chunk_rng, one_rng, ref_rng = stream(744, k), stream(744, k), stream(744, k)
+            chunk = sampler.draw(chunk_rng, size=k, directions=directions)
+            ones, refs = [], []
+            for _ in range(k):
+                ones.append(sampler.draw(one_rng, directions=directions))
+                refs.append(_ref_draw(sampler, ref_rng) + ((ref_rng.standard_normal(P + DIM),) if directions else ()))
+            assert len(chunk) == len(ones[0]) == len(refs[0]) == 4 + directions
+            for col, one, ref in zip(chunk, zip(*ones), zip(*refs)):
+                assert col.shape[0] == k and np.array_equal(col, np.array(one)) and np.array_equal(col, np.array(ref))
+            assert isinstance(ones[0][3], int)
+            assert _state(chunk_rng) == _state(one_rng) == _state(ref_rng)
+            assert chunk_rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("probes", [2, 31, 32, 33, 63, 64, 65, 200])
@@ -309,6 +353,37 @@ def test_estimators_equal_probe_by_probe_reference(kind, probes):
                 args = (model, sampler, probes, 1e-3)
                 got = estimate_smoothness(*args, stream(742, probes), power_iters=power_iters)
                 assert got == _ref_smoothness(*args, stream(742, probes), power_iters)
+
+
+class HalfNanModel(HalfFlatModel):
+    """``HalfFlatModel`` whose gradients are NaN where it is flat, so a NaN
+    probe norm meets the estimators' running max."""
+
+    def logits_and_vjp(self, w, U):
+        Z, vjp = super().logits_and_vjp(w, U)
+        flat = U[..., :1] <= 0.0
+
+        def nan_vjp(G, weights=True):
+            gw, gU = vjp(G, weights)
+            gU = np.where(flat, np.nan, gU)
+            if weights:
+                gw = np.where(flat.any(axis=-2), np.nan, gw)
+            return gw, gU
+
+        return Z, nan_vjp
+
+
+def test_a_nan_probe_never_wins_the_running_max():
+    model = HalfNanModel()
+    sampler = _samplers(model)[0]
+    with np.errstate(all="raise"):
+        got = estimate_lipschitz(model, sampler, 100, stream(745, 0))
+        assert got == _ref_lipschitz(model, sampler, 100, stream(745, 0))
+        assert all(np.isfinite(got)) and min(got) > 0.0
+        for power_iters in (0, 2):
+            got = estimate_smoothness(model, sampler, 100, 1e-3, stream(746, 0), power_iters=power_iters)
+            assert got == _ref_smoothness(model, sampler, 100, 1e-3, stream(746, 0), power_iters)
+            assert np.isfinite(got) and got > 0.0
 
 
 def test_half_flat_model_mixes_stopped_and_running_probes():

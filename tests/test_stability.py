@@ -5,7 +5,7 @@ import pytest
 
 from advstab.bounds import ConstantEstimates, RegionSampler, estimate_constants, estimate_lipschitz, estimate_psi
 from advstab.errors import ConfigError, DimensionError, TraceError
-from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhMLP
+from advstab.models import Dataset, LabeledSample, ScalarLogistic, SoftmaxLinear, TwoLayerTanhMLP
 from advstab.rng import stream
 from advstab.stability import (
     RULE_FACTS,
@@ -19,7 +19,7 @@ from advstab.stability import (
     verify_stepwise_expectation,
 )
 from advstab.synth import SyntheticSpec, make_synthetic
-from advstab.threat import AttackConfig, PerturbationSet
+from advstab.threat import AttackConfig, PerturbationSet, pgd_attack_batch
 from advstab.trainers import RULES, StepSchedule, TrainConfig, train
 
 
@@ -443,6 +443,46 @@ def test_uniform_stability_single_point_is_plain_difference():
     atk = AttackConfig(steps=4, step_size=1.0)
     est = estimate_uniform_stability(w, w2, model, pts, pset, atk, stream(93, 0))
     assert est >= 0.0
+
+
+def _two_attack_uniform_stability(w, w_prime, model, pts, pset, attack, rng):
+    """The estimate as it was made: one attack per weight vector, under two
+    identical streams, and one loss evaluation each."""
+    X = np.stack([p.x for p in pts])
+    y = np.array([p.y for p in pts], dtype=np.int64)
+    base = int(rng.integers(2**63))
+    Da = pgd_attack_batch(model, w, X, y, pset, attack, stream(base, 0))
+    Db = pgd_attack_batch(model, w_prime, X, y, pset, attack, stream(base, 0))
+    return float(np.abs(model.loss_batch(w, X, y, Da) - model.loss_batch(w_prime, X, y, Db)).max())
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+@pytest.mark.parametrize(
+    "model",
+    [SoftmaxLinear(input_dim=5, class_count=3), TwoLayerTanhMLP(input_dim=5, hidden_dim=4, class_count=2), ScalarLogistic(input_dim=5)],
+)
+def test_uniform_stability_equals_the_two_attack_form(model, restarts):
+    data, _ = _setup()
+    pts = data.samples()[:12]
+    rng = stream(98, restarts)
+    for bounded in (False, True):
+        m = model.with_bounded(bounded)
+        for pset in (PerturbationSet("l2", 0.3, 5), PerturbationSet("linf", 0.1, 5)):
+            w = m.init_params(rng) + rng.standard_normal(m.param_dim)
+            w2 = w + 0.05 * rng.standard_normal(m.param_dim)
+            atk = AttackConfig(steps=3, restarts=restarts)
+            got = estimate_uniform_stability(w, w2, m, pts, pset, atk, stream(99, restarts))
+            want = _two_attack_uniform_stability(w, w2, m, pts, pset, atk, stream(99, restarts))
+            assert got == want and got > 0.0
+
+
+def test_uniform_stability_rejects_weights_of_another_shape():
+    data, model = _setup()
+    w = np.zeros(model.param_dim)
+    pset, atk = PerturbationSet("l2", 0.3, 5), AttackConfig(steps=2, step_size=1.0)
+    for w_prime in (np.zeros(model.param_dim + 1), np.zeros((2, model.param_dim))):
+        with pytest.raises(DimensionError, match="w_prime"):
+            estimate_uniform_stability(w, w_prime, model, data.samples()[:3], pset, atk, stream(94, 1))
 
 
 def test_stability_trace_serializes_paired_columns():

@@ -231,13 +231,13 @@ def _counting(model):
             return super().logits_and_vjp(w, U)
 
         def _bound_pass(self, w, U):
-            Z, forward, input_grad = super()._bound_pass(w, U)
+            Z, forward, *grads = super()._bound_pass(w, U)
 
             def counted(V):
                 self.forwards += 1
                 forward(V)
 
-            return Z, counted, input_grad
+            return (Z, counted, *grads)
 
     counted = Counting(**model._ctor_args())
     counted.forwards = 0

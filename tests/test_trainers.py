@@ -10,7 +10,7 @@ from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhML
 from advstab.rng import stream
 from advstab.stability import coupled_run, make_neighbor
 from advstab.synth import SyntheticSpec, make_synthetic
-from advstab.threat import AttackConfig, PerturbationSet
+from advstab.threat import AttackConfig, PerturbationSet, ascend_rows
 from advstab.trainers import (
     STREAM_ATTACK,
     STREAM_DELTA,
@@ -371,6 +371,23 @@ def test_fast_single_sample_matches_hand_formula():
     assert np.abs(w2 - (w - 0.1 * gw)).max() < 1e-12
 
 
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_fast_step_stats_come_from_the_start_gradient_and_the_weight_step(norm):
+    # the start gradient lives in the binding only until the weight step's call
+    model, data = _mlp(), _data()
+    pset = PerturbationSet(norm, 0.4, 5)
+    rng = stream(87, 0)
+    w = model.init_params(rng) + 0.5 * rng.standard_normal(model.param_dim)
+    X, y = data.X[:6], data.y[:6]
+    delta0 = pset.sample_uniform(stream(87, 1), size=6)
+    _, _, G0 = model.batch_loss_and_grads(w, X, y, delta0)
+    losses, gw, _ = model.batch_loss_and_grads(w, X, y, ascend_rows(delta0, G0, 0.3, pset))
+    want = {"loss": float(losses.mean()), "grad_w_norm": float(np.linalg.norm(gw)), "min_grad_delta_norm": float(np.linalg.norm(G0, axis=1).min())}
+    for oracle in (None, model.attack_oracle(X, y).point(w)):
+        w2, stats = fast_batch_step(model, X, y, w, 0.2, 0.3, pset, delta0, oracle=oracle)
+        assert np.array_equal(w2, w - 0.2 * gw) and stats == want
+
+
 def test_fast_equals_single_step_vanilla_given_same_start():
     # one attack iteration from the same random start is the same update
     model = _mlp()
@@ -495,9 +512,9 @@ def test_free_trades_lambda_limit_tracks_clean_sgd():
 
 class CountingModel:
     """Wrapper counting gradient evaluations and their evaluation points:
-    full-oracle calls (checked or unchecked) in ``calls``, attack-only calls (one-call or through a
-    bound oracle) in ``attack_calls``, and the order of both kinds in
-    ``kinds``."""
+    full-oracle calls (checked or unchecked, direct or through a bound
+    oracle) in ``calls``, attack-only calls (through a bound oracle) in
+    ``attack_calls``, and the order of both kinds in ``kinds``."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -512,11 +529,6 @@ class CountingModel:
         self.calls.append((w.copy(), None if deltas is None else np.asarray(deltas).copy()))
         self.kinds.append("full")
         return self.inner.batch_loss_and_grads(w, X, y, deltas, **checked)
-
-    def attack_loss_and_grad(self, w, X, y, deltas):
-        self.attack_calls.append((w.copy(), np.asarray(deltas).copy()))
-        self.kinds.append("attack")
-        return self.inner.attack_loss_and_grad(w, X, y, deltas)
 
     def attack_oracle(self, X, y, rows=None):
         oracle, probe = self.inner.attack_oracle(X, y, rows), self
@@ -535,6 +547,11 @@ class CountingModel:
                 probe.attack_calls.append((oracle.w.copy(), np.asarray(deltas).copy()))
                 probe.kinds.append("attack")
                 return oracle(deltas, losses)
+
+            def full(self, deltas):
+                probe.calls.append((oracle.w.copy(), np.asarray(deltas).copy()))
+                probe.kinds.append("full")
+                return oracle.full(deltas)
 
         return Counted()
 
