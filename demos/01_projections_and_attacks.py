@@ -7,16 +7,14 @@ import numpy as np
 
 from advstab import (
     AttackConfig,
-    LabeledSample,
     PerturbationSet,
     SoftmaxLinear,
-    pgd_attack,
     project_extreme,
     project_onto_set,
     projgrad_identity_check,
-    robust_loss,
 )
 from advstab.rng import stream
+from advstab.threat import pgd_attack_batch
 
 # %% The two projections ------------------------------------------------------
 # Set projection pulls a point to the nearest feasible perturbation; extreme
@@ -45,15 +43,15 @@ print("below the floor it is not applicable:        ", projgrad_identity_check(n
 rng = stream(7, 0)
 model = SoftmaxLinear(input_dim=4, class_count=3)
 w = model.init_params(rng) + rng.standard_normal(model.param_dim)
-sample = LabeledSample(x=rng.standard_normal(4), y=0)
+x, y = rng.standard_normal(4)[None], [0]  # one sample, as a batch of one row
 pset = PerturbationSet("l2", radius=0.5, dim=4)
 
-clean = model.loss_value(w, np.zeros(4), sample)
+clean = model.loss_batch(w, x, y, np.zeros((1, 4)))[0]
 print(f"\nclean loss:               {clean:.4f}")
 for steps in (1, 3, 10, 30):
     cfg = AttackConfig(steps=steps, step_size=1.0, init="zero")
-    val = robust_loss(model, w, sample, pset, cfg, stream(8, steps))
+    val = model.loss_batch(w, x, y, pgd_attack_batch(model, w, x, y, pset, cfg, stream(8, steps)))[0]
     print(f"attacked loss, K={steps:>2}:      {val:.4f}")
 
-delta = pgd_attack(model, w, sample, pset, AttackConfig(steps=30, step_size=1.0), stream(9, 0))
+delta = pgd_attack_batch(model, w, x, y, pset, AttackConfig(steps=30, step_size=1.0), stream(9, 0))[0]
 print(f"final perturbation norm:  {np.linalg.norm(delta):.4f}  (radius {pset.radius})")

@@ -44,7 +44,6 @@ from .models import (
     SmoothModel,
     SoftmaxLinear,
     TwoLayerTanhMLP,
-    batch_grads,
     finite_diff_report,
     make_model,
 )
@@ -68,11 +67,9 @@ from .threat import (
     AttackConfig,
     PerturbationSet,
     empirical_robust_risk,
-    pgd_attack,
     project_extreme,
     project_onto_set,
     projgrad_identity_check,
-    robust_loss,
 )
 from .trainers import (
     StepSchedule,
@@ -80,7 +77,6 @@ from .trainers import (
     TrainTrace,
     lockstep,
     step_size,
-    trades_surrogate_loss,
     train,
 )
 

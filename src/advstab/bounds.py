@@ -26,12 +26,11 @@ constants, so every estimate is reported together with its region.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _count
 from .models import Dataset, SmoothModel
 from .threat import PerturbationSet
 
@@ -70,9 +69,16 @@ class _ProbeSampler:
     """The probe draw both samplers share: a weight vector (``_draw_w``, then
     ``_weights`` on the stack), a perturbation from the ball, a pool row."""
 
+    def _as_arrays(self, **dtypes):
+        """The named fields as arrays of the given dtypes (no copy when they
+        are), so a sampler built from lists works like one built from arrays."""
+        for name, dtype in dtypes.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
     def _check_pool(self):
-        if np.ndim(self.X) != 2 or np.shape(self.y) != (np.shape(self.X)[0],):
-            raise DimensionError(f"the pool needs X (n, d) and y (n,), got {np.shape(self.X)} and {np.shape(self.y)}")
+        self._as_arrays(X=np.float64, y=np.int64)
+        if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
+            raise DimensionError(f"the pool needs X (n, d) and y (n,), got {self.X.shape} and {self.y.shape}")
         if self.pset.dim != self.X.shape[1]:
             raise DimensionError(f"pset.dim {self.pset.dim} does not match the pool's {self.X.shape[1]} columns")
 
@@ -116,9 +122,10 @@ class RegionSampler(_ProbeSampler):
     y: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.w_low) != 1 or np.shape(self.w_low) != np.shape(self.w_high):
-            raise DimensionError(f"w_low and w_high must be vectors of one shape, got {np.shape(self.w_low)} and {np.shape(self.w_high)}")
-        lo, hi = np.asarray(self.w_low, dtype=np.float64), np.asarray(self.w_high, dtype=np.float64)
+        self._as_arrays(w_low=np.float64, w_high=np.float64)
+        lo, hi = self.w_low, self.w_high
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise DimensionError(f"w_low and w_high must be vectors of one shape, got {lo.shape} and {hi.shape}")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
             raise ConfigError("w_low and w_high must be finite with w_low <= w_high")
         self._check_pool()
@@ -170,7 +177,8 @@ class TrajectorySampler(_ProbeSampler):
     y: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.w_points) != 2 or len(self.w_points) < 1:
+        self._as_arrays(w_points=np.float64)
+        if self.w_points.ndim != 2 or len(self.w_points) < 1:
             raise DimensionError(f"w_points must be a nonempty (k, param_dim) array, got shape {np.shape(self.w_points)}")
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
             raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
@@ -251,14 +259,6 @@ def _probe_chunks(probes: int):
     """Chunk sizes covering ``probes`` probes in order."""
     for start in range(0, probes, PROBE_CHUNK):
         yield min(PROBE_CHUNK, probes - start)
-
-
-def _count(value, name: str, least: int) -> int:
-    """``value`` as an int, or a ``ConfigError`` naming ``name`` when it is
-    not an integer of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _joint_grads(model: SmoothModel, W, D, X, y):

@@ -6,25 +6,27 @@ Activations are C-infinity (tanh hidden units, softmax head), so the loss
 is continuously differentiable in ``(w, delta)`` and finite-difference
 checks converge cleanly. Model objects are immutable architecture
 descriptions; every operation is a pure function of its inputs, except
-that an ``AttackOracle`` writes into the arrays it owns.
+that a bound pass and an ``AttackOracle`` write into the arrays they own.
 
-The core primitive is ``logits_and_vjp``: a batched forward pass returning
-the logits plus a closure that pulls an upstream logits gradient back to
-(total weight gradient, per-row input gradient). All loss variants (plain
-adversarial loss, bounded squashed loss, the consistency surrogate in
-``trainers``) are built on it, which is what lets simultaneous-update
-algorithms obtain both gradients from one evaluation point. An attack needs
-only the input gradient, so the closure can skip the weight gradient.
+The one primitive is each model's ``_bound_pass(w, U)``: its forward and
+backward pass, bound to a weight array and an input array (..., B, d). It
+returns the logits array and three functions: ``forward(V)`` writes the
+logits at ``V`` into it, ``input_grad(G)`` pulls an upstream logits
+gradient back to the per-row input gradient, written over ``U``, and
+``full_grad(G)`` first writes the total weight gradient into an array of its
+own, then the input gradient. Every loss is built on it, which is what lets
+simultaneous-update algorithms obtain both gradients from one evaluation
+point. ``logits_batch`` and ``loss_batch`` run one forward.
 ``attack_oracle(X, y, rows)`` binds the plain loss's unchecked oracles, an
 ``AttackOracle``, once: it owns the weights, the rows and their one-hot
 labels, the gradients and the model's views of all of them, so
 ``point(w, idx)`` re-points it at new weights and rows by copying. Called,
 it is the attack-only oracle: an attack step allocates no array of the
 batch's size and computes no losses unless asked. ``full(D)`` is the full
-oracle, whose backward step writes the weight gradient block by block into
-the array it owns; the training steps take both from one binding.
-``batch_loss_and_grads`` is the direct full oracle and checks its inputs
-unless told ``checked=False``.
+oracle; the training steps take both from one binding.
+``batch_loss_and_grads`` is the full oracle of a binding made for the one
+call, and checks its inputs unless told ``checked=False``. The TRADES
+surrogate's oracle (``trainers``) binds a second pass for the clean inputs.
 
 Run axis. Every batched operation also accepts a leading run axis: weights
 of shape (..., param_dim) and inputs of shape (..., B, d) with the same
@@ -57,7 +59,6 @@ __all__ = [
     "ScalarLogistic",
     "AttackOracle",
     "make_model",
-    "batch_grads",
     "finite_diff_report",
 ]
 
@@ -142,48 +143,20 @@ def _log_softmax_arrays(Z: np.ndarray, E: np.ndarray):
     return np.empty(Z.shape), E, np.empty(Z.shape[:-1] + (1,)), cols
 
 
-def _label_rows(A: np.ndarray, y: np.ndarray):
-    """``A`` as rows (N, C) and the index of each row's label entry. A
-    stack (..., B, C) is flattened, to a view of ``A`` when it is
-    contiguous."""
-    if A.ndim > 2:
-        A = A.reshape(-1, A.shape[-1])
-    y = y.reshape(-1)
-    return A, (np.arange(y.size), y)
-
-
 def _logit_losses(Z: np.ndarray, y: np.ndarray, bounded: bool) -> np.ndarray:
     """Per-row cross-entropy of logits ``Z`` (..., B, C) at labels ``y``
-    (..., B), squashed when ``bounded``."""
-    LS, at = _label_rows(_log_softmax(Z), y)
-    raw = -LS[at]
-    if Z.ndim > 2:
-        raw = raw.reshape(y.shape)
+    (..., B), squashed when ``bounded``; a stack is taken as its rows."""
+    LS = _log_softmax(Z).reshape(-1, Z.shape[-1])
+    raw = -LS[np.arange(y.size), y.reshape(-1)].reshape(y.shape)
     return raw / (1.0 + raw) if bounded else raw
-
-
-def _softmax_head(Z: np.ndarray, y: np.ndarray, bounded: bool):
-    """Per-row cross-entropy of logits ``Z`` (squashed when ``bounded``) and
-    its gradient with respect to ``Z``, computed on the flattened rows.
-    Returns ``(losses (..., B), G (..., B, C))``."""
-    LS, at = _label_rows(_log_softmax(Z), y)
-    raw = -LS[at]
-    G = np.exp(LS)
-    G[at] -= 1.0
-    if bounded:
-        G *= (1.0 / (1.0 + raw) ** 2)[:, None]
-        raw = raw / (1.0 + raw)
-    if Z.ndim > 2:
-        return raw.reshape(y.shape), G.reshape(Z.shape)
-    return raw, G
 
 
 class SmoothModel:
     """Base class: shared loss head, gradient assembly, and conveniences.
 
     Subclasses set ``kind``, ``input_dim``, ``class_count``, ``param_dim``,
-    ``bounded`` and implement ``logits_and_vjp``, ``_init_scales`` and, to
-    be attacked, ``_bound_pass``.
+    ``bounded`` and implement ``_bound_pass``, their one forward and
+    backward pass, and ``_init_scales``.
     """
 
     kind: str
@@ -195,19 +168,20 @@ class SmoothModel:
 
     # -- architecture-specific ------------------------------------------------
 
-    def logits_and_vjp(self, w: np.ndarray, U: np.ndarray):
-        """Forward pass on perturbed inputs ``U`` of shape (..., B, d) with
-        weights ``w`` of shape (..., param_dim), the same leading run shape.
-
-        Returns ``(Z, vjp)`` where ``Z`` is (..., B, C) and ``vjp(G)`` maps an
-        upstream (..., B, C) logits gradient to ``(grad_w_total, grad_U)``
-        with shapes (..., param_dim) and (..., B, d). ``grad_w_total`` sums
-        over the rows of each run; rows of ``grad_U`` are independent
-        per-sample input gradients. ``vjp(G, weights=False)`` skips the
-        weight gradient and returns ``(None, grad_U)`` with the same
-        ``grad_U``. Run r of a stack equals the unstacked call on run r bit
-        for bit.
-        """
+    def _bound_pass(self, w: np.ndarray, U: np.ndarray):
+        """The forward and backward pass bound to the weight array ``w``
+        (..., param_dim) and the input array ``U`` (..., B, d), the same
+        leading run shape; the caller owns both and may write new values
+        into them. Returns ``(Z, forward, input_grad, full_grad)``:
+        ``forward(V)`` writes the logits at ``V`` (``U``'s shape) into ``Z``
+        (..., B, C); ``input_grad(G)`` pulls an upstream logits gradient back
+        to the per-row input gradients at the last forward's point, written
+        over ``U``, and returns them; ``full_grad(G)`` first writes the
+        total weight gradient, summed over the rows of each run, into an
+        array of its own (..., param_dim), block by block, then the input
+        gradient over ``U``, and returns both. Views of ``w`` and of the
+        weight gradient are built here, once. Run r of a stack equals the
+        unstacked pass on run r bit for bit."""
         raise NotImplementedError
 
     def _init_scales(self) -> np.ndarray:
@@ -263,10 +237,14 @@ class SmoothModel:
     def _ctor_args(self) -> dict:
         raise NotImplementedError
 
-    def logits_batch(self, w: np.ndarray, X: np.ndarray, deltas=None) -> np.ndarray:
-        w, U = self._inputs(w, X, deltas)
-        Z, _ = self.logits_and_vjp(w, U)
+    def _logits(self, w: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """The logits at ``U``: one forward of a pass bound for the call."""
+        Z, forward, _, _ = self._bound_pass(w, U)
+        forward(U)
         return Z
+
+    def logits_batch(self, w: np.ndarray, X: np.ndarray, deltas=None) -> np.ndarray:
+        return self._logits(*self._inputs(w, X, deltas))
 
     def predict_batch(self, w: np.ndarray, X: np.ndarray, deltas=None) -> np.ndarray:
         return self.logits_batch(w, X, deltas).argmax(axis=-1)
@@ -275,12 +253,12 @@ class SmoothModel:
         """Per-sample loss values, shape (..., B)."""
         w, U = self._inputs(w, X, deltas)
         y = self._check_labels(y, U.shape[:-1])
-        Z, _ = self.logits_and_vjp(w, U)
-        return _logit_losses(Z, y, self.bounded)
+        return _logit_losses(self._logits(w, U), y, self.bounded)
 
     def batch_loss_and_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None, *, checked: bool = True):
         """One shared evaluation yielding losses, mean weight gradient, and
-        per-sample perturbation gradients.
+        per-sample perturbation gradients: the full oracle of an
+        ``AttackOracle`` bound for the call.
 
         Returns ``(losses (..., B), mean_grad_w (..., param_dim), grad_delta
         (..., B, d))``; the mean is over the B rows of each run.
@@ -294,43 +272,14 @@ class SmoothModel:
         if checked:
             w, X = self._inputs(w, X, deltas)
             y = self._check_labels(y, X.shape[:-1])
-        elif deltas is not None:
-            X = X + deltas
-        Z, vjp = self.logits_and_vjp(w, X)
-        losses, G = _softmax_head(Z, y, self.bounded)
-        gw_total, gU = vjp(G)
-        return losses, gw_total / Z.shape[-2], gU
+            deltas = None
+        # X + -0.0 is X bit for bit, signed zeros included
+        return self.attack_oracle(X, y).point(w).full(-0.0 if deltas is None else deltas)
 
     def attack_oracle(self, X: np.ndarray, y: np.ndarray, rows: int | None = None) -> "AttackOracle":
         """The attack-only oracle of this model bound to the rows ``X``,
         ``y``, or to ``rows`` of them at a time (see ``AttackOracle``)."""
         return AttackOracle(self, X, y, rows)
-
-    def _bound_pass(self, w: np.ndarray, U: np.ndarray):
-        """``logits_and_vjp`` bound to the weight array ``w`` and the input
-        array ``U`` (..., B, d), for ``AttackOracle``, which owns both and
-        writes new values into them. Returns ``(Z, forward, input_grad,
-        full_grad)``: ``forward(V)`` writes the logits at ``V`` (``U``'s
-        shape) into ``Z``; ``input_grad(G)`` writes the input gradient at
-        the last forward's point over ``U`` and returns it; ``full_grad(G)``
-        first writes the total weight gradient into an array of its own
-        (..., param_dim), block by block, then the input gradient over
-        ``U``, and returns both. Views of ``w`` and of the weight gradient
-        are built here, once."""
-        raise NotImplementedError
-
-    # -- single-sample operations --------------------------------------------
-
-    def loss_value(self, w: np.ndarray, delta: np.ndarray, sample: LabeledSample) -> float:
-        return float(self.loss_batch(w, sample.x[None, :], [sample.y], np.asarray(delta)[None, :])[0])
-
-    def grad_w(self, w: np.ndarray, delta: np.ndarray, sample: LabeledSample) -> np.ndarray:
-        _, gw, _ = self.batch_loss_and_grads(w, sample.x[None, :], [sample.y], np.asarray(delta)[None, :])
-        return gw
-
-    def grad_delta(self, w: np.ndarray, delta: np.ndarray, sample: LabeledSample) -> np.ndarray:
-        _, _, gd = self.batch_loss_and_grads(w, sample.x[None, :], [sample.y], np.asarray(delta)[None, :])
-        return gd[0]
 
 
 class AttackOracle:
@@ -427,9 +376,10 @@ class AttackOracle:
 
     def full(self, D: np.ndarray):
         """The full oracle of the plain loss at ``X + D``: ``(losses (..., B),
-        mean_grad_w (..., param_dim), grad_delta (..., B, d))``, equal to
-        ``batch_loss_and_grads`` bit for bit. Both gradients are written
-        into arrays the oracle owns, valid until the next call."""
+        mean_grad_w (..., param_dim), grad_delta (..., B, d))``; on a
+        binding made for one call it is ``batch_loss_and_grads``. Both
+        gradients are written into arrays the oracle owns, valid until the
+        next call."""
         values, G = self._evaluate(D, True)
         gw, gU = self._full_grad(G)
         return values, np.divide(gw, G.shape[-2], out=gw), gU
@@ -454,19 +404,6 @@ class SoftmaxLinear(SmoothModel):
     def unpack(self, w: np.ndarray):
         C, d = self.class_count, self.input_dim
         return w[..., : C * d].reshape(w.shape[:-1] + (C, d)), w[..., C * d :]
-
-    def logits_and_vjp(self, w, U):
-        W, b = self.unpack(w)
-        Z = U @ W.swapaxes(-1, -2) + b[..., None, :]
-
-        def vjp(G, weights=True):
-            gU = G @ W
-            if not weights:
-                return None, gU
-            gW = (G.swapaxes(-1, -2) @ U).reshape(G.shape[:-2] + (-1,))
-            return np.concatenate([gW, G.sum(axis=-2)], axis=-1), gU
-
-        return Z, vjp
 
     def _bound_pass(self, w, U):
         W, b = self.unpack(w)
@@ -525,55 +462,38 @@ class TwoLayerTanhMLP(SmoothModel):
         b2 = w[..., i : i + C]
         return W1, b1, W2, b2
 
-    def _views(self, w: np.ndarray):
-        """The unpacked weights with the transposes and bias rows the passes
-        take: ``(W1, W1^T, b1 row, W2, W2^T, b2 row)``, views of ``w``."""
-        W1, b1, W2, b2 = self.unpack(w)
-        return W1, W1.swapaxes(-1, -2), b1[..., None, :], W2, W2.swapaxes(-1, -2), b2[..., None, :]
-
-    def logits_and_vjp(self, w, U):
-        views = self._views(w)
-        H, Z = _mlp_forward(views, U)
-
-        def vjp(G, weights=True):
-            gA = _mlp_hidden_grad(views, G, H)
-            gU = gA @ views[0]
-            if not weights:
-                return None, gU
-            lead = G.shape[:-2] + (-1,)
-            gw = [
-                (gA.swapaxes(-1, -2) @ U).reshape(lead),
-                gA.sum(axis=-2),
-                (G.swapaxes(-1, -2) @ H).reshape(lead),
-                G.sum(axis=-2),
-            ]
-            return np.concatenate(gw, axis=-1), gU
-
-        return Z, vjp
-
     def _bound_pass(self, w, U):
-        # the activations, logits, their gradients and the weight gradient allocated once
-        views, lead = self._views(w), U.shape[:-1]
-        H, Z, A = np.empty(lead + (self.hidden_dim,)), np.empty(lead + (self.class_count,)), np.empty(lead + (self.hidden_dim,))
-        W1, gw = views[0], np.empty(w.shape)
+        # the activations, logits, their gradients and the weight gradient
+        # allocated once, and the weight views with the transposes and bias
+        # rows the passes take
+        W1, b1, W2, b2 = self.unpack(w)
+        W1T, b1, W2T, b2 = W1.swapaxes(-1, -2), b1[..., None, :], W2.swapaxes(-1, -2), b2[..., None, :]
+        lead = U.shape[:-1]
+        H, A = np.empty(lead + (self.hidden_dim,)), np.empty(lead + (self.hidden_dim,))
+        Z, gw = np.empty(lead + (self.class_count,)), np.empty(w.shape)
         gW1, gb1, gW2, gb2 = self.unpack(gw)
 
         def forward(V):
-            _mlp_forward(views, V, H, Z)
+            # tanh(V @ W1^T + b1) @ W2^T + b2, in that operand order
+            np.tanh(np.add(np.matmul(V, W1T, out=H), b1, out=H), out=H)
+            np.add(np.matmul(H, W2T, out=Z), b2, out=Z)
 
-        def input_grad(G):
-            return np.matmul(_mlp_hidden_grad(views, G, H, A), W1, out=U)
+        def hidden_grad(G):
+            # (G @ W2) * tanh' at the hidden pre-activations, into A; the
+            # pass is done with H, and tanh' is written over it
+            d = np.subtract(1.0, np.multiply(H, H, out=H), out=H)
+            return np.multiply(np.matmul(G, W2, out=A), d, out=A)
 
         def full_grad(G):
             # G^T H before tanh' is written over H, gA^T U before gA W1 over U
             np.matmul(G.swapaxes(-1, -2), H, out=gW2)
             np.add.reduce(G, axis=-2, out=gb2)
-            gA = _mlp_hidden_grad(views, G, H, A)
+            gA = hidden_grad(G)
             np.matmul(gA.swapaxes(-1, -2), U, out=gW1)
             np.add.reduce(gA, axis=-2, out=gb1)
             return gw, np.matmul(gA, W1, out=U)
 
-        return Z, forward, input_grad, full_grad
+        return Z, forward, lambda G: np.matmul(hidden_grad(G), W1, out=U), full_grad
 
     def _init_scales(self):
         d, h, C = self.input_dim, self.hidden_dim, self.class_count
@@ -603,17 +523,6 @@ class ScalarLogistic(SmoothModel):
     def _ctor_args(self):
         return dict(input_dim=self.input_dim, bounded=self.bounded)
 
-    def logits_and_vjp(self, w, U):
-        z = (U @ w[..., None])[..., 0]
-        Z = np.stack([np.zeros_like(z), z], axis=-1)
-
-        def vjp(G, weights=True):
-            g1 = G[..., 1]
-            gU = g1[..., None] * w[..., None, :]  # the outer product per run
-            return ((g1[..., None, :] @ U)[..., 0, :] if weights else None), gU
-
-        return Z, vjp
-
     def _bound_pass(self, w, U):
         lead = U.shape[:-1]
         Z, z, gw = np.zeros(lead + (2,)), np.empty(lead + (1,)), np.empty(w.shape)
@@ -635,31 +544,6 @@ class ScalarLogistic(SmoothModel):
         return np.full(self.param_dim, 1.0 / np.sqrt(self.input_dim))
 
 
-def _mlp_forward(views, U, H=None, Z=None):
-    """Hidden activations and logits of the tanh MLP at ``U``, written into
-    ``H`` and ``Z`` when given, in the operand order of
-    ``tanh(U @ W1^T + b1) @ W2^T + b2``: the same bits either way."""
-    _, W1T, b1, _, W2T, b2 = views
-    H = np.matmul(U, W1T, out=H)
-    H += b1
-    np.tanh(H, out=H)
-    Z = np.matmul(H, W2T, out=Z)
-    Z += b2
-    return H, Z
-
-
-def _mlp_hidden_grad(views, G, H, A=None):
-    """The gradient at the hidden pre-activations, ``(G @ W2) * tanh'``.
-    With ``A`` the pass is done with ``H``: tanh' is written over it and the
-    gradient into ``A``."""
-    W2 = views[3]
-    d = np.multiply(H, H, out=None if A is None else H)
-    np.subtract(1.0, d, out=d)  # tanh'
-    gA = np.matmul(G, W2, out=A)
-    gA *= d
-    return gA
-
-
 def make_model(kind: str, input_dim: int, class_count: int = 2, hidden_dim: int = 16, bounded: bool = False) -> SmoothModel:
     if kind == "softmax_linear":
         return SoftmaxLinear(input_dim, class_count, bounded)
@@ -670,25 +554,6 @@ def make_model(kind: str, input_dim: int, class_count: int = 2, hidden_dim: int 
             raise ConfigError(f"scalar_logistic has 2 classes, got class_count={class_count}")
         return ScalarLogistic(input_dim, bounded)
     raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def batch_grads(model: SmoothModel, w: np.ndarray, deltas, batch):
-    """Mean weight gradient and per-sample perturbation gradients for a batch.
-
-    ``deltas`` is a sequence of perturbations matching ``batch``, a sequence
-    of labeled samples. Returns ``(mean_grad_w, [grad_delta_j ...])``.
-    """
-    batch = list(batch)
-    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
-    if len(deltas) != len(batch):
-        raise DimensionError(f"{len(deltas)} deltas for {len(batch)} samples")
-    if not batch:
-        raise DimensionError("batch must be nonempty")
-    X = np.stack([s.x for s in batch])
-    y = np.array([s.y for s in batch], dtype=np.int64)
-    D = np.stack(deltas)
-    _, mean_gw, Gd = model.batch_loss_and_grads(w, X, y, D)
-    return mean_gw, [Gd[i].copy() for i in range(Gd.shape[0])]
 
 
 def _central_diff(f, v: np.ndarray, h: float) -> np.ndarray:
@@ -719,10 +584,9 @@ def finite_diff_report(model: SmoothModel, trials: int, h: float, rng: np.random
     for _ in range(int(trials)):
         w = model.init_params(rng) + 0.5 * rng.standard_normal(model.param_dim)
         delta = 0.3 * rng.standard_normal(model.input_dim)
-        sample = LabeledSample(x=rng.standard_normal(model.input_dim), y=int(rng.integers(model.class_count)))
-        gw = model.grad_w(w, delta, sample)
-        gd = model.grad_delta(w, delta, sample)
-        fd_w = _central_diff(lambda v: model.loss_value(v, delta, sample), w, h)
-        fd_d = _central_diff(lambda v: model.loss_value(w, v, sample), delta, h)
-        worst = max(worst, _rel_err(gw, fd_w), _rel_err(gd, fd_d))
+        X, y = rng.standard_normal(model.input_dim)[None], [int(rng.integers(model.class_count))]
+        _, gw, gd = model.batch_loss_and_grads(w, X, y, delta[None])
+        fd_w = _central_diff(lambda v: float(model.loss_batch(v, X, y, delta[None])[0]), w, h)
+        fd_d = _central_diff(lambda v: float(model.loss_batch(w, X, y, v[None])[0]), delta, h)
+        worst = max(worst, _rel_err(gw, fd_w), _rel_err(gd[0], fd_d))
     return worst

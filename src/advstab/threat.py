@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigError, DegenerateGradientError, DimensionError
-from .models import Dataset, LabeledSample, SmoothModel, _logit_losses
+from .errors import ConfigError, DegenerateGradientError, DimensionError, _count
+from .models import Dataset, SmoothModel, _logit_losses
 
 __all__ = [
     "PerturbationSet",
@@ -48,9 +48,7 @@ __all__ = [
     "project_extreme",
     "ascend_rows",
     "projgrad_identity_check",
-    "pgd_attack",
     "pgd_attack_batch",
-    "robust_loss",
     "empirical_robust_risk",
 ]
 
@@ -71,8 +69,7 @@ class PerturbationSet:
             raise ConfigError(f"norm must be {L2!r} or {LINF!r}, got {self.norm!r}")
         if not (math.isfinite(self.radius) and self.radius >= 0):
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
-        if self.dim < 1:
-            raise DimensionError(f"dim must be >= 1, got {self.dim}")
+        _count(self.dim, "dim", 1, DimensionError)
 
     def contains(self, v: np.ndarray, tol: float = 1e-12) -> bool:
         v = np.asarray(v, dtype=np.float64)
@@ -119,10 +116,8 @@ class AttackConfig:
     init: str = "uniform"
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("attack needs steps >= 1")
-        if self.restarts < 1:
-            raise ConfigError("attack needs restarts >= 1")
+        _count(self.steps, "attack steps", 1)
+        _count(self.restarts, "attack restarts", 1)
         if self.init not in ("zero", "uniform"):
             raise ConfigError(f"init must be 'zero' or 'uniform', got {self.init!r}")
         if self.step_size is not None and not (math.isfinite(self.step_size) and self.step_size > 0):
@@ -326,31 +321,6 @@ def _uniform_start(pset: PerturbationSet, rng, shape: tuple, parts) -> np.ndarra
     out = np.empty(shape)
     out[...] = D
     return out
-
-
-def pgd_attack(
-    model: SmoothModel,
-    w: np.ndarray,
-    sample: LabeledSample,
-    pset: PerturbationSet,
-    cfg: AttackConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Attack a single sample; returns a feasible perturbation."""
-    return pgd_attack_batch(model, w, sample.x[None, :], [sample.y], pset, cfg, rng)[0]
-
-
-def robust_loss(
-    model: SmoothModel,
-    w: np.ndarray,
-    sample: LabeledSample,
-    pset: PerturbationSet,
-    cfg: AttackConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Loss at the attacked point: a lower surrogate for the inner maximum."""
-    delta = pgd_attack(model, w, sample, pset, cfg, rng)
-    return model.loss_value(w, delta, sample)
 
 
 def empirical_robust_risk(

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .models import AttackOracle, Dataset, LabeledSample, SmoothModel, _label_rows, _log_softmax, _log_softmax_arrays
+from .models import AttackOracle, Dataset, SmoothModel, _log_softmax, _log_softmax_arrays
 from .rng import _check_seed, keyed_stream, philox_keys, stream
 from .threat import AttackConfig, PerturbationSet, _row_norms, ascend_rows, pgd_attack_batch
 
@@ -44,7 +44,6 @@ __all__ = [
     "TrainConfig",
     "TrainTrace",
     "step_size",
-    "trades_surrogate_loss",
     "trades_batch_loss_and_grads",
     "RULES",
     "lockstep",
@@ -242,27 +241,6 @@ def batch_indices(seed: int, t: int, n: int, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _trades_clean_head(Zc, y):
-    """Clean log-probabilities, probabilities and cross-entropy."""
-    lp = _log_softmax(Zc)
-    flat, at = _label_rows(lp, y)
-    ce = -flat[at]
-    return lp, np.exp(lp), (ce.reshape(y.shape) if Zc.ndim > 2 else ce)
-
-
-def _trades_perturbed_head(Za, lp, p, ce, lam, bounded):
-    """Surrogate losses and their gradient on the perturbed logits ``Za``,
-    plus what the clean-side gradient needs: the perturbed
-    log-probabilities and the bounded rescale (None when unbounded)."""
-    lq = _log_softmax(Za)
-    raw = ce + (p * (lp - lq)).sum(axis=-1) / lam
-    Ga = (np.exp(lq) - p) / lam
-    if not bounded:
-        return raw, Ga, lq, None
-    scale = (1.0 / (1.0 + raw) ** 2)[..., None]
-    return raw / (1.0 + raw), Ga * scale, lq, scale
-
-
 def trades_batch_loss_and_grads(
     model: SmoothModel,
     w: np.ndarray,
@@ -274,7 +252,8 @@ def trades_batch_loss_and_grads(
     checked: bool = True,
 ):
     """Clean cross-entropy plus (1/lam) times the KL divergence from the
-    clean to the perturbed predictive distribution, with analytic gradients.
+    clean to the perturbed predictive distribution, with analytic gradients:
+    the full oracle of a ``_TradesAttack`` bound for the call.
 
     Returns ``(losses, mean_grad_w, grad_deltas)`` like the plain loss, and
     takes the same run axis; the perturbation gradient flows only through
@@ -291,45 +270,37 @@ def trades_batch_loss_and_grads(
         D = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
         if D.shape != X.shape:
             raise DimensionError("deltas shape must match inputs")
-    B = X.shape[-2]
-    Zc, vjp_c = model.logits_and_vjp(w, X)
-    Za, vjp_a = model.logits_and_vjp(w, X + D)
-    lp, p, ce = _trades_clean_head(Zc, y)
-    losses, Ga, lq, scale = _trades_perturbed_head(Za, lp, p, ce, lam, model.bounded)
-
-    # upstream gradient on the clean logits
-    Gc = p.copy()
-    flat, at = _label_rows(Gc, y)
-    flat[at] -= 1.0
-    diff = lp - lq
-    jac = p * (diff - (p * diff).sum(axis=-1, keepdims=True))  # softmax Jacobian applied to diff
-    Gc += jac / lam
-    if scale is not None:
-        Gc = Gc * scale
-    gw_c, _ = vjp_c(Gc)
-    gw_a, gU_a = vjp_a(Ga)
-    return losses, (gw_c + gw_a) / B, gU_a
+    return _TradesAttack(model, X, y, lam).point(w).full(D)
 
 
 class _TradesAttack(AttackOracle):
-    """The inner attack's oracle on the TRADES surrogate: bound, re-pointed
-    and called like the plain ``AttackOracle``, and equal bit for bit to the
-    surrogate losses and perturbation gradients of
-    ``trades_batch_loss_and_grads``. The clean pass does not depend on the
-    perturbations, so ``point`` runs it once; the perturbation gradient
-    ``(exp(lq) - p) / lam`` flows through the perturbed pass only. It has
-    no full oracle: the surrogate's is ``trades_batch_loss_and_grads``."""
+    """The oracles of the TRADES surrogate: bound, re-pointed and called
+    like the plain ``AttackOracle``. The clean pass does not depend on the
+    perturbations, so it has a pass of its own, bound to a copy of the
+    rows, which ``point`` runs once; the perturbation gradient
+    ``(exp(lq) - p) / lam`` flows through the perturbed pass only.
+    ``full(D)`` is the full oracle, ``trades_batch_loss_and_grads``: the
+    clean logits gradient pulls back through the clean pass, and the two
+    weight gradients are summed."""
 
     def __init__(self, model, X, y, lam, rows=None):
         super().__init__(model, X, y, rows)
         self.lam = lam
+        self._Uc = np.empty(self.X.shape)
+        self._Zc, self._clean_forward, _, self._clean_full_grad = model._bound_pass(self.w, self._Uc)
         self._p, self._ce = np.empty(self._Z.shape), np.empty(self._raw.shape)
-        self._clean = _log_softmax_arrays(self._Z, self._p)  # lp in its first array
+        self._clean = _log_softmax_arrays(self._Zc, self._p)  # lp in its first array
+        self._Gc, self._diff, self._kl = np.empty(self._Z.shape), np.empty(self._Z.shape), np.empty(self._raw.shape)
+
+    def _clean_pass(self):
+        np.copyto(self._Uc, self.X)
+        self._clean_forward(self._Uc)
+        self._spent = False  # until a backward writes over the pass
 
     def point(self, w, idx=None):
         super().point(w, idx)
-        self._forward(self.X)
-        lp = _log_softmax(self._Z, self._clean)
+        self._clean_pass()
+        lp = _log_softmax(self._Zc, self._clean)
         np.exp(lp, out=self._p)
         self._label_losses(lp, self._ce)
         return self
@@ -338,15 +309,29 @@ class _TradesAttack(AttackOracle):
         lq = _log_softmax(self._Z, self._ls)
         G, p, lam = self._G, self._p, self.lam
         raw = None
-        if losses:  # ce + (p * (lp - lq)).sum(axis=-1) / lam, through G
-            np.multiply(p, np.subtract(self._clean[0], lq, out=G), out=G)
-            raw = np.add.reduce(G, axis=-1, keepdims=True, out=self._raw)
-            np.add(self._ce, np.divide(raw, lam, out=raw), out=raw)
+        if losses:  # ce + kl / lam, kl = (p * (lp - lq)).sum(axis=-1); full reads lp - lq and kl
+            np.multiply(p, np.subtract(self._clean[0], lq, out=self._diff), out=G)
+            kl = np.add.reduce(G, axis=-1, keepdims=True, out=self._kl)
+            raw = np.add(self._ce, np.divide(kl, lam, out=self._raw), out=self._raw)
         np.subtract(np.exp(lq, out=G), p, out=G)
         return np.divide(G, lam, out=G), raw
 
     def full(self, D):
-        raise NotImplementedError("the TRADES full oracle is trades_batch_loss_and_grads")
+        values, Ga = self._evaluate(D, True)
+        # the clean logits gradient p - onehot + p * (diff - kl) / lam, the
+        # softmax Jacobian at p applied to diff = lp - lq, rescaled as Ga was
+        p, diff = self._p, self._diff
+        jac = np.multiply(p, np.subtract(diff, self._kl, out=diff), out=diff)
+        Gc = np.add(np.subtract(p, self.onehot, out=self._Gc), np.divide(jac, self.lam, out=jac), out=self._Gc)
+        if self.bounded:
+            np.multiply(Gc, self._scale, out=Gc)
+        if self._spent:
+            self._clean_pass()
+        gw, _ = self._clean_full_grad(Gc)
+        self._spent = True
+        gw_a, gU = self._full_grad(Ga)
+        gw = np.add(gw, gw_a, out=gw)
+        return values, np.divide(gw, Ga.shape[-2], out=gw), gU
 
 
 def _bind_attack(model, X, y, lam, rows=None) -> AttackOracle:
@@ -355,16 +340,6 @@ def _bind_attack(model, X, y, lam, rows=None) -> AttackOracle:
     if lam is None:
         return model.attack_oracle(X, y, rows)
     return _TradesAttack(model, X, y, lam, rows)
-
-
-def trades_surrogate_loss(
-    model: SmoothModel, w: np.ndarray, delta: np.ndarray, sample: LabeledSample, lam: float
-) -> float:
-    """Surrogate loss value for one sample."""
-    losses, _, _ = trades_batch_loss_and_grads(
-        model, w, sample.x[None, :], [sample.y], np.asarray(delta)[None, :], lam
-    )
-    return float(losses[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """The lean attack path against reference copies of the code it replaced.
 
-The bound attack-only oracle (plain and TRADES, fresh or re-pointed), the
-bound full oracle of the plain loss, the one-norm ascent step, the
-in-place attack loop and the two-class log-softmax do the same arithmetic
-as the code they replace, only less of it or into arrays they own, so
-every comparison here is exact (``np.array_equal``), not up to a
-tolerance.
+The bound attack-only and full oracles (plain and TRADES, fresh or
+re-pointed), the one-norm ascent step, the in-place attack loop and the
+two-class log-softmax do the same arithmetic as the code they replace,
+only less of it or into arrays they own, so every comparison here is
+exact (``np.array_equal``), not up to a tolerance.
 """
 
 import itertools
@@ -29,8 +28,8 @@ def _ref_log_softmax(Z):
 
 
 def _ref_logits_and_vjp(model, w, U):
-    """Forward pass and full VJP, as each model computed them before the
-    VJP could skip the weight gradient."""
+    """Forward pass and full VJP, as each model computed them before its
+    pass was bound to arrays of its own."""
     if model.kind == "softmax_linear":
         W, b = model.unpack(w)
         Z = U @ W.T + b
@@ -396,34 +395,31 @@ def test_a_re_pointed_binding_equals_the_reference_at_every_point(make, bounded,
 @pytest.mark.parametrize("bounded", [False, True])
 @pytest.mark.parametrize("make", MODELS)
 def test_the_bound_full_oracle_equals_the_reference_at_every_point(make, bounded):
+    # the plain loss (lam None) and the TRADES surrogate
     model = make(bounded)
-    for R, B in itertools.product((None, 2), (9, 25)):
+    for lam, R, B in itertools.product((None, 0.7, 3.0), (None, 2), (9, 25)):
+        full = _ref_loss_and_grads if lam is None else lambda *args: _ref_trades(*args, lam)
         X_pool, y_pool, points = _pool(model, 324, R, B)
-        oracle = model.attack_oracle(X_pool, y_pool, rows=B)
+        oracle = _bind_attack(model, X_pool, y_pool, lam, rows=B)
         for w, idx in points:  # fresh weights and rows, the labels of the second flipped
             oracle.point(w, idx)
             X, y = np.take(X_pool, idx, axis=-2), np.take(y_pool, idx, axis=-1)
             rng = stream(325, B)
-            for scale in (0.3, 0.0, 0.3):
+            for scale in (0.3, 0.0, 0.3):  # the second full call at one point too
                 D = scale * rng.standard_normal(X.shape)
-                want = _per_run(lambda *run: _ref_loss_and_grads(model, *run), w, X, y, D)
+                want = _per_run(lambda *run: full(model, *run), w, X, y, D)
                 got = oracle.full(D)
-                assert all(np.array_equal(g, r) for g, r in zip(got, want)), (R, B, scale)
+                assert all(np.array_equal(g, r) for g, r in zip(got, want)), (lam, R, B, scale)
                 oracle(rng.standard_normal(X.shape), losses=False)  # an attack call between full calls
-        # a binding to the rows themselves, as a step without lockstep's makes
+        # a binding to the rows themselves, as a step without lockstep's makes,
+        # and the direct full oracle, which binds one for the call
         w, idx = points[1]
         X, y = np.take(X_pool, idx, axis=-2), np.take(y_pool, idx, axis=-1)
         D = 0.3 * stream(326, B).standard_normal(X.shape)
-        want = _per_run(lambda *run: _ref_loss_and_grads(model, *run), w, X, y, D)
-        got = model.attack_oracle(X, y).point(w).full(D)
-        assert all(np.array_equal(g, r) for g, r in zip(got, want))
-
-
-def test_the_trades_binding_has_no_full_oracle():
-    model = MODELS[1](False)
-    w, X, y = _attack_inputs(model, 327, None)
-    with pytest.raises(NotImplementedError, match="trades_batch_loss_and_grads"):
-        _bind_attack(model, X, y, 0.7).point(w).full(np.zeros(X.shape))
+        want = _per_run(lambda *run: full(model, *run), w, X, y, D)
+        direct = model.batch_loss_and_grads(w, X, y, D) if lam is None else trades_batch_loss_and_grads(model, w, X, y, D, lam)
+        for got in (_bind_attack(model, X, y, lam).point(w).full(D), direct):
+            assert all(np.array_equal(g, r) for g, r in zip(got, want)), (lam, R, B)
 
 
 SIZED_MODELS = [

@@ -11,6 +11,7 @@ from advstab.bounds import (
     bound_fast,
     bound_free,
     bound_vanilla,
+    estimate_constants,
     estimate_lipschitz,
     estimate_psi,
     estimate_smoothness,
@@ -76,13 +77,14 @@ class ConstantLossModel(SmoothModel):
     def _ctor_args(self):
         return dict(input_dim=self.input_dim)
 
-    def logits_and_vjp(self, w, U):
+    def _bound_pass(self, w, U):
         Z = np.zeros(U.shape[:-1] + (2,))
 
-        def vjp(G, weights=True):
-            return (np.zeros(w.shape) if weights else None), np.zeros_like(U)
+        def input_grad(G):
+            U[...] = 0.0
+            return U
 
-        return Z, vjp
+        return Z, lambda V: None, input_grad, lambda G: (np.zeros(w.shape), input_grad(G))
 
     def _init_scales(self):
         return np.zeros(self.param_dim)
@@ -171,6 +173,20 @@ def test_region_sampler_rejects_box_bounds_of_other_shapes(lo, hi):
         RegionSampler(lo, hi, PerturbationSet("l2", 0.3, 3), np.zeros((5, 3)), np.zeros(5, dtype=np.int64))
 
 
+def test_a_sampler_built_from_lists_equals_one_built_from_arrays():
+    model = SoftmaxLinear(input_dim=3, class_count=2)
+    arrays = _sampler(param_dim=model.param_dim)
+    P, pset, X, y = model.param_dim, arrays.pset, arrays.X, arrays.y
+    lists = RegionSampler([-1.0] * P, [1.0] * P, pset, X.tolist(), y.tolist())
+    want = estimate_constants(model, arrays, stream(9, 0), probes=40)
+    assert estimate_constants(model, lists, stream(9, 0), probes=40) == want
+    trajectory = TrajectorySampler(np.zeros((2, P)), 0.05, pset, X, y)
+    listed = TrajectorySampler(np.zeros((2, P)).tolist(), 0.05, pset, X.tolist(), y.tolist())
+    assert estimate_constants(model, listed, stream(9, 0), probes=40) == estimate_constants(model, trajectory, stream(9, 0), probes=40)
+    with pytest.raises(DimensionError, match="pool"):
+        RegionSampler([-1.0] * P, [1.0] * P, pset, X[0].tolist(), y.tolist())
+
+
 @pytest.mark.parametrize("kind", ["region", "trajectory"])
 def test_samplers_reject_a_perturbation_set_of_another_dimension(kind):
     with pytest.raises(DimensionError, match="pset.dim"):
@@ -195,7 +211,7 @@ class QuadraticModel(SmoothModel):
     def _ctor_args(self):
         return dict(a=self.a)
 
-    def logits_and_vjp(self, w, U):
+    def _bound_pass(self, w, U):
         raise NotImplementedError
 
     def batch_loss_and_grads(self, w, X, y, deltas=None):

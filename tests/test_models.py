@@ -8,7 +8,6 @@ from advstab.models import (
     ScalarLogistic,
     SoftmaxLinear,
     TwoLayerTanhMLP,
-    batch_grads,
     finite_diff_report,
     make_model,
 )
@@ -28,24 +27,35 @@ def _random_point(model, rng):
     return w, delta, sample
 
 
+def _loss(model, w, delta, s):
+    """The loss at one sample: a batch of one row."""
+    return float(model.loss_batch(w, s.x[None], [s.y], np.asarray(delta)[None])[0])
+
+
+def _grads(model, w, delta, s):
+    """The weight and perturbation gradients at one sample: a batch of one row."""
+    _, gw, gd = model.batch_loss_and_grads(w, s.x[None], [s.y], np.asarray(delta)[None])
+    return gw, gd[0]
+
+
 def test_softmax_linear_zero_weights_gives_log_C():
     model = SoftmaxLinear(input_dim=5, class_count=7)
     s = LabeledSample(x=np.arange(5.0), y=3)
-    loss = model.loss_value(np.zeros(model.param_dim), np.ones(5), s)
+    loss = _loss(model, np.zeros(model.param_dim), np.ones(5), s)
     assert loss == pytest.approx(np.log(7), abs=1e-15)
 
 
 def test_scalar_logistic_zero_weight_gives_log2():
     model = ScalarLogistic(input_dim=1)
     s = LabeledSample(x=np.array([3.0]), y=0)
-    assert model.loss_value(np.zeros(1), np.zeros(1), s) == pytest.approx(np.log(2), abs=1e-15)
+    assert _loss(model, np.zeros(1), np.zeros(1), s) == pytest.approx(np.log(2), abs=1e-15)
 
 
 def test_scalar_logistic_grad_at_zero():
     # sigma(0) - 1 = -1/2 on the weight coordinate, times the input
     model = ScalarLogistic(input_dim=1)
     s = LabeledSample(x=np.array([1.0]), y=1)
-    g = model.grad_w(np.zeros(1), np.zeros(1), s)
+    g, _ = _grads(model, np.zeros(1), np.zeros(1), s)
     assert g == pytest.approx([-0.5], abs=1e-15)
 
 
@@ -60,7 +70,7 @@ def test_mlp_forward_matches_independent_reimplementation():
         # plain cross-entropy, separately coded
         z = z - z.max()
         expected = float(np.log(np.exp(z).sum()) - z[s.y])
-        assert model.loss_value(w, delta, s) == pytest.approx(expected, abs=1e-12)
+        assert _loss(model, w, delta, s) == pytest.approx(expected, abs=1e-12)
 
 
 def test_softmax_linear_grad_delta_closed_form():
@@ -74,13 +84,13 @@ def test_softmax_linear_grad_delta_closed_form():
         p /= p.sum()
         e = np.zeros(4)
         e[s.y] = 1.0
-        assert np.abs(model.grad_delta(w, delta, s) - W.T @ (p - e)).max() < 1e-12
+        assert np.abs(_grads(model, w, delta, s)[1] - W.T @ (p - e)).max() < 1e-12
 
 
 def test_softmax_linear_zero_weights_constant_in_delta():
     model = SoftmaxLinear(input_dim=3, class_count=2)
     s = LabeledSample(x=np.array([1.0, 2.0, -1.0]), y=1)
-    g = model.grad_delta(np.zeros(model.param_dim), np.array([0.3, -0.2, 0.1]), s)
+    _, g = _grads(model, np.zeros(model.param_dim), np.array([0.3, -0.2, 0.1]), s)
     assert np.array_equal(g, np.zeros(3))
 
 
@@ -95,7 +105,7 @@ def test_bounded_wrapper_range_and_gradients(model):
     rng = stream(24, 0)
     for _ in range(5):
         w, delta, s = _random_point(bounded, rng)
-        val = bounded.loss_value(w, delta, s)
+        val = _loss(bounded, w, delta, s)
         assert 0.0 <= val < 1.0
     assert finite_diff_report(bounded, 15, 1e-5, stream(25, 0)) < 1e-6
 
@@ -105,12 +115,11 @@ def test_gradient_norm_small_at_convex_optimum():
     # gradient collapses
     model = SoftmaxLinear(input_dim=1, class_count=2)
     data = Dataset(np.array([[1.0], [1.0], [-1.0], [-1.0]]), np.array([1, 0, 0, 1]))
-    samples = data.samples()
     w = np.full(model.param_dim, 0.7)
     for _ in range(4000):
-        gw, _ = batch_grads(model, w, [np.zeros(1)] * 4, samples)
+        _, gw, _ = model.batch_loss_and_grads(w, data.X, data.y, np.zeros((4, 1)))
         w = w - 1.0 * gw
-    gw, _ = batch_grads(model, w, [np.zeros(1)] * 4, samples)
+    _, gw, _ = model.batch_loss_and_grads(w, data.X, data.y, np.zeros((4, 1)))
     assert np.linalg.norm(gw) < 1e-8
 
 
@@ -118,17 +127,18 @@ def test_batch_grads_single_sample_matches_pointwise():
     model = TwoLayerTanhMLP(input_dim=4, hidden_dim=3)
     rng = stream(26, 0)
     w, delta, s = _random_point(model, rng)
-    mean_gw, gds = batch_grads(model, w, [delta], [s])
-    assert np.allclose(mean_gw, model.grad_w(w, delta, s), atol=1e-15)
-    assert np.allclose(gds[0], model.grad_delta(w, delta, s), atol=1e-15)
+    _, mean_gw, gds = model.batch_loss_and_grads(w, np.stack([s.x]), [s.y], np.stack([delta]))
+    gw, gd = _grads(model, w, delta, s)
+    assert np.allclose(mean_gw, gw, atol=1e-15)
+    assert np.allclose(gds[0], gd, atol=1e-15)
 
 
 def test_batch_grads_duplication_invariance():
     model = SoftmaxLinear(input_dim=3, class_count=3)
     rng = stream(27, 0)
     w, delta, s = _random_point(model, rng)
-    once, _ = batch_grads(model, w, [delta], [s])
-    twice, _ = batch_grads(model, w, [delta, delta], [s, s])
+    once = model.batch_loss_and_grads(w, np.stack([s.x]), [s.y], np.stack([delta]))[1]
+    twice = model.batch_loss_and_grads(w, np.stack([s.x, s.x]), [s.y, s.y], np.stack([delta, delta]))[1]
     assert np.allclose(once, twice, atol=1e-15)
 
 
@@ -138,27 +148,27 @@ def test_batch_grads_means_naive_sum():
     w = model.init_params(rng)
     samples = [LabeledSample(x=rng.standard_normal(5), y=int(rng.integers(3))) for _ in range(8)]
     deltas = [0.1 * rng.standard_normal(5) for _ in range(8)]
-    mean_gw, gds = batch_grads(model, w, deltas, samples)
-    naive = sum(model.grad_w(w, d, s) for d, s in zip(deltas, samples)) / 8
+    X, y = np.stack([s.x for s in samples]), [s.y for s in samples]
+    _, mean_gw, gds = model.batch_loss_and_grads(w, X, y, np.stack(deltas))
+    naive = sum(_grads(model, w, d, s)[0] for d, s in zip(deltas, samples)) / 8
     assert np.abs(mean_gw - naive).max() < 1e-12
     for d, s, g in zip(deltas, samples, gds):
-        assert np.allclose(g, model.grad_delta(w, d, s), atol=1e-12)
+        assert np.allclose(g, _grads(model, w, d, s)[1], atol=1e-12)
 
 
 def test_batch_grads_length_mismatch():
     model = SoftmaxLinear(input_dim=2)
-    s = LabeledSample(x=np.zeros(2), y=0)
-    with pytest.raises(DimensionError):
-        batch_grads(model, np.zeros(model.param_dim), [np.zeros(2)], [s, s])
+    with pytest.raises(DimensionError):  # one perturbation for two rows
+        model.batch_loss_and_grads(np.zeros(model.param_dim), np.zeros((2, 2)), [0, 0], np.zeros((1, 2)))
 
 
 def test_dimension_mismatch_errors():
     model = SoftmaxLinear(input_dim=3)
     s = LabeledSample(x=np.zeros(3), y=0)
     with pytest.raises(DimensionError):
-        model.loss_value(np.zeros(model.param_dim), np.zeros(4), s)
+        _loss(model, np.zeros(model.param_dim), np.zeros(4), s)
     with pytest.raises(DimensionError):
-        model.loss_value(np.zeros(model.param_dim + 1), np.zeros(3), s)
+        _loss(model, np.zeros(model.param_dim + 1), np.zeros(3), s)
 
 
 def test_finite_diff_report_zero_trials():
@@ -175,7 +185,7 @@ def test_loss_values_finite_and_nonnegative():
     for model in ALL_KINDS:
         for _ in range(20):
             w, delta, s = _random_point(model, rng)
-            val = model.loss_value(w, delta, s)
+            val = _loss(model, w, delta, s)
             assert np.isfinite(val) and val >= 0.0
 
 
@@ -203,7 +213,7 @@ def test_local_lipschitz_sanity():
         nrm = np.sqrt(dw @ dw + dd @ dd)
         w2 = w + step * dw / nrm
         d2 = d + step * dd / nrm
-        lhs = (model.loss_value(w, d, s) - model.loss_value(w2, d2, s)) ** 2
+        lhs = (_loss(model, w, d, s) - _loss(model, w2, d2, s)) ** 2
         rhs = L_hat**2 * (np.sum((w - w2) ** 2) + np.sum((d - d2) ** 2))
         assert lhs <= rhs
 

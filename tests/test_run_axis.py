@@ -74,14 +74,7 @@ def _runs_equal(stacked_fn, alone_fn, R):
 def test_model_oracles_per_run_equal_run_alone(kind, bounded, R):
     model = _model(kind, bounded)
     W, X, y, D = _stack(model, R)
-    G = stream(710, R).standard_normal((R, X.shape[1], model.class_count))
-
-    def vjp_outputs(w, U, g):
-        Z, vjp = model.logits_and_vjp(w, U)
-        return (Z, *vjp(g), vjp(g, weights=False)[1])
-
     cases = [
-        (lambda: vjp_outputs(W, X + D, G), lambda r: vjp_outputs(W[r], X[r] + D[r], G[r])),
         (lambda: model.batch_loss_and_grads(W, X, y, D), lambda r: model.batch_loss_and_grads(W[r], X[r], y[r], D[r])),
         (lambda: model.attack_oracle(X, y).point(W).full(D), lambda r: model.attack_oracle(X[r], y[r]).point(W[r]).full(D[r])),
         (lambda: (model.loss_batch(W, X, y, D),), lambda r: (model.loss_batch(W[r], X[r], y[r], D[r]),)),
@@ -284,17 +277,22 @@ class HalfFlatModel(SmoothModel):
     def _ctor_args(self):
         return {}
 
-    def logits_and_vjp(self, w, U):
-        gate = (U[..., :1] > 0.0) * 1.0  # U = x + delta; the region keeps delta small
-        z = (U @ w[..., None]) * gate
-        Z = np.concatenate([np.zeros_like(z), z], axis=-1)
+    def _bound_pass(self, w, U):
+        Z, gate = np.zeros(U.shape[:-1] + (2,)), np.empty(U.shape[:-1] + (1,))
 
-        def vjp(G, weights=True):
-            g1 = G[..., 1:] * gate
-            gw = (g1.swapaxes(-1, -2) @ U)[..., 0, :] if weights else None
-            return gw, g1 * w[..., None, :]
+        def forward(V):
+            gate[...] = (V[..., :1] > 0.0) * 1.0  # V = x + delta; the region keeps delta small
+            Z[..., 1:] = (V @ w[..., None]) * gate
 
-        return Z, vjp
+        def input_grad(G):
+            U[...] = G[..., 1:] * gate * w[..., None, :]
+            return U
+
+        def full_grad(G):
+            gw = ((G[..., 1:] * gate).swapaxes(-1, -2) @ U)[..., 0, :]  # before U holds the input gradient
+            return gw, input_grad(G)
+
+        return Z, forward, input_grad, full_grad
 
 
 def _samplers(model):
@@ -359,18 +357,25 @@ class HalfNanModel(HalfFlatModel):
     """``HalfFlatModel`` whose gradients are NaN where it is flat, so a NaN
     probe norm meets the estimators' running max."""
 
-    def logits_and_vjp(self, w, U):
-        Z, vjp = super().logits_and_vjp(w, U)
-        flat = U[..., :1] <= 0.0
+    def _bound_pass(self, w, U):
+        Z, forward, input_grad, full_grad = super()._bound_pass(w, U)
+        flat = np.empty(U.shape[:-1] + (1,), dtype=bool)
 
-        def nan_vjp(G, weights=True):
-            gw, gU = vjp(G, weights)
-            gU = np.where(flat, np.nan, gU)
-            if weights:
-                gw = np.where(flat.any(axis=-2), np.nan, gw)
-            return gw, gU
+        def nan_forward(V):
+            np.less_equal(V[..., :1], 0.0, out=flat)
+            forward(V)
 
-        return Z, nan_vjp
+        def nan_input_grad(G):
+            gU = input_grad(G)
+            np.copyto(gU, np.nan, where=flat)
+            return gU
+
+        def nan_full_grad(G):
+            gw, gU = full_grad(G)
+            np.copyto(gU, np.nan, where=flat)
+            return np.where(flat.any(axis=-2), np.nan, gw), gU
+
+        return Z, nan_forward, nan_input_grad, nan_full_grad
 
 
 def test_a_nan_probe_never_wins_the_running_max():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from advstab.errors import ConfigError, DimensionError
-from advstab.models import batch_grads
 from advstab.synth import SyntheticSpec, draw_replacement, make_synthetic
 
 
@@ -75,10 +74,9 @@ def test_noise_free_two_gaussians_softmax_linear_fits_perfectly():
     train, _ = make_synthetic(spec)
     model = SoftmaxLinear(input_dim=5, class_count=2)
     w = np.zeros(model.param_dim)
-    zeros = [np.zeros(5)] * train.n
-    samples = train.samples()
+    zeros = np.zeros((train.n, 5))
     for _ in range(200):
-        gw, _ = batch_grads(model, w, zeros, samples)
+        _, gw, _ = model.batch_loss_and_grads(w, train.X, train.y, zeros)
         w = w - 1.0 * gw
     acc = (model.predict_batch(w, train.X) == train.y).mean()
     assert acc == 1.0

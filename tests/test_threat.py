@@ -8,13 +8,26 @@ from advstab.threat import (
     AttackConfig,
     PerturbationSet,
     empirical_robust_risk,
-    pgd_attack,
     pgd_attack_batch,
     project_extreme,
     project_onto_set,
     projgrad_identity_check,
-    robust_loss,
 )
+
+
+def _loss(model, w, delta, s):
+    """The loss at one sample: a batch of one row."""
+    return float(model.loss_batch(w, s.x[None], [s.y], np.asarray(delta)[None])[0])
+
+
+def _attack(model, w, s, pset, cfg, rng):
+    """The attack on one sample: a batch of one row."""
+    return pgd_attack_batch(model, w, s.x[None], [s.y], pset, cfg, rng)[0]
+
+
+def _robust_loss(model, w, s, pset, cfg, rng):
+    """The loss at one sample's attacked point."""
+    return _loss(model, w, _attack(model, w, s, pset, cfg, rng), s)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -120,9 +133,9 @@ def test_pgd_zero_radius_returns_zero_and_clean_loss():
     model, w, sample = _logistic_setup()
     pset = PerturbationSet("l2", 0.0, 2)
     cfg = AttackConfig(steps=5, step_size=1.0)
-    delta = pgd_attack(model, w, sample, pset, cfg, stream(43, 0))
+    delta = _attack(model, w, sample, pset, cfg, stream(43, 0))
     assert np.array_equal(delta, np.zeros(2))
-    assert robust_loss(model, w, sample, pset, cfg, stream(43, 0)) == model.loss_value(w, np.zeros(2), sample)
+    assert _robust_loss(model, w, sample, pset, cfg, stream(43, 0)) == _loss(model, w, np.zeros(2), sample)
 
 
 def test_pgd_single_step_closed_form():
@@ -133,8 +146,8 @@ def test_pgd_single_step_closed_form():
     pset = PerturbationSet("l2", 0.7, 3)
     alpha = pset.radius / 4
     cfg = AttackConfig(steps=1, step_size=alpha, init="zero")
-    got = pgd_attack(model, w, sample, pset, cfg, stream(45, 0))
-    g = model.grad_delta(w, np.zeros(3), sample)
+    got = _attack(model, w, sample, pset, cfg, stream(45, 0))
+    g = model.batch_loss_and_grads(w, sample.x[None], [sample.y], np.zeros((1, 3)))[2][0]
     expected = project_onto_set(alpha * pset.radius * g / np.linalg.norm(g), pset)
     assert np.abs(got - expected).max() < 1e-12
 
@@ -151,7 +164,7 @@ def test_pgd_beats_random_search_on_linear_logits():
     for trial in range(100):
         w = model.init_params(rng) + rng.standard_normal(model.param_dim)
         sample = LabeledSample(x=rng.standard_normal(4), y=int(rng.integers(2)))
-        attacked = robust_loss(model, w, sample, pset, cfg, stream(47, trial))
+        attacked = _robust_loss(model, w, sample, pset, cfg, stream(47, trial))
         probes = pset.sample_uniform(stream(48, trial), size=100)
         probe_losses = model.loss_batch(w, np.tile(sample.x, (100, 1)), np.full(100, sample.y), probes)
         wins += attacked >= probe_losses.max()
@@ -162,7 +175,7 @@ def test_robust_loss_at_least_clean_with_zero_start():
     model, w, sample = _logistic_setup()
     pset = PerturbationSet("l2", 0.4, 2)
     cfg = AttackConfig(steps=10, step_size=0.1, init="zero")
-    assert robust_loss(model, w, sample, pset, cfg, stream(49, 0)) >= model.loss_value(w, np.zeros(2), sample)
+    assert _robust_loss(model, w, sample, pset, cfg, stream(49, 0)) >= _loss(model, w, np.zeros(2), sample)
 
 
 def test_robust_loss_matches_grid_search():
@@ -170,7 +183,7 @@ def test_robust_loss_matches_grid_search():
     eps = 0.1
     pset = PerturbationSet("l2", eps, 2)
     cfg = AttackConfig(steps=40, step_size=1.0, init="uniform", restarts=2)
-    got = robust_loss(model, w, sample, pset, cfg, stream(50, 0))
+    got = _robust_loss(model, w, sample, pset, cfg, stream(50, 0))
     ax = np.linspace(-eps, eps, 100)
     gx, gy = np.meshgrid(ax, ax)
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
@@ -191,7 +204,7 @@ def test_attack_strength_monotone_in_steps():
         for trial in range(100):
             w = model.init_params(stream(52, trial)) + stream(53, trial).standard_normal(model.param_dim)
             sample = LabeledSample(x=stream(54, trial).standard_normal(3), y=0)
-            tot += robust_loss(model, w, sample, pset, cfg, stream(55, trial))
+            tot += _robust_loss(model, w, sample, pset, cfg, stream(55, trial))
         means.append(tot / 100)
     assert means[0] <= means[1] + 1e-12 <= means[2] + 2e-12
 
@@ -212,7 +225,7 @@ def test_empirical_robust_risk_trivial_cases():
     one = Dataset(data.X[:1], data.y[:1])
     pset = PerturbationSet("l2", 0.3, 2)
     risk1, _ = empirical_robust_risk(model, w, one, pset, cfg, stream(58, 0))
-    assert risk1 == pytest.approx(robust_loss(model, w, one.sample(0), pset, cfg, stream(58, 0)), abs=1e-15)
+    assert risk1 == pytest.approx(_robust_loss(model, w, one.sample(0), pset, cfg, stream(58, 0)), abs=1e-15)
     # duplication leaves the mean unchanged (deterministic zero-init attack,
     # so each duplicate is attacked identically)
     det = AttackConfig(steps=3, step_size=0.5, init="zero")
@@ -223,13 +236,9 @@ def test_empirical_robust_risk_trivial_cases():
 
 
 def _counting(model):
-    """A copy of ``model`` that counts its forward passes, direct or bound."""
+    """A copy of ``model`` that counts its forward passes."""
 
     class Counting(type(model)):
-        def logits_and_vjp(self, w, U):
-            self.forwards += 1
-            return super().logits_and_vjp(w, U)
-
         def _bound_pass(self, w, U):
             Z, forward, *grads = super()._bound_pass(w, U)
 
@@ -273,7 +282,7 @@ def test_attack_feasibility_everywhere():
         for trial in range(20):
             w = model.init_params(rng) + rng.standard_normal(model.param_dim)
             sample = LabeledSample(x=rng.standard_normal(4), y=int(rng.integers(3)))
-            delta = pgd_attack(model, w, sample, pset, cfg, stream(61, trial))
+            delta = _attack(model, w, sample, pset, cfg, stream(61, trial))
             assert pset.contains(delta)
 
 
@@ -286,5 +295,14 @@ def test_attack_config_validation():
         AttackConfig(init="gaussian")
     with pytest.raises(ConfigError):
         PerturbationSet("l1", 1.0, 2)
+    for steps in (2.5, True):  # sizes are integers, and a bool is not one
+        with pytest.raises(ConfigError, match="steps"):
+            AttackConfig(steps=steps)
+    for restarts in (1.5, True):
+        with pytest.raises(ConfigError, match="restarts"):
+            AttackConfig(restarts=restarts)
+    for dim in (2.5, True, 0):
+        with pytest.raises(DimensionError, match="dim"):
+            PerturbationSet("l2", 0.3, dim)
     with pytest.raises(DimensionError):
         project_onto_set(np.zeros(3), PerturbationSet("l2", 1.0, 2))

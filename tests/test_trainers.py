@@ -23,7 +23,6 @@ from advstab.trainers import (
     lockstep,
     step_size,
     trades_batch_loss_and_grads,
-    trades_surrogate_loss,
     train,
     vanilla_batch_step,
 )
@@ -417,13 +416,23 @@ def test_fast_equals_single_step_vanilla_given_same_start():
 # -- TRADES ------------------------------------------------------------------
 
 
+def _clean_loss(model, w, s):
+    """The clean loss at one sample: a batch of one row."""
+    return float(model.loss_batch(w, s.x[None], [s.y], np.zeros((1, s.x.size)))[0])
+
+
+def _trades_loss(model, w, delta, s, lam):
+    """The surrogate loss at one sample: a batch of one row."""
+    return float(trades_batch_loss_and_grads(model, w, s.x[None], [s.y], np.asarray(delta)[None], lam)[0][0])
+
+
 def test_trades_zero_delta_consistency_term_vanishes():
     model = _mlp()
     rng = stream(82, 0)
     w = model.init_params(rng)
     s = LabeledSample(x=rng.standard_normal(5), y=1)
-    clean = model.loss_value(w, np.zeros(5), s)
-    assert trades_surrogate_loss(model, w, np.zeros(5), s, lam=2.0) == pytest.approx(clean, abs=1e-15)
+    clean = _clean_loss(model, w, s)
+    assert _trades_loss(model, w, np.zeros(5), s, lam=2.0) == pytest.approx(clean, abs=1e-15)
 
 
 def test_trades_lambda_limit_recovers_clean_loss():
@@ -432,8 +441,8 @@ def test_trades_lambda_limit_recovers_clean_loss():
     w = model.init_params(rng)
     s = LabeledSample(x=rng.standard_normal(5), y=0)
     delta = 0.2 * rng.standard_normal(5)
-    clean = model.loss_value(w, np.zeros(5), s)
-    assert trades_surrogate_loss(model, w, delta, s, lam=1e9) == pytest.approx(clean, abs=1e-6)
+    clean = _clean_loss(model, w, s)
+    assert _trades_loss(model, w, delta, s, lam=1e9) == pytest.approx(clean, abs=1e-6)
 
 
 def test_trades_gradients_match_finite_differences():
@@ -449,10 +458,10 @@ def test_trades_gradients_match_finite_differences():
         _, gw, gd = trades_batch_loss_and_grads(model, w, x[None, :], [y], delta[None, :], lam)
 
         def f_w(v):
-            return trades_surrogate_loss(model, v, delta, s, lam)
+            return _trades_loss(model, v, delta, s, lam)
 
         def f_d(v):
-            return trades_surrogate_loss(model, w, v, s, lam)
+            return _trades_loss(model, w, v, s, lam)
 
         for g, f, v in ((gw, f_w, w), (gd[0], f_d, delta)):
             fd = np.array([(f(_bump(v, i, 1e-6)) - f(_bump(v, i, -1e-6))) / 2e-6 for i in range(v.size)])
@@ -470,7 +479,7 @@ def test_trades_rejects_bad_lambda():
     model = _mlp()
     s = LabeledSample(x=np.zeros(5), y=0)
     with pytest.raises(ConfigError):
-        trades_surrogate_loss(model, np.zeros(model.param_dim), np.zeros(5), s, lam=0.0)
+        _trades_loss(model, np.zeros(model.param_dim), np.zeros(5), s, lam=0.0)
 
 
 def test_free_trades_m1_zero_rate_is_sgd_on_fixed_delta_surrogate():
