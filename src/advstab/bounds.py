@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, _count
+from .errors import ConfigError, DimensionError, _count, _int64s
 from .models import Dataset, SmoothModel
 from .threat import PerturbationSet
 
@@ -76,7 +76,8 @@ class _ProbeSampler:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     def _check_pool(self):
-        self._as_arrays(X=np.float64, y=np.int64)
+        self._as_arrays(X=np.float64)
+        object.__setattr__(self, "y", _int64s(self.y, "pool labels"))
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
             raise DimensionError(f"the pool needs X (n, d) and y (n,), got {self.X.shape} and {self.y.shape}")
         if self.pset.dim != self.X.shape[1]:

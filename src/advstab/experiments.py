@@ -18,12 +18,12 @@ the iteration budget so algorithms match on evaluations instead of updates.
 
 Checkpoint evaluation. Each checkpoint is one attack over the train and test
 rows together (each set drawing its starts from its own stream) plus one
-forward pass. On more than one CPU, ``run_gap_experiment`` forks workers at
-a trial's first snapshot; they evaluate the checkpoints while the trial
-still trains, and the caller meanwhile estimates the bound constants, on a
-stream of their own. On one CPU, or where ``fork`` does not exist, the
-caller evaluates the checkpoints in order after training. The reports are
-the same either way, byte for byte.
+forward pass. On more than one CPU, ``run_gap_experiment`` forks a process
+pool (``concurrent.futures``) at a trial's first snapshot; its workers
+evaluate the checkpoints while the trial still trains, and the caller
+meanwhile estimates the bound constants, on a stream of their own. On one
+CPU, or where ``fork`` does not exist, the caller evaluates the checkpoints
+in order after training. The reports are the same either way, byte for byte.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from __future__ import annotations
 import math
 import os
 import signal
-import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .bounds import BoundInputs, RegionSampler, estimate_constants, estimate_psi
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _count
 from .models import Dataset, SmoothModel, make_model
 from .rng import _check_seed, stream
 from .stability import RULE_FACTS
@@ -81,8 +80,9 @@ class ExperimentConfig:
     attach_bounds: bool = True
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        _count(self.trials, "trials", 1)
+        _count(self.hidden_dim, "hidden_dim", 1)
+        _count(self.class_count, "class_count", 2)
         every = self.checkpoint_every
         if every is not None and (isinstance(every, bool) or not isinstance(every, int)):
             raise ConfigError(f"checkpoint_every must be an int or None, got {every!r}")
@@ -298,120 +298,85 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class _RemoteTraceback(Exception):
-    """A worker's traceback, chained as the cause of the failure it sent."""
+# a pool worker's ``evaluate``, installed by ``_install_evaluate`` when it forks
+_worker_evaluate = None
 
-    def __str__(self):
-        return self.args[0]
+
+def _install_evaluate(evaluate) -> None:
+    global _worker_evaluate
+    _worker_evaluate = evaluate
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's, which shuts the pool down
+
+
+def _evaluate_in_worker(w: np.ndarray, mark: int):
+    return _worker_evaluate(w, mark)
 
 
 class _Checkpoints:
     """The evaluation of one trial's checkpoint marks, ``evaluate(w, mark)``
     each, in mark order.
 
-    On more than one CPU, ``min(_cores(), len(marks))`` workers start by
-    ``fork`` at the trial's first snapshot and evaluate while training goes
-    on. They inherit ``evaluate`` (so the model, the data and the attack)
-    and the caller's ``np.errstate``. ``put``, given to ``train`` as its
-    ``on_snapshot`` hook, copies each snapshot into a slot of one shared
-    buffer; only slot indices and results cross a pipe, so the trainer
-    never waits on a full one. On one CPU, or where ``fork`` does not
-    exist, ``results`` evaluates the marks in order on the calling process.
+    On more than one CPU, a ``ProcessPoolExecutor`` of ``min(_cores(),
+    len(marks))`` workers starts by ``fork`` at the trial's first snapshot
+    and evaluates while training goes on. The workers inherit ``evaluate``
+    (so the model, the data and the attack, never pickled) and the
+    caller's ``np.errstate``. ``put``, given to ``train`` as its
+    ``on_snapshot`` hook, submits each snapshot with its mark. On one CPU,
+    or where ``fork`` does not exist, ``results`` evaluates the marks in
+    order on the calling process.
 
-    Either way the failure of the lowest failing mark is raised, as the plain
-    loop would, and no mark above a failure starts after it. Used as a
-    context manager: every worker is joined and the pipes are closed before
-    the block is left, and the workers are killed first when it raises.
+    Either way the failure of the lowest failing mark is raised, as the
+    plain loop would, with a worker's traceback as its cause; a worker that
+    dies raises ``BrokenProcessPool``, a ``RuntimeError``. Used as a context
+    manager: the pool is shut down, its workers joined and its marks not
+    yet handed out cancelled, before the block is left.
     """
 
     def __init__(self, evaluate, marks: list):
         import multiprocessing
 
         self.evaluate, self.marks = evaluate, marks
-        self.slot = {mk: i for i, mk in enumerate(marks)}
         self.forks = _cores() > 1 and "fork" in multiprocessing.get_all_start_methods()
-        self.procs, self.sent, self.got = [], 0, {}
+        self.pool, self.futures = None, []
 
     def __enter__(self):
         return self
 
-    def __exit__(self, exc_type, *_):
-        for p in self.procs:
-            if exc_type is None:
-                self.tasks.put(None)
-            else:
-                p.kill()
-        for p in self.procs:
-            p.join()
-            p.close()
-        if self.procs:
-            self.tasks.close()
-            self.reader.close()
-            self.writer.close()
-
-    def _start(self, size: int) -> None:
-        import mmap
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        shared = mmap.mmap(-1, len(self.marks) * size * 8)  # anonymous, so shared with the forked workers
-        self.slots = np.frombuffer(shared, dtype=np.float64).reshape(len(self.marks), size)
-        self.tasks = ctx.SimpleQueue()
-        self.reader, self.writer = ctx.Pipe(duplex=False)
-        self.write_lock = ctx.Lock()
-        self.lowest_failure = ctx.Value("q", len(self.marks))
-        for _ in range(min(_cores(), len(self.marks))):
-            p = ctx.Process(target=self._work, daemon=True)
-            p.start()
-            self.procs.append(p)  # once started, so that a failed start leaves nothing to join
-
-    def _work(self) -> None:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's, which kills the workers
-        while (i := self.tasks.get()) is not None:
-            stat = error = None
-            if i < self.lowest_failure.value:
-                try:
-                    stat = self.evaluate(self.slots[i].copy(), self.marks[i])
-                except Exception as exc:  # raised again by the parent
-                    with self.lowest_failure.get_lock():
-                        self.lowest_failure.value = min(self.lowest_failure.value, i)
-                    error = (exc, traceback.format_exc())
-            with self.write_lock:
-                self.writer.send((i, stat, error))
-
-    def _take(self) -> None:
-        i, stat, error = self.reader.recv()
-        self.got[i] = (stat, error)
+    def __exit__(self, *_):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
 
     def put(self, update: int, w: np.ndarray) -> None:
-        """``train``'s ``on_snapshot`` hook."""
+        """``train``'s ``on_snapshot`` hook. ``w`` must not change after
+        the call: the pool pickles it only when it hands the mark out."""
         if not self.forks:
             return
-        if not self.procs:
-            self._start(w.size)
-        i = self.slot[update]
-        self.slots[i] = w
-        while self.reader.poll():  # read as we go, so no worker waits on a full pipe
-            self._take()
-        self.tasks.put(i)
-        self.sent += 1
+        if self.pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # With the fork context the pool forks all its workers before it
+            # starts its manager thread, and the previous trial's pool was
+            # shut down (its threads joined) on leaving its block, so no
+            # fork copies a running thread of either pool.
+            ctx = multiprocessing.get_context("fork")
+            workers = min(_cores(), len(self.marks))
+            self.pool = ProcessPoolExecutor(workers, ctx, initializer=_install_evaluate, initargs=(self.evaluate,))
+        self.futures.append(self.pool.submit(_evaluate_in_worker, w, update))
 
     def results(self, snapshots: dict) -> list:
         """Every mark's result, in mark order, once training has stored
         ``snapshots``."""
         if not self.forks:
             return [self.evaluate(snapshots[mk], mk) for mk in self.marks]
-        from multiprocessing.connection import wait
+        from concurrent.futures import FIRST_EXCEPTION, wait
 
-        while len(self.got) < self.sent:
-            if self.reader not in wait([self.reader] + [p.sentinel for p in self.procs]):
-                raise RuntimeError("a checkpoint worker exited before its marks were evaluated")
-            self._take()
-        failures = {i: error for i, (_, error) in self.got.items() if error is not None}
-        if failures:
-            exc, remote = failures[min(failures)]
-            raise exc from _RemoteTraceback(remote)
-        return [self.got[i][0] for i in range(len(self.marks))]
+        wait(self.futures, return_when=FIRST_EXCEPTION)
+        # Only marks not yet handed out can be cancelled, and the pool hands
+        # marks out in order, so every mark below a failure still runs.
+        for future in self.futures:
+            future.cancel()
+        return [future.result() for future in self.futures]
 
 
 def _checkpoint_marks(tc: TrainConfig, cadence: int) -> list:

@@ -25,8 +25,8 @@ it is the attack-only oracle: an attack step allocates no array of the
 batch's size and computes no losses unless asked. ``full(D)`` is the full
 oracle; the training steps take both from one binding.
 ``batch_loss_and_grads`` is the full oracle of a binding made for the one
-call, and checks its inputs unless told ``checked=False``. The TRADES
-surrogate's oracle (``trainers``) binds a second pass for the clean inputs.
+call, and checks its inputs. The TRADES surrogate's oracle (``trainers``)
+binds a second pass for the clean inputs.
 
 Run axis. Every batched operation also accepts a leading run axis: weights
 of shape (..., param_dim) and inputs of shape (..., B, d) with the same
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _int64s
 
 __all__ = [
     "LabeledSample",
@@ -76,7 +76,7 @@ class Dataset:
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        y = _int64s(y, "labels")
         if X.ndim != 2 or X.shape[0] < 1:
             raise DimensionError("X must be a nonempty (n, d) matrix")
         if y.shape != (X.shape[0],):
@@ -199,7 +199,7 @@ class SmoothModel:
     def _check_labels(self, y, shape: tuple) -> np.ndarray:
         """Integer labels of the given shape (the inputs' shape minus the
         feature axis), each in ``[0, class_count)``."""
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+        y = np.atleast_1d(_int64s(y, "labels"))
         if y.shape != shape:
             raise DimensionError("labels and inputs disagree on batch size")
         if (y < 0).any() or (y >= self.class_count).any():
@@ -255,26 +255,20 @@ class SmoothModel:
         y = self._check_labels(y, U.shape[:-1])
         return _logit_losses(self._logits(w, U), y, self.bounded)
 
-    def batch_loss_and_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None, *, checked: bool = True):
+    def batch_loss_and_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None):
         """One shared evaluation yielding losses, mean weight gradient, and
         per-sample perturbation gradients: the full oracle of an
-        ``AttackOracle`` bound for the call.
+        ``AttackOracle`` bound for the call, after the inputs are checked.
+        The training steps take the full oracle of ``lockstep``'s own
+        binding instead.
 
         Returns ``(losses (..., B), mean_grad_w (..., param_dim), grad_delta
         (..., B, d))``; the mean is over the B rows of each run.
-
-        ``checked=False`` skips the input checks: ``w``, ``X`` and
-        ``deltas`` (or None) must then be float64 arrays agreeing on the run
-        axis and ``y`` in-range int64 labels of the inputs' shape. The
-        training steps pass it, since ``trainers.lockstep`` validated their
-        inputs on entry.
         """
-        if checked:
-            w, X = self._inputs(w, X, deltas)
-            y = self._check_labels(y, X.shape[:-1])
-            deltas = None
-        # X + -0.0 is X bit for bit, signed zeros included
-        return self.attack_oracle(X, y).point(w).full(-0.0 if deltas is None else deltas)
+        w, U = self._inputs(w, X, deltas)
+        y = self._check_labels(y, U.shape[:-1])
+        # U + -0.0 is U bit for bit, signed zeros included
+        return self.attack_oracle(U, y).point(w).full(-0.0)
 
     def attack_oracle(self, X: np.ndarray, y: np.ndarray, rows: int | None = None) -> "AttackOracle":
         """The attack-only oracle of this model bound to the rows ``X``,

@@ -17,6 +17,8 @@ are ``stream``'s at the same address, bit for bit; only the cost differs
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError, DimensionError
@@ -28,10 +30,9 @@ def _check_seed(seed, name: str = "seed") -> int:
     """``seed`` as an int, or a ``ConfigError`` naming ``name`` when it is
     not a 64-bit unsigned integer. Configs check their seeds by it when
     they are built, before any stream is drawn."""
-    seed = int(seed)
-    if not 0 <= seed <= _U64_MAX:
-        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed <= _U64_MAX:
+        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
+    return int(seed)
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _count
 from .models import Dataset, LabeledSample
 from .rng import _check_seed, stream
 
@@ -33,10 +33,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.n_train < 2 or self.n_test < 2:
-            raise DimensionError("need at least 2 train and test samples")
-        if self.dim < 1:
-            raise DimensionError("dim must be >= 1")
+        _count(self.n_train, "n_train", 2, DimensionError)
+        _count(self.n_test, "n_test", 2, DimensionError)
+        _count(self.dim, "dim", 1, DimensionError)
         if self.kind == "spiral2d" and self.dim != 2:
             raise ConfigError("spiral2d is two-dimensional")
         if not (math.isfinite(self.noise) and self.noise >= 0):

@@ -266,8 +266,8 @@ def pgd_attack_batch(
     steps call it with ``losses=False``, since they read only the gradient;
     only restart scoring asks for the losses. ``w``, ``X`` and ``y`` are
     checked once here, since they stay fixed for the whole attack;
-    ``checked=False`` skips those checks, as it does for the models'
-    oracles, for inputs that ``trainers.lockstep`` validated. The iterate
+    ``checked=False`` skips those checks, for inputs that
+    ``trainers.lockstep`` validated. The iterate
     is stepped in place, so the attack allocates its arrays once, not once
     per step. With a run axis (``w`` (R, param_dim), ``X`` (R, B, d), ``y``
     (R, B)) every run starts each restart from the same draw, so run r

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _count, _int64s
 from .models import AttackOracle, Dataset, SmoothModel, _log_softmax, _log_softmax_arrays
 from .rng import _check_seed, keyed_stream, philox_keys, stream
 from .threat import AttackConfig, PerturbationSet, _row_norms, ascend_rows, pgd_attack_batch
@@ -81,8 +81,7 @@ class StepSchedule:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if not (math.isfinite(self.c) and self.c > 0):
             raise ConfigError("schedule constant c must be positive")
-        if self.m < 1:
-            raise ConfigError("schedule m must be a positive integer")
+        _count(self.m, "schedule m", 1)
 
     @property
     def vanishing(self) -> bool:
@@ -125,12 +124,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in RULES:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.total_iterations < 0:
-            raise ConfigError("total_iterations must be >= 0")
-        if self.free_steps < 1:
-            raise ConfigError("free_steps must be >= 1")
+        _count(self.batch_size, "batch_size", 1)
+        _count(self.total_iterations, "total_iterations", 0)
+        _count(self.free_steps, "free_steps", 1)
         _check_seed(self.seed, "train.seed")
         if self.attack_lr is not None and not (math.isfinite(self.attack_lr) and self.attack_lr >= 0):
             raise ConfigError(f"attack_lr must be nonnegative, got {self.attack_lr}")
@@ -257,9 +253,9 @@ def trades_batch_loss_and_grads(
 
     Returns ``(losses, mean_grad_w, grad_deltas)`` like the plain loss, and
     takes the same run axis; the perturbation gradient flows only through
-    the perturbed forward pass. ``checked=False`` skips the input checks as
-    ``SmoothModel.batch_loss_and_grads`` does, for inputs that ``lockstep``
-    validated and a ``lam`` that ``TrainConfig`` did.
+    the perturbed forward pass. ``checked=False`` skips the input checks,
+    for inputs that ``lockstep`` validated and a ``lam`` that
+    ``TrainConfig`` did.
     """
     D = deltas
     if checked:
@@ -475,7 +471,7 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
         raise DimensionError("lockstep datasets must have equal size")
     n_steps = cfg.total_iterations // m
     if batch_plan is not None:
-        batch_plan = np.asarray(batch_plan, dtype=np.int64)
+        batch_plan = _int64s(batch_plan, "batch_plan", ConfigError)
         if batch_plan.shape != (n_steps, b):
             raise ConfigError(f"batch_plan must have shape ({n_steps}, {b})")
         if batch_plan.size and not (0 <= batch_plan.min() and batch_plan.max() < n):

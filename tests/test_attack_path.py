@@ -204,7 +204,7 @@ def test_attack_only_oracle_equals_full_oracle_bit_for_bit(make, bounded):
     model = make(bounded)
     for w, X, y, D in _batches(model, 300):
         ref_losses, ref_gw, ref_gd = _ref_loss_and_grads(model, w, X, y, D)
-        losses, _, gd = model.batch_loss_and_grads(w, X, y, D, checked=False)
+        losses, _, gd = model.batch_loss_and_grads(w, X, y, D)
         assert np.array_equal(losses, ref_losses) and np.array_equal(gd, ref_gd)
         oracle = model.attack_oracle(X, y).point(w)
         for D_k in (D, 0.5 * D, D):  # the bound arrays serve every call

@@ -188,6 +188,16 @@ def test_a_sampler_built_from_lists_equals_one_built_from_arrays():
 
 
 @pytest.mark.parametrize("kind", ["region", "trajectory"])
+def test_samplers_reject_pool_labels_that_are_not_integers(kind):
+    y = [0.0, 1.0, 0.5, 1.0, 0.0]
+    with pytest.raises(ValueError, match="^pool labels must be integers, got 0.5$"):
+        if kind == "region":
+            RegionSampler(-np.ones(3), np.ones(3), PerturbationSet("l2", 0.3, 3), np.zeros((5, 3)), y)
+        else:
+            TrajectorySampler(np.zeros((2, 3)), 0.05, PerturbationSet("l2", 0.3, 3), np.zeros((5, 3)), y)
+
+
+@pytest.mark.parametrize("kind", ["region", "trajectory"])
 def test_samplers_reject_a_perturbation_set_of_another_dimension(kind):
     with pytest.raises(DimensionError, match="pset.dim"):
         if kind == "region":

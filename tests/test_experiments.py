@@ -3,8 +3,10 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -221,6 +223,35 @@ def test_checkpoint_every_must_be_an_int_or_none(value):
 def test_model_section_is_checked_at_construction(model, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         replace(_cfg(), **model)
+
+
+def _spec(**kw):
+    return SyntheticSpec(**{"kind": "two_gaussians", "n_train": 40, "n_test": 60, "dim": 4, "noise": 1.0, "seed": 21, **kw})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: _cfg(train_kw={"batch_size": 2.5}), ConfigError, "batch_size must be an integer >= 1, got 2.5"),
+        (lambda: _cfg(train_kw={"batch_size": True}), ConfigError, "batch_size must be an integer >= 1, got True"),
+        (lambda: _cfg(T=8.0), ConfigError, "total_iterations must be an integer >= 0, got 8.0"),
+        (lambda: _cfg(train_kw={"free_steps": 2.0}), ConfigError, "free_steps must be an integer >= 1, got 2.0"),
+        (lambda: _cfg(train_kw={"seed": 2.7}), ConfigError, "train.seed must be a 64-bit unsigned integer, got 2.7"),
+        (lambda: _cfg(train_kw={"seed": True}), ConfigError, "train.seed must be a 64-bit unsigned integer, got True"),
+        (lambda: StepSchedule("constant", c=0.3, m=1.5), ConfigError, "schedule m must be an integer >= 1, got 1.5"),
+        (lambda: _spec(n_train=10.5), DimensionError, "n_train must be an integer >= 2, got 10.5"),
+        (lambda: _spec(n_test=False), DimensionError, "n_test must be an integer >= 2, got False"),
+        (lambda: _spec(dim=3.0), DimensionError, "dim must be an integer >= 1, got 3.0"),
+        (lambda: _spec(seed=21.0), ConfigError, "data.seed must be a 64-bit unsigned integer, got 21.0"),
+        (lambda: _cfg(trials=2.0), ConfigError, "trials must be an integer >= 1, got 2.0"),
+        (lambda: replace(_cfg(), hidden_dim=True), ConfigError, "hidden_dim must be an integer >= 1, got True"),
+        (lambda: replace(_cfg(), class_count=2.0), ConfigError, "class_count must be an integer >= 2, got 2.0"),
+        (lambda: replace(_cfg(), eval_seed=777.0), ConfigError, "eval.seed must be a 64-bit unsigned integer, got 777.0"),
+    ],
+)
+def test_counts_and_seeds_must_be_integers(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_checkpoint_every_below_one_rejected_at_construction():
@@ -669,6 +700,58 @@ def test_a_worker_failure_carries_its_traceback(monkeypatch):
     with pytest.raises(ValueError, match="evaluation failed") as info:
         run_gap_experiment(_cfg(T=8, trials=1))
     assert "in failing" in str(info.value.__cause__)
+
+
+_DYING_WORKER = """
+import multiprocessing, os
+from advstab import experiments
+from advstab.synth import SyntheticSpec
+from advstab.threat import AttackConfig, PerturbationSet
+from advstab.trainers import StepSchedule, TrainConfig
+experiments._cores = lambda: 4
+evaluate = experiments._evaluate
+def dying(*args):
+    if args[-1] == 6:
+        os._exit(3)
+    return evaluate(*args)
+experiments._evaluate = dying
+data = SyntheticSpec("two_gaussians", n_train=40, n_test=60, dim=4, noise=1.0, seed=21)
+train = TrainConfig("vanilla", PerturbationSet("l2", 0.3, 4), StepSchedule("constant", c=0.3), batch_size=8, total_iterations=24, seed=100)
+cfg = experiments.ExperimentConfig("mlp", data, train, checkpoint_every=2, trials=1, hidden_dim=6)
+try:
+    experiments.run_gap_experiment(cfg)
+    print("returned")
+except RuntimeError:
+    print("RuntimeError")
+print(len(multiprocessing.active_children()))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="evaluation runs inline without fork")
+def test_a_dying_worker_raises_and_leaves_no_worker_behind():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", _DYING_WORKER], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["RuntimeError", "0"]
+
+
+def test_no_fork_copies_a_running_thread(monkeypatch):
+    """Each trial's workers fork before their pool starts a thread, and
+    after the previous trial's pool has joined its own."""
+    monkeypatch.setattr(experiments, "_cores", lambda: 4)
+    threads, fork = [], os.fork
+
+    def counting_fork():
+        threads.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    before = threading.active_count()
+    run_gap_experiment(replace(_cfg(T=24, trials=3), checkpoint_every=2))
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert threads == [before] * 12  # four workers per trial
+    assert threading.active_count() == before
 
 
 def test_on_snapshot_sees_each_mark_once_in_order():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advstab.errors import DimensionError
+from advstab.errors import DimensionError, _int64s
 from advstab.models import (
     Dataset,
     LabeledSample,
@@ -228,6 +228,30 @@ def test_dataset_validation_and_replacement():
         data.replace_sample(5, data.sample(0))
     with pytest.raises(DimensionError):
         Dataset(np.eye(3), np.array([0, 1]))
+
+
+def test_dataset_rejects_labels_that_are_not_integers():
+    assert Dataset(np.eye(2), [0.0, 1.0]).y.tolist() == [0, 1]
+    for labels in ([0.5, 1.2], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="^labels must be integers, got "):
+            Dataset(np.eye(2), labels)
+
+
+@pytest.mark.parametrize("labels", [[0.7], [np.inf], [-0.5]])
+def test_checked_calls_reject_labels_that_are_not_integers(labels):
+    model = TwoLayerTanhMLP(input_dim=4, hidden_dim=3, class_count=2)
+    rng = stream(8, 0)
+    w, X = model.init_params(rng), rng.standard_normal((1, 4))
+    assert model.loss_batch(w, X, [1.0]) == model.loss_batch(w, X, [1])
+    for call in (model.loss_batch, model.batch_loss_and_grads):
+        with pytest.raises(ValueError, match="^labels must be integers, got "):
+            call(w, X, labels)
+
+
+def test_an_int64_label_array_passes_uncopied():
+    y = np.array([0, 1, 1])
+    assert _int64s(y, "labels") is y
+    assert _int64s(y.astype(np.int8), "labels").dtype == np.int64
 
 
 def test_make_model_dispatch():

@@ -143,6 +143,10 @@ def test_forced_plan_shape_validation():
         plan[4, 1] = bad
         with pytest.raises(ConfigError, match="batch_plan indices"):
             coupled_run(model, pair, cfg, batch_plan=plan)
+    plan = np.zeros((10, cfg.batch_size))
+    plan[4, 1] = 2.5  # not truncated to index 2
+    with pytest.raises(ConfigError, match="^batch_plan must be integers, got 2.5$"):
+        coupled_run(model, pair, cfg, batch_plan=plan)
 
 
 def test_encounter_probability_union_bound():

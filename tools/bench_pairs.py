@@ -10,8 +10,12 @@ tool prints the tail of that run's output and exits 1. Otherwise it prints
 each pair's values and then, for each end-to-end metric that the change
 checkout's ``BENCHMARK.json`` declares, both medians, both interquartile
 ranges (quartiles by linear interpolation), the relative change of the
-medians and how many pairs the change won by the metric's direction (a tie
-wins nothing). Standard library only.
+medians, how many pairs the change won by the metric's direction (a tie
+wins nothing), the metric's declared relative ``bound`` and a verdict:
+``regressed`` when the change's median is worse than the parent's by more
+than the bound, else ``unresolved`` when the parent's IQR over its median
+exceeds the bound (the runs spread too widely to tell), else ``within``.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -70,7 +74,10 @@ def main(argv=None) -> int:
         print(f"pair {k + 1} ({order[0]} first): {row}", flush=True)
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
-    print(f"  {'metric':<14} {'parent median':>14} {'IQR':>10} {'change median':>14} {'IQR':>10} {'change':>8} {'wins':>6}")
+    print(
+        f"  {'metric':<14} {'parent median':>14} {'IQR':>10} {'change median':>14} {'IQR':>10} {'change':>8} {'wins':>6}"
+        f" {'bound':>6}  verdict"
+    )
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         before = [r[name] for r in runs["parent"]]
@@ -79,7 +86,18 @@ def main(argv=None) -> int:
         c1, c2, c3 = quartiles(after)
         wins = sum((a < b) if lower else (a > b) for a, b in zip(after, before))
         rel = (c2 - p2) / p2 if p2 else float("nan")
-        print(f"  {name:<14} {p2:>14.6g} {p3 - p1:>10.4g} {c2:>14.6g} {c3 - c1:>10.4g} {rel:>+8.1%} {wins:>3}/{args.pairs}")
+        bound = m["bound"]
+        worse = rel if lower else -rel
+        if worse > bound:
+            verdict = "regressed"
+        elif not p2 or (p3 - p1) / abs(p2) > bound:
+            verdict = "unresolved"
+        else:
+            verdict = "within"
+        print(
+            f"  {name:<14} {p2:>14.6g} {p3 - p1:>10.4g} {c2:>14.6g} {c3 - c1:>10.4g} {rel:>+8.1%} {wins:>3}/{args.pairs}"
+            f" {bound:>6g}  {verdict}"
+        )
     return 0
 
 
