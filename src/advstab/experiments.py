@@ -503,12 +503,12 @@ class VsNReport:
 def run_vs_n_experiment(cfg: ExperimentConfig, n_values) -> VsNReport:
     """One gap experiment per training-set size at fixed T, plus the fitted
     log-log slope of the mean gap against n and its Spearman correlation."""
-    n_values = list(n_values)
+    n_values = [_count(n, f"n_values[{i}]", 1) for i, n in enumerate(n_values)]
     if any(n < cfg.train.batch_size for n in n_values):
         raise ConfigError("every n must be at least the batch size")
     reports = []
     for n in n_values:
-        sub = replace(cfg, data=replace(cfg.data, n_train=int(n)))
+        sub = replace(cfg, data=replace(cfg.data, n_train=n))
         reports.append(run_gap_experiment(sub))
     gaps = np.array([r.mean_final_acc_gap() for r in reports])
     slope, slope_se = _loglog_slope(np.array(n_values, dtype=float), gaps)
@@ -566,9 +566,6 @@ class TransferReport:
     accuracy: dict  # (source, target) -> robust accuracy, averaged over trials
     per_trial: list
     clean_accuracy: dict
-
-    def entry(self, source: str, target: str) -> float:
-        return self.accuracy[(source, target)]
 
 
 def _require_fair_evaluation(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig):

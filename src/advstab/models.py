@@ -229,14 +229,6 @@ class SmoothModel:
         """Gaussian init with stddev 1/sqrt(fan_in) per weight matrix, zero biases."""
         return rng.standard_normal(self.param_dim) * self._init_scales()
 
-    def with_bounded(self, bounded: bool) -> "SmoothModel":
-        clone = type(self)(**self._ctor_args())
-        clone.bounded = bool(bounded)
-        return clone
-
-    def _ctor_args(self) -> dict:
-        raise NotImplementedError
-
     def _logits(self, w: np.ndarray, U: np.ndarray) -> np.ndarray:
         """The logits at ``U``: one forward of a pass bound for the call."""
         Z, forward, _, _ = self._bound_pass(w, U)
@@ -392,9 +384,6 @@ class SoftmaxLinear(SmoothModel):
         self.param_dim = self.class_count * self.input_dim + self.class_count
         self.bounded = bool(bounded)
 
-    def _ctor_args(self):
-        return dict(input_dim=self.input_dim, class_count=self.class_count, bounded=self.bounded)
-
     def unpack(self, w: np.ndarray):
         C, d = self.class_count, self.input_dim
         return w[..., : C * d].reshape(w.shape[:-1] + (C, d)), w[..., C * d :]
@@ -434,14 +423,6 @@ class TwoLayerTanhMLP(SmoothModel):
         d, h, C = self.input_dim, self.hidden_dim, self.class_count
         self.param_dim = h * d + h + C * h + C
         self.bounded = bool(bounded)
-
-    def _ctor_args(self):
-        return dict(
-            input_dim=self.input_dim,
-            hidden_dim=self.hidden_dim,
-            class_count=self.class_count,
-            bounded=self.bounded,
-        )
 
     def unpack(self, w: np.ndarray):
         d, h, C = self.input_dim, self.hidden_dim, self.class_count
@@ -513,9 +494,6 @@ class ScalarLogistic(SmoothModel):
         self.hidden_dim = None
         self.param_dim = self.input_dim
         self.bounded = bool(bounded)
-
-    def _ctor_args(self):
-        return dict(input_dim=self.input_dim, bounded=self.bounded)
 
     def _bound_pass(self, w, U):
         lead = U.shape[:-1]

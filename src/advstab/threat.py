@@ -254,8 +254,6 @@ def pgd_attack_batch(
     rng,
     loss_grad_fn=None,
     parts=None,
-    *,
-    checked: bool = True,
 ):
     """Vectorized projected-gradient ascent over a batch of samples.
 
@@ -264,10 +262,11 @@ def pgd_attack_batch(
     bound once for the attack; pass another oracle pointed at ``(w, X, y)``
     (``trainers.lockstep`` passes its training run's) or a surrogate. The
     steps call it with ``losses=False``, since they read only the gradient;
-    only restart scoring asks for the losses. ``w``, ``X`` and ``y`` are
-    checked once here, since they stay fixed for the whole attack;
-    ``checked=False`` skips those checks, for inputs that
-    ``trainers.lockstep`` validated. The iterate
+    only restart scoring asks for the losses. ``w``, ``X`` and ``y`` stay
+    fixed for the whole attack, so they are checked once, here, when the
+    attack binds its own oracle; with ``loss_grad_fn`` the attack reads
+    only the shape of ``X``, whose last axis is checked against
+    ``pset.dim`` either way. The iterate
     is stepped in place, so the attack allocates its arrays once, not once
     per step. With a run axis (``w`` (R, param_dim), ``X`` (R, B, d), ``y``
     (R, B)) every run starts each restart from the same draw, so run r
@@ -278,11 +277,11 @@ def pgd_attack_batch(
     Returns the perturbations; ``TrainConfig.oracle_per_update`` states
     what a training step's attack costs.
     """
-    if checked:
+    if loss_grad_fn is None:
         w, X = model._inputs(w, X, None)
         y = model._check_labels(y, X.shape[:-1])
-        if pset.dim != model.input_dim:
-            raise DimensionError(f"perturbation set dimension {pset.dim} does not match inputs {model.input_dim}")
+    if X.shape[-1] != pset.dim:
+        raise DimensionError(f"perturbation set dimension {pset.dim} does not match inputs {X.shape[-1]}")
     if parts is not None and (sum(parts) != X.shape[-2] or len(parts) != len(rng)):
         raise DimensionError(f"parts {parts} must sum to the {X.shape[-2]} rows, with one generator each")
     step = cfg.resolved_step(pset)

@@ -342,24 +342,27 @@ def _bind_attack(model, X, y, lam, rows=None) -> AttackOracle:
 # single-step building blocks (the updates lockstep applies)
 # ---------------------------------------------------------------------------
 #
-# Each step takes one run (``w`` (P,), ``X`` (B, d), ``y`` (B,)) or a stack of
+# Each step takes its rows from a binding (``_bind_attack``) pointed at
+# ``(w, X, y)``: one run (``w`` (P,), ``X`` (B, d), ``y`` (B,)) or a stack of
 # runs on the models' run axis (``w`` (R, P), ``X`` (R, B, d), ``y`` (R, B));
 # the perturbations are (B, d) or (R, B, d) to match. The stats are one dict,
-# or a tuple of one dict per run. The plain loss's oracles are a binding
-# (``AttackOracle``) pointed at ``(w, X, y)``: ``lockstep`` passes the one it
-# binds once per run, and without it a step binds its own. The TRADES full
-# oracle and the attack are called unchecked (``checked=False``): their
-# inputs are lockstep's, validated on entry.
+# or a tuple of one dict per run. ``lockstep`` binds once per run, always on
+# the run axis, and re-points the binding at every update. Nothing here
+# checks its inputs: they are lockstep's, validated on entry, and the TRADES
+# weight step runs its full oracle with ``checked=False``.
 
 
-def _full_grads(model, w, X, y, D, lam, oracle):
-    """``(losses, mean_grad_w, grad_delta)`` at ``(w, X + D)``: the plain
-    loss through ``oracle`` (bound here when None), whose gradients live
-    until its next call, or the TRADES surrogate when ``lam`` is set."""
+def _full_grads(model, w, oracle, D, lam):
+    """``(losses, mean_grad_w, grad_delta)`` at ``(w, X + D)`` on the rows of
+    ``oracle``: the plain loss through ``oracle``, whose gradients live until
+    its next call, or the TRADES surrogate when ``lam`` is set."""
     if lam is not None:
-        return trades_batch_loss_and_grads(model, w, X, y, D, lam, checked=False)
-    if oracle is None:
-        oracle = model.attack_oracle(X, y).point(w)
+        # a surrogate bound for the call, not the binding's own ``full``: the
+        # benchmark's tracer counts oracle calls at trades_batch_loss_and_grads
+        # and at batch_loss_and_grads only, and bench/run.py divides by that
+        # count unguarded, so seq-train would read zero calls and crash
+        # (ROADMAP items 1 and 9)
+        return trades_batch_loss_and_grads(model, w, oracle.X, oracle.y, D, lam, checked=False)
     return oracle.full(D)
 
 
@@ -381,25 +384,21 @@ def _stats(losses, mean_gw, norms):
     return tuple({"loss": a, "grad_w_norm": g, "min_grad_delta_norm": m} for a, g, m in rows)
 
 
-def vanilla_batch_step(model, X, y, w, alpha_w, pset, attack_cfg, attack_rng, lam=None, attack=None):
+def vanilla_batch_step(model, attack, w, alpha_w, pset, attack_cfg, attack_rng, lam=None):
     """Attack every sample in the batch, then one weight step at the
     attacked points. ``attack`` is the inner attack's oracle
-    (``_bind_attack``) pointed at ``(w, X, y)``; on the plain loss it also
-    serves the weight step. Returns (new_w, stats)."""
-    if attack is None:
-        attack = _bind_attack(model, X, y, lam).point(w)
-    deltas = pgd_attack_batch(model, w, X, y, pset, attack_cfg, attack_rng, loss_grad_fn=attack, checked=False)
-    losses, mean_gw, Gd = _full_grads(model, w, X, y, deltas, lam, attack)
+    (``_bind_attack`` with ``lam``) pointed at ``(w, X, y)``; on the plain
+    loss it also serves the weight step. Returns (new_w, stats)."""
+    deltas = pgd_attack_batch(model, w, attack.X, attack.y, pset, attack_cfg, attack_rng, loss_grad_fn=attack)
+    losses, mean_gw, Gd = _full_grads(model, w, attack, deltas, lam)
     return w - alpha_w * mean_gw, _stats(losses, mean_gw, _row_norms(Gd))
 
 
-def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start, oracle=None):
+def fast_batch_step(oracle, w, alpha_w, fast_step_size, pset, delta_start):
     """One projected attack step from a random start, then one weight step.
     The rescaling identity is applied to the start-point gradients, so they
     give the stats' min perturbation-gradient norm. ``oracle`` is the plain
     loss's binding pointed at ``(w, X, y)``. Returns (new_w, stats)."""
-    if oracle is None:
-        oracle = model.attack_oracle(X, y).point(w)
     _, Gd0 = oracle(delta_start, losses=False)
     norms = _row_norms(Gd0)  # before the weight step's call writes over Gd0
     deltas = ascend_rows(delta_start, Gd0, fast_step_size, pset, norms)
@@ -407,13 +406,14 @@ def fast_batch_step(model, X, y, w, alpha_w, fast_step_size, pset, delta_start, 
     return w - alpha_w * mean_gw, _stats(losses, mean_gw, norms)
 
 
-def free_inner_iteration(model, X, y, w, deltas, alpha_w, alpha_delta, pset, lam=None, oracle=None):
+def free_inner_iteration(model, oracle, w, deltas, alpha_w, alpha_delta, pset, lam=None):
     """One simultaneous update: both gradients from a single evaluation at
     the pre-update (w, deltas), then descend w and ascend deltas together.
-    ``oracle`` is the plain loss's binding pointed at ``(w, X, y)``.
+    ``oracle`` is the plain loss's binding pointed at ``(w, X, y)``; with
+    ``lam`` set it supplies the rows of the TRADES surrogate.
 
     Returns (new_w, new_deltas, stats)."""
-    losses, mean_gw, Gd = _full_grads(model, w, X, y, deltas, lam, oracle)
+    losses, mean_gw, Gd = _full_grads(model, w, oracle, deltas, lam)
     norms = _row_norms(Gd)
     new_w = w - alpha_w * mean_gw
     new_deltas = ascend_rows(deltas, Gd, alpha_delta, pset, norms)
@@ -434,9 +434,9 @@ def _validate(model: SmoothModel, dataset: Dataset, cfg: TrainConfig):
 
 
 def _require_finite(W: np.ndarray, update: int) -> None:
-    """``W`` is one run's weights (P,) or a stack (R, P)."""
+    """``W`` is the stack of every trajectory's weights (R, P)."""
     if not np.isfinite(W).all():
-        trajectory = int(np.argmin(np.atleast_1d(np.isfinite(W).all(axis=-1))))
+        trajectory = int(np.argmin(np.isfinite(W).all(axis=-1)))
         raise FloatingPointError(f"update {update} made the weights of trajectory {trajectory} non-finite")
 
 
@@ -449,9 +449,10 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     overrides the batch-index stream, which lets tests pin exactly when a
     given index is drawn.
 
-    With several datasets the trajectories ride the models' run axis: one
-    oracle call per step serves them all, and each shared draw is made
-    once. Each trajectory still equals a single-dataset run bit for bit.
+    The trajectories ride the models' run axis, one run per dataset
+    (``train`` is one run): one oracle call per step serves them all, and
+    each shared draw is made once. Each trajectory equals the unstacked
+    steps on its own dataset bit for bit.
 
     The first item yielded is the shared initialization; each later item
     follows one weight update of every trajectory:
@@ -464,6 +465,8 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     trajectory's weights non-finite, naming the update and the trajectory.
     """
     datasets = list(datasets)
+    if not datasets:
+        raise DimensionError("lockstep needs at least one dataset")
     for dataset in datasets:
         _validate(model, dataset, cfg)
     n, b, m, rule, pset, lam = datasets[0].n, cfg.batch_size, cfg.inner_steps, cfg.rule, cfg.pset, cfg.lam
@@ -476,20 +479,9 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
             raise ConfigError(f"batch_plan must have shape ({n_steps}, {b})")
         if batch_plan.size and not (0 <= batch_plan.min() and batch_plan.max() < n):
             raise ConfigError(f"batch_plan indices must lie in [0, {n})")
-
-    # one trajectory keeps the unstacked shapes; several get a leading run axis
     runs = len(datasets)
-    single = runs == 1
-
-    def stacked(arrays):
-        return arrays[0] if single else np.stack(arrays)
-
-    def per_run(A):
-        return (A,) if single else tuple(A)
 
     def shared(draw):  # one draw, copied to every trajectory
-        if single:
-            return draw
         out = np.empty((runs,) + draw.shape)
         out[...] = draw
         return out
@@ -503,36 +495,33 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     draw_rng = keyed_stream(keys[-1])
     batch_rng = keyed_stream(keys[0]) if batch_plan is None else None
 
-    X_all = stacked([dataset.X for dataset in datasets])
-    y_all = stacked([dataset.y for dataset in datasets])
-    # bound once, then re-pointed at each step's weights and rows: the plain
-    # loss's oracles under every rule, and the vanilla rule's TRADES attack
-    oracle = _bind_attack(model, X_all, y_all, lam, rows=b) if lam is None or rule == VANILLA else None
-    W = stacked([model.init_params(stream(cfg.seed, STREAM_INIT))] * runs)
-    yield 0, 0, 0.0, None, per_run(W), None, None
+    # bound once, then re-pointed at each update's weights and rows: the
+    # plain loss's oracles, or the vanilla rule's attack on the TRADES surrogate
+    X_all = np.stack([dataset.X for dataset in datasets])
+    y_all = np.stack([dataset.y for dataset in datasets])
+    oracle = _bind_attack(model, X_all, y_all, lam if rule == VANILLA else None, rows=b)
+    W = np.stack([model.init_params(stream(cfg.seed, STREAM_INIT))] * runs)
+    yield 0, 0, 0.0, None, tuple(W), None, None
     for t in range(1, n_steps + 1):
         idx = batch_plan[t - 1] if batch_plan is not None else batch_rng(t - 1).integers(0, n, size=b)
-        if oracle is not None:
-            X, y = oracle.point(W, idx).X, oracle.y
-        else:
-            X, y = X_all[..., idx, :], y_all[..., idx]
+        oracle.point(W, idx)
         aw = step_size(cfg.schedule, t)
         if rule == FREE:
             D = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
             for i in range(1, m + 1):
-                if oracle is not None and i > 1:
+                if i > 1:
                     oracle.point(W)
-                W, D, stats = free_inner_iteration(model, X, y, W, D, aw, cfg.resolved_attack_lr, pset, lam=lam, oracle=oracle)
+                W, D, stats = free_inner_iteration(model, oracle, W, D, aw, cfg.resolved_attack_lr, pset, lam)
                 _require_finite(W, (t - 1) * m + i)
-                yield t, i, aw, idx, per_run(W), per_run(D), per_run(stats)
+                yield t, i, aw, idx, tuple(W), tuple(D), stats
             continue
         if rule == VANILLA:
-            W, stats = vanilla_batch_step(model, X, y, W, aw, pset, cfg.inner_attack, draw_rng(t - 1), lam=lam, attack=oracle)
+            W, stats = vanilla_batch_step(model, oracle, W, aw, pset, cfg.inner_attack, draw_rng(t - 1), lam)
         else:
             delta0 = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
-            W, stats = fast_batch_step(model, X, y, W, aw, cfg.resolved_fast_step, pset, delta0, oracle=oracle)
+            W, stats = fast_batch_step(oracle, W, aw, cfg.resolved_fast_step, pset, delta0)
         _require_finite(W, t)
-        yield t, 1, aw, idx, per_run(W), None, per_run(stats)
+        yield t, 1, aw, idx, tuple(W), None, stats
 
 
 def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=None, *, on_snapshot=None):

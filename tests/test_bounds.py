@@ -74,9 +74,6 @@ class ConstantLossModel(SmoothModel):
         self.param_dim = input_dim
         self.bounded = False
 
-    def _ctor_args(self):
-        return dict(input_dim=self.input_dim)
-
     def _bound_pass(self, w, U):
         Z = np.zeros(U.shape[:-1] + (2,))
 
@@ -217,9 +214,6 @@ class QuadraticModel(SmoothModel):
         self.param_dim = 1
         self.bounded = False
         self.a = a
-
-    def _ctor_args(self):
-        return dict(a=self.a)
 
     def _bound_pass(self, w, U):
         raise NotImplementedError

@@ -179,6 +179,19 @@ def test_vs_n_duplicate_values_give_identical_reports():
     assert report_to_dict(res.reports[0]) == report_to_dict(res.reports[1])
 
 
+@pytest.mark.parametrize(
+    "n_values, message",
+    [([30.7, 60], "n_values[0] must be an integer >= 1, got 30.7"), ([30, True], "n_values[1] must be an integer >= 1, got True")],
+)
+def test_vs_n_rejects_a_size_that_is_not_an_integer_before_training(monkeypatch, n_values, message):
+    def no_training(cfg):
+        raise AssertionError("trained before the sizes were checked")
+
+    monkeypatch.setattr(experiments, "run_gap_experiment", no_training)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_vs_n_experiment(_cfg(trials=1, T=20), n_values)
+
+
 def test_transfer_attacks_weaker_than_whitebox_in_majority():
     # attacks crafted on the other model should usually hurt less than the
     # target's own white-box attacks

@@ -101,7 +101,7 @@ def test_gradients_match_finite_differences(model):
 
 @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
 def test_bounded_wrapper_range_and_gradients(model):
-    bounded = model.with_bounded(True)
+    bounded = make_model(model.kind, model.input_dim, model.class_count, model.hidden_dim or 16, bounded=True)
     rng = stream(24, 0)
     for _ in range(5):
         w, delta, s = _random_point(bounded, rng)

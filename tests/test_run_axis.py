@@ -274,9 +274,6 @@ class HalfFlatModel(SmoothModel):
         self.hidden_dim = None
         self.bounded = False
 
-    def _ctor_args(self):
-        return {}
-
     def _bound_pass(self, w, U):
         Z, gate = np.zeros(U.shape[:-1] + (2,)), np.empty(U.shape[:-1] + (1,))
 

@@ -5,7 +5,7 @@ import pytest
 
 from advstab.bounds import ConstantEstimates, RegionSampler, estimate_constants, estimate_lipschitz, estimate_psi
 from advstab.errors import ConfigError, DimensionError, TraceError
-from advstab.models import Dataset, LabeledSample, ScalarLogistic, SoftmaxLinear, TwoLayerTanhMLP
+from advstab.models import Dataset, LabeledSample, ScalarLogistic, SoftmaxLinear, TwoLayerTanhMLP, make_model
 from advstab.rng import stream
 from advstab.stability import (
     RULE_FACTS,
@@ -470,7 +470,7 @@ def test_uniform_stability_equals_the_two_attack_form(model, restarts):
     pts = data.samples()[:12]
     rng = stream(98, restarts)
     for bounded in (False, True):
-        m = model.with_bounded(bounded)
+        m = make_model(model.kind, model.input_dim, model.class_count, model.hidden_dim or 16, bounded)
         for pset in (PerturbationSet("l2", 0.3, 5), PerturbationSet("linf", 0.1, 5)):
             w = m.init_params(rng) + rng.standard_normal(m.param_dim)
             w2 = w + 0.05 * rng.standard_normal(m.param_dim)

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from advstab.errors import ConfigError, DegenerateGradientError, DimensionError
-from advstab.models import Dataset, LabeledSample, ScalarLogistic, SoftmaxLinear
+from advstab.models import Dataset, LabeledSample, ScalarLogistic, SoftmaxLinear, make_model
 from advstab.rng import stream
 from advstab.threat import (
     AttackConfig,
@@ -248,7 +250,8 @@ def _counting(model):
 
             return (Z, counted, *grads)
 
-    counted = Counting(**model._ctor_args())
+    counted = copy.copy(model)
+    counted.__class__ = Counting
     counted.forwards = 0
     return counted
 
@@ -256,7 +259,7 @@ def _counting(model):
 @pytest.mark.parametrize("bounded", [False, True])
 @pytest.mark.parametrize("model", [SoftmaxLinear(input_dim=3, class_count=3), ScalarLogistic(input_dim=3)])
 def test_empirical_robust_risk_one_forward_pass_after_attack(model, bounded):
-    model = model.with_bounded(bounded)
+    model = make_model(model.kind, model.input_dim, model.class_count, bounded=bounded)
     rng = stream(62, 0)
     w = model.init_params(rng) + rng.standard_normal(model.param_dim)
     data = Dataset(rng.standard_normal((9, 3)), rng.integers(0, model.class_count, size=9))

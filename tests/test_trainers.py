@@ -238,23 +238,41 @@ def test_free_starts_are_the_addressed_draws(seed):
 
 
 @pytest.mark.parametrize("seed", ADDRESS_SEEDS)
-@pytest.mark.parametrize("algorithm", ["vanilla", "fast"])
+@pytest.mark.parametrize("algorithm", ["vanilla", "trades_seq", "fast", "free", "free_trades"])
 def test_attack_draws_are_the_addressed_draws(algorithm, seed):
-    # a reference loop that hands each step a stream built at its address
+    # an unstacked reference loop: each update on its own rows through a
+    # fresh binding, each step's stream built at its address
     data, model = _data(), _mlp()
-    cfg = _cfg(algorithm, T=6, seed=seed, inner_attack=AttackConfig(steps=2, step_size=0.5, restarts=2))
-    w_ref = model.init_params(stream(seed, STREAM_INIT))
-    for t in range(1, 7):
+    attack = AttackConfig(steps=2, step_size=0.5, restarts=2)
+    cfg = _cfg(algorithm, T=6, seed=seed, free_steps=3, trades_lambda=0.5, inner_attack=attack)
+    w_ref, rows = model.init_params(stream(seed, STREAM_INIT)), []
+    for t in range(1, 6 // cfg.inner_steps + 1):
         idx = batch_indices(seed, t, data.n, cfg.batch_size)
         X, y, aw = data.X[idx], data.y[idx], step_size(cfg.schedule, t)
-        if algorithm == "vanilla":
+        bind = trainers._bind_attack(model, X, y, cfg.lam).point
+        if cfg.rule == "vanilla":
             rng = stream(seed, STREAM_ATTACK, t)
-            w_ref, _ = vanilla_batch_step(model, X, y, w_ref, aw, cfg.pset, cfg.inner_attack, rng)
-        else:
-            start = cfg.pset.sample_uniform(stream(seed, STREAM_DELTA, t), size=cfg.batch_size)
-            w_ref, _ = fast_batch_step(model, X, y, w_ref, aw, cfg.resolved_fast_step, cfg.pset, start)
-    w, _ = train(model, data, cfg)
+            w_ref, stats = vanilla_batch_step(model, bind(w_ref), w_ref, aw, cfg.pset, attack, rng, cfg.lam)
+            rows.append(stats)
+            continue
+        deltas = cfg.pset.sample_uniform(stream(seed, STREAM_DELTA, t), size=cfg.batch_size)
+        if cfg.rule == "fast":
+            w_ref, stats = fast_batch_step(bind(w_ref), w_ref, aw, cfg.resolved_fast_step, cfg.pset, deltas)
+            rows.append(stats)
+            continue
+        lr = cfg.resolved_attack_lr
+        for _ in range(cfg.inner_steps):
+            w_ref, deltas, stats = free_inner_iteration(model, bind(w_ref), w_ref, deltas, aw, lr, cfg.pset, cfg.lam)
+            rows.append(stats)
+    w, trace = train(model, data, cfg)
     assert np.array_equal(w, w_ref)
+    for column, name in ((trace.loss, "loss"), (trace.grad_w_norm, "grad_w_norm"), (trace.min_grad_delta, "min_grad_delta_norm")):
+        assert np.array_equal(column, [stats[name] for stats in rows]), name
+
+
+def test_lockstep_needs_a_dataset():
+    with pytest.raises(DimensionError, match="at least one dataset"):
+        next(lockstep(_mlp(), [], _cfg("vanilla")))
 
 
 @pytest.mark.parametrize("T", [8, 60])
@@ -315,9 +333,8 @@ def test_free_m1_is_one_simultaneous_update_per_step():
     for t in range(1, 7):
         idx = batch_indices(cfg.seed, t, data.n, cfg.batch_size)
         deltas = cfg.pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=cfg.batch_size)
-        w_ref, _, _ = free_inner_iteration(
-            model, data.X[idx], data.y[idx], w_ref, deltas, 0.3, cfg.resolved_attack_lr, cfg.pset
-        )
+        oracle = model.attack_oracle(data.X[idx], data.y[idx]).point(w_ref)
+        w_ref, _, _ = free_inner_iteration(model, oracle, w_ref, deltas, 0.3, cfg.resolved_attack_lr, cfg.pset)
     assert np.array_equal(w, w_ref)
 
 
@@ -329,7 +346,7 @@ def test_free_zero_attack_rate_keeps_deltas_at_init():
     w = model.init_params(rng)
     X, y = data.X[:6], data.y[:6]
     deltas = pset.sample_uniform(stream(77, 1), size=6)
-    w2, new_deltas, _ = free_inner_iteration(model, X, y, w, deltas, 0.2, 0.0, pset)
+    w2, new_deltas, _ = free_inner_iteration(model, model.attack_oracle(X, y).point(w), w, deltas, 0.2, 0.0, pset)
     assert np.array_equal(new_deltas, deltas)
     # and the weight update is plain SGD at the perturbed points
     _, gw, _ = model.batch_loss_and_grads(w, X, y, deltas)
@@ -359,7 +376,7 @@ def test_fast_single_sample_matches_hand_formula():
     y = np.array([1])
     delta0 = pset.sample_uniform(stream(80, 1), size=1)
     step = 0.3
-    w2, _ = fast_batch_step(model, X, y, w, 0.1, step, pset, delta0)
+    w2, _ = fast_batch_step(model.attack_oracle(X, y).point(w), w, 0.1, step, pset, delta0)
     _, _, G0 = model.batch_loss_and_grads(w, X, y, delta0)
     g = G0[0]
     stepped = delta0[0] + step * pset.radius * g / np.linalg.norm(g)
@@ -382,9 +399,8 @@ def test_fast_step_stats_come_from_the_start_gradient_and_the_weight_step(norm):
     _, _, G0 = model.batch_loss_and_grads(w, X, y, delta0)
     losses, gw, _ = model.batch_loss_and_grads(w, X, y, ascend_rows(delta0, G0, 0.3, pset))
     want = {"loss": float(losses.mean()), "grad_w_norm": float(np.linalg.norm(gw)), "min_grad_delta_norm": float(np.linalg.norm(G0, axis=1).min())}
-    for oracle in (None, model.attack_oracle(X, y).point(w)):
-        w2, stats = fast_batch_step(model, X, y, w, 0.2, 0.3, pset, delta0, oracle=oracle)
-        assert np.array_equal(w2, w - 0.2 * gw) and stats == want
+    w2, stats = fast_batch_step(model.attack_oracle(X, y).point(w), w, 0.2, 0.3, pset, delta0)
+    assert np.array_equal(w2, w - 0.2 * gw) and stats == want
 
 
 def test_fast_equals_single_step_vanilla_given_same_start():
@@ -397,7 +413,7 @@ def test_fast_equals_single_step_vanilla_given_same_start():
     X, y = data.X[:6], data.y[:6]
     delta0 = pset.sample_uniform(stream(81, 1), size=6)
     step = pset.radius / 4
-    w_fast, _ = fast_batch_step(model, X, y, w, 0.2, step, pset, delta0)
+    w_fast, _ = fast_batch_step(model.attack_oracle(X, y).point(w), w, 0.2, step, pset, delta0)
 
     class PinnedInit:
         def sample_uniform(self, rng_, size=None):
@@ -408,7 +424,7 @@ def test_fast_equals_single_step_vanilla_given_same_start():
         dim = pset.dim
 
     w_van, _ = vanilla_batch_step(
-        model, X, y, w, 0.2, PinnedInit(), AttackConfig(steps=1, step_size=step, init="uniform"), stream(0, 0)
+        model, model.attack_oracle(X, y).point(w), w, 0.2, PinnedInit(), AttackConfig(steps=1, step_size=step, init="uniform"), stream(0, 0)
     )
     assert np.array_equal(w_fast, w_van)
 
@@ -583,7 +599,7 @@ def test_simultaneity_gradients_share_evaluation_point():
     rng = stream(85, 0)
     w = model.init_params(rng)
     deltas = pset.sample_uniform(stream(85, 1), size=6)
-    w2, d2, _ = free_inner_iteration(probe, data.X[:6], data.y[:6], w, deltas, 0.2, 0.5, pset)
+    w2, d2, _ = free_inner_iteration(probe, probe.attack_oracle(data.X[:6], data.y[:6]).point(w), w, deltas, 0.2, 0.5, pset)
     assert len(probe.calls) == 1
     w_seen, d_seen = probe.calls[0]
     assert np.array_equal(w_seen, w) and np.array_equal(d_seen, deltas)
@@ -629,8 +645,9 @@ def test_stored_deltas_stay_feasible_along_free_runs():
     rng = stream(86, 0)
     w = model.init_params(rng)
     deltas = pset.sample_uniform(stream(86, 1), size=6)
+    oracle = model.attack_oracle(data.X[:6], data.y[:6])
     for _ in range(25):
-        w, deltas, _ = free_inner_iteration(model, data.X[:6], data.y[:6], w, deltas, 0.1, 0.8, pset)
+        w, deltas, _ = free_inner_iteration(model, oracle.point(w), w, deltas, 0.1, 0.8, pset)
         assert (np.linalg.norm(deltas, axis=1) <= pset.radius + 1e-12).all()
 
 
@@ -736,25 +753,6 @@ def test_out_of_range_labels_rejected_before_any_oracle_call(bad_label, algorith
     assert probe.kinds == []
 
 
-@pytest.mark.parametrize("algorithm", ["vanilla", "trades_seq"])
-def test_the_unchecked_inner_attack_trains_bit_identically(monkeypatch, algorithm):
-    data = _data()
-    cfg = _cfg(algorithm, T=12, trades_lambda=1.0, inner_attack=AttackConfig(steps=3, restarts=2))
-    w, trace = train(_mlp(), data, cfg)
-    attack, flags = trainers.pgd_attack_batch, []
-
-    def checked_attack(*args, checked, **kwargs):
-        flags.append(checked)
-        return attack(*args, **kwargs)  # with every input check
-
-    monkeypatch.setattr(trainers, "pgd_attack_batch", checked_attack)
-    w_checked, trace_checked = train(_mlp(), data, cfg)
-    assert flags == [False] * 12  # lockstep's validated inputs go unchecked
-    assert np.array_equal(w, w_checked)
-    for name in ("grad_w_norm", "min_grad_delta", "loss", "w_low", "w_high"):
-        assert np.array_equal(getattr(trace, name), getattr(trace_checked, name)), name
-
-
 def test_the_attack_still_checks_its_inputs_by_default():
     data, model = _data(), _mlp()
     w, X, y = model.init_params(stream(91, 0)), data.X[:6], data.y[:6]
@@ -767,6 +765,10 @@ def test_the_attack_still_checks_its_inputs_by_default():
         trainers.pgd_attack_batch(model, w[:-1], X, y, pset, cfg, stream(91, 1))
     with pytest.raises(DimensionError):
         trainers.pgd_attack_batch(model, w, X, y, PerturbationSet("l2", 0.3, 4), cfg, stream(91, 1))
+    # an attack on a given oracle reads only the shape of X, checked all the same
+    oracle = model.attack_oracle(X, y).point(w)
+    with pytest.raises(DimensionError, match="perturbation set dimension 4"):
+        trainers.pgd_attack_batch(model, w, X, y, PerturbationSet("l2", 0.3, 4), cfg, stream(91, 1), loss_grad_fn=oracle)
 
 
 @pytest.mark.parametrize("algorithm", ["vanilla", "trades_seq", "fast", "free", "free_trades"])

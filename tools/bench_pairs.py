@@ -11,11 +11,8 @@ each pair's values and then, for each end-to-end metric that the change
 checkout's ``BENCHMARK.json`` declares, both medians, both interquartile
 ranges (quartiles by linear interpolation), the relative change of the
 medians, how many pairs the change won by the metric's direction (a tie
-wins nothing), the metric's declared relative ``bound`` and a verdict:
-``regressed`` when the change's median is worse than the parent's by more
-than the bound, else ``unresolved`` when the parent's IQR over its median
-exceeds the bound (the runs spread too widely to tell), else ``within``.
-Standard library only.
+wins nothing), the metric's declared relative ``bound`` and a verdict
+(``verdict``). Standard library only.
 """
 
 from __future__ import annotations
@@ -50,6 +47,25 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(before, after, lower: bool, bound: float) -> str:
+    """The verdict on one metric from the parent's runs ``before`` and the
+    change's runs ``after``, where ``lower`` says a lower value is better:
+    ``regressed`` when the change's median is worse than the parent's by more
+    than ``bound`` (relative), else ``better`` when every run of the change
+    beats every run of the parent (a tie beats nothing), else ``unresolved``
+    when the parent's IQR over its median exceeds ``bound`` (the runs spread
+    too widely to tell), else ``within``."""
+    p1, p2, p3 = quartiles(before)
+    rel = (quartiles(after)[1] - p2) / p2 if p2 else float("nan")
+    if (rel if lower else -rel) > bound:
+        return "regressed"
+    if (max(after) < min(before)) if lower else (min(after) > max(before)):
+        return "better"
+    if not p2 or (p3 - p1) / abs(p2) > bound:
+        return "unresolved"
+    return "within"
 
 
 def main(argv=None) -> int:
@@ -87,16 +103,9 @@ def main(argv=None) -> int:
         wins = sum((a < b) if lower else (a > b) for a, b in zip(after, before))
         rel = (c2 - p2) / p2 if p2 else float("nan")
         bound = m["bound"]
-        worse = rel if lower else -rel
-        if worse > bound:
-            verdict = "regressed"
-        elif not p2 or (p3 - p1) / abs(p2) > bound:
-            verdict = "unresolved"
-        else:
-            verdict = "within"
         print(
             f"  {name:<14} {p2:>14.6g} {p3 - p1:>10.4g} {c2:>14.6g} {c3 - c1:>10.4g} {rel:>+8.1%} {wins:>3}/{args.pairs}"
-            f" {bound:>6g}  {verdict}"
+            f" {bound:>6g}  {verdict(before, after, lower, bound)}"
         )
     return 0
 
