@@ -180,7 +180,7 @@ def cmd_bounds(args) -> int:
     model = cfg.build_model()
     tc = cfg.effective_train_config()
     _, trace = train(model, train_ds, tc)
-    inputs, psi_est = bound_inputs(model, train_ds, tc, trace, cfg.eval_seed, args.probes)
+    inputs, psi_est = bound_inputs(model, train_ds, trace, cfg.eval_seed, args.probes)
     consts = inputs.constants
     payload = {
         "constants": {

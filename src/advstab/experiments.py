@@ -414,7 +414,7 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
             _, trace = train(model, train_ds, trial_cfg, snapshot_at=marks, on_snapshot=checkpoints.put)
             if k == 0 and cfg.attach_bounds:
                 # over the envelope of the first trial's run, while its checkpoints are evaluated
-                bounds = _estimate_bounds(model, train_ds, tc, trace, cfg.eval_seed)
+                bounds = _estimate_bounds(model, train_ds, trace, cfg.eval_seed)
             stats = checkpoints.results(trace.snapshots)
         min_gd = trace.min_grad_delta_norm()
         report.trials.append(
@@ -433,10 +433,11 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
     return report
 
 
-def bound_inputs(model: SmoothModel, train_ds, tc: TrainConfig, trace: TrainTrace, eval_seed: int, probes: int):
+def bound_inputs(model: SmoothModel, train_ds, trace: TrainTrace, eval_seed: int, probes: int):
     """Estimate the constants over the weight envelope of ``trace``, with psi
-    from its perturbation-gradient norms, and pack them with ``tc``'s
-    schedule into the bound formulas' inputs. Returns (BoundInputs, PsiEstimate)."""
+    from its perturbation-gradient norms, and pack them with the schedule of
+    its run into the bound formulas' inputs. Returns (BoundInputs, PsiEstimate)."""
+    tc = trace.cfg
     sampler = RegionSampler.from_envelope(trace.w_low, trace.w_high, tc.pset, train_ds)
     psi = estimate_psi(trace)
     consts = estimate_constants(model, sampler, stream(eval_seed, 31), probes=probes, psi=psi.psi)
@@ -454,15 +455,15 @@ def bound_inputs(model: SmoothModel, train_ds, tc: TrainConfig, trace: TrainTrac
     return inputs, psi
 
 
-def _estimate_bounds(model, train_ds, tc: TrainConfig, trace: TrainTrace, eval_seed: int):
+def _estimate_bounds(model, train_ds, trace: TrainTrace, eval_seed: int):
     """The bound inputs over the envelope of ``trace``, or the note that
     says why there are none."""
-    if not tc.schedule.vanishing:
+    if not trace.cfg.schedule.vanishing:
         return "bounds_not_applicable: constant step schedule"
-    if tc.pset.norm != "l2":
+    if trace.cfg.pset.norm != "l2":
         return "bounds_not_applicable: bounds are stated for L2 balls"
     try:
-        return bound_inputs(model, train_ds, tc, trace, eval_seed, probes=800)[0]
+        return bound_inputs(model, train_ds, trace, eval_seed, probes=800)[0]
     except (ValueError, OverflowError) as exc:  # a failed estimate must not sink the experiment
         return f"bounds_attachment_failed: {type(exc).__name__}: {exc}"
 

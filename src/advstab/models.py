@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, _int64s
+from .errors import ConfigError, DimensionError, _count, _int64s
 
 __all__ = [
     "LabeledSample",
@@ -94,7 +94,14 @@ class Dataset:
     def input_dim(self) -> int:
         return self.X.shape[1]
 
+    def _row(self, i) -> int:
+        """``i`` as a row index in [0, n), or an ``IndexError``; a bool is no index."""
+        if _count(i, "index", 0, IndexError) >= self.n:
+            raise IndexError(f"index {i} out of range for dataset of size {self.n}")
+        return int(i)
+
     def sample(self, i: int) -> LabeledSample:
+        i = self._row(i)
         return LabeledSample(x=self.X[i].copy(), y=int(self.y[i]))
 
     def samples(self) -> list[LabeledSample]:
@@ -102,8 +109,7 @@ class Dataset:
 
     def replace_sample(self, i: int, s: LabeledSample) -> "Dataset":
         """A copy of the dataset with row ``i`` replaced."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"index {i} out of range for dataset of size {self.n}")
+        i = self._row(i)
         if np.asarray(s.x).shape != (self.input_dim,):
             raise DimensionError("replacement sample has wrong input dimension")
         X = self.X.copy()

@@ -40,16 +40,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import ConstantEstimates, _positive, bound_fast, bound_free, bound_vanilla, closed_form_contraction
+from .bounds import ConstantEstimates, _nonnegative, _positive, bound_fast, bound_free, bound_vanilla, closed_form_contraction
 from .errors import ConfigError, DimensionError, TraceError
 from .models import Dataset, LabeledSample, SmoothModel
 from .rng import stream
 from .threat import AttackConfig, PerturbationSet, _row_norms, pgd_attack_batch
-from .trainers import FAST, FREE, RULES, VANILLA, StepSchedule, TrainConfig, lockstep
+from .trainers import FAST, FREE, VANILLA, TrainConfig, lockstep
 
 __all__ = [
     "NeighborPair",
@@ -80,8 +81,7 @@ class NeighborPair:
 
 def make_neighbor(dataset: Dataset, index: int, replacement: LabeledSample) -> NeighborPair:
     """The neighbor of ``dataset`` obtained by replacing one sample."""
-    if not 0 <= index < dataset.n:
-        raise IndexError(f"index {index} out of range for dataset of size {dataset.n}")
+    index = dataset._row(index)
     return NeighborPair(
         data_a=dataset,
         data_b=dataset.replace_sample(index, replacement),
@@ -92,7 +92,8 @@ def make_neighbor(dataset: Dataset, index: int, replacement: LabeledSample) -> N
 
 @dataclass
 class StabilityTrace:
-    """Divergence records from one coupled run.
+    """Divergence records from one coupled run of ``cfg`` on a pair of
+    datasets of size ``n``.
 
     ``d_w[t]`` is the weight distance after outer step t (``d_w[0] = 0``);
     ``s_count[t-1]`` is how many times the differing index appeared in the
@@ -101,25 +102,20 @@ class StabilityTrace:
     holding the post-initialization state.
     """
 
-    algorithm: str
-    seed: int
+    cfg: TrainConfig
     n: int
-    b: int
-    eps: float
-    norm: str
-    n_steps: int
-    m: int
     alpha_w: np.ndarray  # (n_steps,)
     d_w: np.ndarray  # (n_steps + 1,)
     s_count: np.ndarray  # (n_steps,)
     min_grad_delta: np.ndarray  # (n_steps,), min over both runs
     w_final_a: np.ndarray
     w_final_b: np.ndarray
-    alpha_delta: float | None = None
-    fast_step: float | None = None
     d_w_inner: np.ndarray | None = None  # (n_steps, m + 1)
     d_delta_inner: np.ndarray | None = None  # (n_steps, m + 1)
-    schedule: StepSchedule | None = None
+
+    @property
+    def n_steps(self) -> int:
+        return self.cfg.total_iterations // self.cfg.inner_steps
 
     def first_divergence_step(self) -> int | None:
         hits = np.nonzero(self.d_w[1:] > 0.0)[0]
@@ -137,19 +133,10 @@ class StabilityTrace:
             }
 
 
-def _mean_row_distance(Da: np.ndarray, Db: np.ndarray) -> float:
-    """The mean row distance: the arithmetic of
-    ``np.linalg.norm(Da - Db, axis=1).mean()`` without its dispatch."""
-    return float(np.add.reduce(_row_norms(Da - Db)[:, 0]) / Da.shape[0])
-
-
 def coupled_run(model: SmoothModel, pair: NeighborPair, cfg: TrainConfig, batch_plan: np.ndarray | None = None) -> StabilityTrace:
     """Advance a trajectory on each dataset of ``pair`` in lockstep through
-    one randomness plan, recording their divergence.
-
-    ``batch_plan`` (n_steps, b) overrides the batch-index stream, which lets
-    tests pin exactly when the differing index is drawn.
-    """
+    one randomness plan, recording their divergence; ``batch_plan`` is
+    ``lockstep``'s, which pins when the differing index is drawn."""
     m = cfg.inner_steps
     n_steps = cfg.total_iterations // m
     free = cfg.rule == FREE
@@ -161,42 +148,34 @@ def coupled_run(model: SmoothModel, pair: NeighborPair, cfg: TrainConfig, batch_
     inner_d = np.zeros((n_steps, m + 1)) if free else None
 
     updates = lockstep(model, [pair.data_a, pair.data_b], cfg, batch_plan)
-    wa, wb = next(updates)[4]
-    for t, i, aw, idx, (wa, wb), deltas, (sa, sb) in updates:
+    W = next(updates)[4]
+    for t, i, aw, idx, W, D, (_, _, mgd) in updates:
         if i == 1:
             alpha_w[t - 1] = aw
             s_count[t - 1] = np.count_nonzero(idx == pair.differing_index)
-        min_gd[t - 1] = min(min_gd[t - 1], sa["min_grad_delta_norm"], sb["min_grad_delta_norm"])
-        d = wa - wb
+        min_gd[t - 1] = min(min_gd[t - 1], mgd.min())
+        d = W[0] - W[1]
         d_w[t] = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic
         if free:
             inner_w[t - 1, i] = d_w[t]
-            inner_d[t - 1, i] = _mean_row_distance(*deltas)
+            # the mean row distance, np.linalg.norm(Da - Db, axis=1).mean()'s arithmetic
+            inner_d[t - 1, i] = np.add.reduce(_row_norms(D[0] - D[1])[:, 0]) / cfg.batch_size
     if free:
         # column 0 is the state after the step's perturbation draw: the carried
         # weight distance, and zero perturbation distance (both halves share the draw)
         inner_w[:, 0] = d_w[:-1]
 
     return StabilityTrace(
-        algorithm=cfg.algorithm,
-        seed=cfg.seed,
+        cfg=cfg,
         n=pair.data_a.n,
-        b=cfg.batch_size,
-        eps=cfg.pset.radius,
-        norm=cfg.pset.norm,
-        n_steps=n_steps,
-        m=m,
         alpha_w=alpha_w,
         d_w=d_w,
         s_count=s_count,
         min_grad_delta=min_gd,
-        w_final_a=wa,
-        w_final_b=wb,
-        alpha_delta=cfg.resolved_attack_lr if free else None,
-        fast_step=cfg.resolved_fast_step if cfg.rule == FAST else None,
+        w_final_a=W[0],
+        w_final_b=W[1],
         d_w_inner=inner_w,
         d_delta_inner=inner_d,
-        schedule=cfg.schedule,
     )
 
 
@@ -244,24 +223,23 @@ class GrowthReport:
             self.max_ratio_absent = max(self.max_ratio_absent, ratio)
 
 
-def _require_l2(trace: StabilityTrace):
-    if trace.norm != "l2":
+def _report(trace: StabilityTrace, rule: str, eps: float, **consts) -> GrowthReport:
+    """An empty report on ``trace``, once it is an L2 trace of ``rule``
+    and the constants and the radius ``eps`` are valid."""
+    if trace.cfg.pset.norm != "l2":
         raise ConfigError("growth recursions are stated for L2 perturbation sets")
-
-
-def _require_rule(trace: StabilityTrace, rule: str):
-    if RULES[trace.algorithm] != rule:
-        raise TraceError(f"expected a {rule}-rule trace, got {trace.algorithm!r}")
+    _positive(**consts)
+    _nonnegative(eps=eps)
+    if trace.cfg.rule != rule:
+        raise TraceError(f"expected a {rule}-rule trace, got {trace.cfg.algorithm!r}")
+    return GrowthReport(algorithm=trace.cfg.algorithm)
 
 
 def verify_growth_vanilla(trace: StabilityTrace, beta_hat: float, L_hat: float, eps: float) -> GrowthReport:
     """Check, for every step, the divergence growth bound with the supplied
     constants; encounter steps use the mixed batch-split bound."""
-    _require_l2(trace)
-    _positive(beta_hat=beta_hat, L_hat=L_hat)
-    _require_rule(trace, VANILLA)
-    rep = GrowthReport(algorithm=trace.algorithm)
-    b = trace.b
+    rep = _report(trace, VANILLA, eps, beta_hat=beta_hat, L_hat=L_hat)
+    b = trace.cfg.batch_size
     for t in range(1, trace.n_steps + 1):
         a = trace.alpha_w[t - 1]
         prev, cur = trace.d_w[t - 1], trace.d_w[t]
@@ -278,11 +256,9 @@ def verify_growth_vanilla(trace: StabilityTrace, beta_hat: float, L_hat: float, 
 def verify_growth_fast(trace: StabilityTrace, beta_hat: float, L_hat: float, psi_hat: float, eps: float) -> GrowthReport:
     """Fast-variant growth check: the expansion factor gains the
     single-step attack term; no additive source off the encounter steps."""
-    _require_l2(trace)
-    _positive(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
-    _require_rule(trace, FAST)
-    rep = GrowthReport(algorithm=trace.algorithm)
-    inflate = 1.0 + trace.fast_step * eps * psi_hat * beta_hat
+    rep = _report(trace, FAST, eps, beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
+    b = trace.cfg.batch_size
+    inflate = 1.0 + trace.cfg.resolved_fast_step * eps * psi_hat * beta_hat
     for t in range(1, trace.n_steps + 1):
         a = trace.alpha_w[t - 1]
         prev, cur = trace.d_w[t - 1], trace.d_w[t]
@@ -290,28 +266,19 @@ def verify_growth_fast(trace: StabilityTrace, beta_hat: float, L_hat: float, psi
         if trace.min_grad_delta[t - 1] < 1.0 / psi_hat:
             rep.hypothesis_excluded += 1
             continue
-        bound = (1.0 + a * beta_hat * inflate) * prev + (2.0 * k / trace.b) * a * L_hat
+        bound = (1.0 + a * beta_hat * inflate) * prev + (2.0 * k / b) * a * L_hat
         rep._tally(cur, bound, encounter=k > 0)
     return rep
 
 
-def verify_growth_free(
-    trace: StabilityTrace,
-    beta_hat: float,
-    L_hat: float,
-    psi_hat: float,
-    eps: float,
-) -> GrowthReport:
+def verify_growth_free(trace: StabilityTrace, beta_hat: float, L_hat: float, psi_hat: float, eps: float) -> GrowthReport:
     """Free-variant checks: the per-inner-iteration two-row inequality with
     the expansion matrix, plus the per-outer-step closed-form contraction of
     the offset weight distance. Needs per-iteration granularity."""
-    _require_l2(trace)
-    _positive(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
-    _require_rule(trace, FREE)
+    rep = _report(trace, FREE, eps, beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
     if trace.d_w_inner is None or trace.d_delta_inner is None:
         raise TraceError("free growth verification needs per-iteration records")
-    ad, m = trace.alpha_delta, trace.m
-    rep = GrowthReport(algorithm=trace.algorithm)
+    ad, m, b = trace.cfg.resolved_attack_lr, trace.cfg.inner_steps, trace.cfg.batch_size
     row_d = ad * eps * psi_hat * beta_hat
 
     for t in range(1, trace.n_steps + 1):
@@ -321,8 +288,8 @@ def verify_growth_free(
         a = trace.alpha_w[t - 1]
         k = int(trace.s_count[t - 1])
         enc = k > 0
-        src_w = (2.0 * k / trace.b) * a * L_hat
-        src_d = (2.0 * k / trace.b) * ad * eps * psi_hat * L_hat
+        src_w = (2.0 * k / b) * a * L_hat
+        src_d = (2.0 * k / b) * ad * eps * psi_hat * L_hat
         for i in range(m):
             dw, dd = trace.d_w_inner[t - 1, i], trace.d_delta_inner[t - 1, i]
             bound_w = (1.0 + a * beta_hat) * dw + a * beta_hat * dd + src_w
@@ -335,7 +302,7 @@ def verify_growth_free(
         alpha = a * beta_hat
         r = ad * eps * psi_hat / a
         factor = closed_form_contraction(alpha, r, m)
-        off = (2.0 * k / trace.b) * L_hat / beta_hat
+        off = (2.0 * k / b) * L_hat / beta_hat
         lhs = trace.d_w[t] + off
         rhs = factor * (trace.d_w[t - 1] + off)
         rep.stepwise_checked += 1
@@ -357,17 +324,17 @@ class RuleFacts(NamedTuple):
 RULE_FACTS = {
     VANILLA: RuleFacts(
         bound_vanilla,
-        lambda tr, k: verify_growth_vanilla(tr, k.beta, k.lipschitz, tr.eps),
+        lambda tr, k: verify_growth_vanilla(tr, k.beta, k.lipschitz, tr.cfg.pset.radius),
         "n^(-lambda/(lambda+1)) with lambda = beta*c (exponent in (-1, 0))",
     ),
-    FREE: RuleFacts(bound_free, lambda tr, k: verify_growth_free(tr, k.beta, k.lipschitz, k.psi, tr.eps), "n^(-1) at fixed iteration count"),
-    FAST: RuleFacts(bound_fast, lambda tr, k: verify_growth_fast(tr, k.beta, k.lipschitz, k.psi, tr.eps), "n^(-1) at fixed iteration count"),
+    FREE: RuleFacts(bound_free, lambda tr, k: verify_growth_free(tr, k.beta, k.lipschitz, k.psi, tr.cfg.pset.radius), "n^(-1) at fixed iteration count"),
+    FAST: RuleFacts(bound_fast, lambda tr, k: verify_growth_fast(tr, k.beta, k.lipschitz, k.psi, tr.cfg.pset.radius), "n^(-1) at fixed iteration count"),
 }
 
 
 def verify_growth(trace: StabilityTrace, consts: ConstantEstimates) -> GrowthReport:
     """The growth check of ``trace``'s update rule under the constants ``consts``."""
-    return RULE_FACTS[RULES[trace.algorithm]].verify(trace, consts)
+    return RULE_FACTS[trace.cfg.rule].verify(trace, consts)
 
 
 def verify_stepwise_expectation(
@@ -378,9 +345,10 @@ def verify_stepwise_expectation(
     eps: float,
 ) -> dict:
     """Monte-Carlo check of the expectation-level per-step contraction for a
-    family of free coupled runs sharing (n, b, m, n_steps, schedule,
-    alpha_delta); a trace of another rule or with another value of one of
-    these is a ``TraceError`` naming the field and the trace index:
+    family of free coupled runs sharing ``n``, ``n_steps`` and their
+    config's batch size, inner steps, schedule and ascent rate; a trace of
+    another rule or with another value of one of these is a ``TraceError``
+    naming the value and the trace index:
 
         mean[d_t] + 2L/(n beta) <= factor_t * (mean[d_{t-1}] + 2L/(n beta))
 
@@ -393,23 +361,25 @@ def verify_stepwise_expectation(
         raise TraceError("need at least one trace")
     t0 = traces[0]
     for j, tr in enumerate(traces):
-        if RULES[tr.algorithm] != FREE:
-            raise TraceError(f"trace {j}: expected a free-rule trace, got {tr.algorithm!r}")
-        for name in ("n", "b", "m", "n_steps", "schedule", "alpha_delta"):
-            if getattr(tr, name) != getattr(t0, name):
-                raise TraceError(f"trace {j} has {name}={getattr(tr, name)!r}, trace 0 has {getattr(t0, name)!r}")
-    sched = t0.schedule
-    if sched is None or sched.kind != "vanishing_c_over_mt":
+        if tr.cfg.rule != FREE:
+            raise TraceError(f"trace {j}: expected a free-rule trace, got {tr.cfg.algorithm!r}")
+        for name in ("n", "cfg.batch_size", "cfg.inner_steps", "n_steps", "cfg.schedule", "cfg.resolved_attack_lr"):
+            value, first = attrgetter(name)(tr), attrgetter(name)(t0)
+            if value != first:
+                raise TraceError(f"trace {j} has {name}={value!r}, trace 0 has {first!r}")
+    sched, ad, m = t0.cfg.schedule, t0.cfg.resolved_attack_lr, t0.cfg.inner_steps
+    if sched.kind != "vanishing_c_over_mt":
         raise ConfigError("the expectation-level factor needs the c/(m t) schedule")
     _positive(beta_hat=beta_hat, L_hat=L_hat, psi_hat=psi_hat)
+    _nonnegative(eps=eps)
     D = np.stack([tr.d_w for tr in traces])  # (runs, n_steps + 1)
     runs = D.shape[0]
     off = 2.0 * L_hat / (t0.n * beta_hat)
     checked = violations = 0
     for t in range(1, t0.n_steps + 1):
         a = t0.alpha_w[t - 1]
-        row = 1.0 + a * beta_hat + t0.alpha_delta * eps * psi_hat * beta_hat
-        factor = 1.0 + (beta_hat * sched.c / t) * row ** (t0.m - 1)
+        row = 1.0 + a * beta_hat + ad * eps * psi_hat * beta_hat
+        factor = 1.0 + (beta_hat * sched.c / t) * row ** (m - 1)
         lhs = D[:, t].mean() + off
         rhs = factor * (D[:, t - 1].mean() + off)
         se = D[:, t].std(ddof=1) / np.sqrt(runs) if runs > 1 else 0.0

@@ -151,7 +151,7 @@ def project_rows(G: np.ndarray, pset: PerturbationSet, out: np.ndarray | None = 
     norms = _row_norms(G, scratch)
     if r > 0.0:
         # the factor r / max(norm, r) is r / r = 1.0, exactly, inside the
-        # ball; fmax keeps a NaN norm's factor at 1.0, as the masked form did
+        # ball, and fmax keeps a NaN norm's factor at 1.0
         f = np.fmax(norms, r, out=norms)
         return np.multiply(G, np.divide(r, f, out=f), out=out)
     return np.multiply(G, np.divide(r, norms, out=np.ones(norms.shape), where=norms > r), out=out)
@@ -176,8 +176,7 @@ def extreme_rows(G: np.ndarray, pset: PerturbationSet, norms: np.ndarray | None 
 
 def _ascend_in_place(D: np.ndarray, G: np.ndarray, rate: float, pset: PerturbationSet, scratch: np.ndarray, norms=None) -> None:
     """``ascend_rows`` written into ``D``, an array of its own, through one
-    ``scratch`` array of ``D``'s shape. It adds ``D + rate * extreme`` where
-    the step it replaces added ``extreme + D``, which rounds the same."""
+    ``scratch`` array of ``D``'s shape."""
     if rate == 0.0:
         return
     if norms is None:

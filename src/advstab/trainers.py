@@ -183,13 +183,12 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """One row per weight update u (``t`` = u + 1 in ``to_records``): the
-    outer step, the inner iteration, the step size, the batch indices
-    (U, b), the weight-gradient norm, the smallest per-sample
+    """One row per weight update u (``t`` = u + 1 in ``to_records``) of the
+    run ``cfg``: the outer step, the inner iteration, the step size, the
+    batch indices (U, b), the weight-gradient norm, the smallest per-sample
     perturbation-gradient norm and the mean batch loss."""
 
-    algorithm: str
-    seed: int
+    cfg: TrainConfig
     step: np.ndarray  # (U,)
     iteration: np.ndarray  # (U,)
     alpha_w: np.ndarray  # (U,)
@@ -200,9 +199,15 @@ class TrainTrace:
     w_final: np.ndarray
     w_low: np.ndarray  # per-coordinate envelope of visited weights
     w_high: np.ndarray
-    oracle_calls: int = 0
-    forward_calls: int = 0
     snapshots: dict = field(default_factory=dict)  # update index -> weight copy
+
+    @property
+    def oracle_calls(self) -> int:
+        return len(self) * self.cfg.oracle_per_update
+
+    @property
+    def forward_calls(self) -> int:
+        return len(self) * self.cfg.forward_per_update
 
     def __len__(self):
         return len(self.step)
@@ -345,11 +350,11 @@ def _bind_attack(model, X, y, lam, rows=None) -> AttackOracle:
 # Each step takes its rows from a binding (``_bind_attack``) pointed at
 # ``(w, X, y)``: one run (``w`` (P,), ``X`` (B, d), ``y`` (B,)) or a stack of
 # runs on the models' run axis (``w`` (R, P), ``X`` (R, B, d), ``y`` (R, B));
-# the perturbations are (B, d) or (R, B, d) to match. The stats are one dict,
-# or a tuple of one dict per run. ``lockstep`` binds once per run, always on
-# the run axis, and re-points the binding at every update. Nothing here
-# checks its inputs: they are lockstep's, validated on entry, and the TRADES
-# weight step runs its full oracle with ``checked=False``.
+# the perturbations are (B, d) or (R, B, d) to match, and the stats are
+# ``_stats``' arrays, shaped like the run axis. ``lockstep`` binds once per
+# run, always on the run axis, and re-points the binding at every update.
+# Nothing here checks its inputs: they are lockstep's, validated on entry,
+# and the TRADES weight step runs its full oracle with ``checked=False``.
 
 
 def _full_grads(model, w, oracle, D, lam):
@@ -367,21 +372,17 @@ def _full_grads(model, w, oracle, D, lam):
 
 
 def _stats(losses, mean_gw, norms):
-    """Step statistics from the losses, the mean weight gradient and the
-    row norms (..., B, 1) of the perturbation gradients: a dict for one
-    run, a tuple of dicts for a stack. The loss mean and the smallest row
-    norm reduce along each run's own last axis, and the weight-gradient
-    norm is the square root of each run's ``g.dot(g)`` (a stacked matmul
-    takes the same dot product per run), so every run gets the numbers of
-    the unstacked step bit for bit. The reductions are the ufuncs that
-    ``mean`` and ``np.linalg.norm`` run, minus their dispatch."""
+    """Step statistics ``(loss, grad_w_norm, min_grad_delta)``, each shaped
+    like the run axis, from the losses, the mean weight gradient and the
+    row norms (..., B, 1) of the perturbation gradients. The loss mean and
+    the smallest row norm reduce along each run's own last axis, and the
+    weight-gradient norm is the square root of each run's ``g.dot(g)`` (a
+    matmul takes the same dot product per run), so every run gets the
+    numbers of the unstacked step bit for bit. The reductions are the ufuncs
+    that ``mean`` and ``np.linalg.norm`` run, minus their dispatch."""
     loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
-    min_gd = np.minimum.reduce(norms[..., 0], axis=-1)
-    if mean_gw.ndim == 1:
-        return {"loss": float(loss), "grad_w_norm": math.sqrt(mean_gw.dot(mean_gw)), "min_grad_delta_norm": float(min_gd)}
-    gw_norm = np.sqrt(np.matmul(mean_gw[:, None, :], mean_gw[:, :, None])[:, 0, 0])
-    rows = zip(loss.tolist(), gw_norm.tolist(), min_gd.tolist())
-    return tuple({"loss": a, "grad_w_norm": g, "min_grad_delta_norm": m} for a, g, m in rows)
+    gw_norm = np.sqrt(np.matmul(mean_gw[..., None, :], mean_gw[..., :, None])[..., 0, 0])
+    return loss, gw_norm, np.minimum.reduce(norms[..., 0], axis=-1)
 
 
 def vanilla_batch_step(model, attack, w, alpha_w, pset, attack_cfg, attack_rng, lam=None):
@@ -456,10 +457,13 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
 
     The first item yielded is the shared initialization; each later item
     follows one weight update of every trajectory:
-    ``(step, iteration, alpha_w, batch, weights, deltas, stats)``, where
-    ``weights`` and ``stats`` hold one entry per trajectory and ``deltas``
-    holds the free rule's carried perturbations (None under the other
-    rules). The initialization item has step 0 and no batch or stats.
+    ``(step, iteration, alpha_w, batch, W, D, stats)``, where ``W`` (R, P)
+    stacks the trajectories' weights, ``D`` (R, b, d) the free rule's
+    carried perturbations (None under the other rules), and ``stats`` is
+    ``(loss, grad_w_norm, min_grad_delta)``, arrays (R,). Every array is
+    yielded as the loop made it and never written to afterwards, so an
+    item stays valid after the loop moves on. The initialization item has
+    step 0 and no batch or stats.
 
     Raises ``FloatingPointError`` at the first update that makes a
     trajectory's weights non-finite, naming the update and the trajectory.
@@ -501,7 +505,7 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     y_all = np.stack([dataset.y for dataset in datasets])
     oracle = _bind_attack(model, X_all, y_all, lam if rule == VANILLA else None, rows=b)
     W = np.stack([model.init_params(stream(cfg.seed, STREAM_INIT))] * runs)
-    yield 0, 0, 0.0, None, tuple(W), None, None
+    yield 0, 0, 0.0, None, W, None, None
     for t in range(1, n_steps + 1):
         idx = batch_plan[t - 1] if batch_plan is not None else batch_rng(t - 1).integers(0, n, size=b)
         oracle.point(W, idx)
@@ -513,7 +517,7 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
                     oracle.point(W)
                 W, D, stats = free_inner_iteration(model, oracle, W, D, aw, cfg.resolved_attack_lr, pset, lam)
                 _require_finite(W, (t - 1) * m + i)
-                yield t, i, aw, idx, tuple(W), tuple(D), stats
+                yield t, i, aw, idx, W, D, stats
             continue
         if rule == VANILLA:
             W, stats = vanilla_batch_step(model, oracle, W, aw, pset, cfg.inner_attack, draw_rng(t - 1), lam)
@@ -521,7 +525,7 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
             delta0 = shared(pset.sample_uniform(draw_rng(t - 1), size=b))
             W, stats = fast_batch_step(oracle, W, aw, cfg.resolved_fast_step, pset, delta0)
         _require_finite(W, t)
-        yield t, 1, aw, idx, tuple(W), None, stats
+        yield t, 1, aw, idx, W, None, stats
 
 
 def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=None, *, on_snapshot=None):
@@ -533,7 +537,7 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
     stored, so a caller can start on a checkpoint while training goes on.
     """
     updates = lockstep(model, [dataset], cfg)
-    (w,) = next(updates)[4]
+    w = next(updates)[4][0]
     U = cfg.total_iterations
     step = np.zeros(U, dtype=np.int64)
     iteration = np.zeros(U, dtype=np.int64)
@@ -545,14 +549,13 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
     w_low, w_high = w.copy(), w.copy()
     marks = set() if snapshot_at is None else {int(t) for t in snapshot_at}
     snapshots = {}
-    for u, (t, i, aw, idx, (w,), _, (stats,)) in enumerate(updates):
+    for u, (t, i, aw, idx, W, _, (lo, gw, mgd)) in enumerate(updates):
+        w = W[0]
         step[u] = t
         iteration[u] = i
         alpha_w[u] = aw
         batch[u] = idx
-        grad_w_norm[u] = stats["grad_w_norm"]
-        min_grad_delta[u] = stats["min_grad_delta_norm"]
-        loss[u] = stats["loss"]
+        loss[u], grad_w_norm[u], min_grad_delta[u] = lo[0], gw[0], mgd[0]
         np.minimum(w_low, w, out=w_low)
         np.maximum(w_high, w, out=w_high)
         if u + 1 in marks:
@@ -560,8 +563,7 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
             if on_snapshot is not None:
                 on_snapshot(u + 1, snapshots[u + 1])
     return w, TrainTrace(
-        algorithm=cfg.algorithm,
-        seed=cfg.seed,
+        cfg=cfg,
         step=step,
         iteration=iteration,
         alpha_w=alpha_w,
@@ -572,7 +574,5 @@ def train(model: SmoothModel, dataset: Dataset, cfg: TrainConfig, snapshot_at=No
         w_final=w.copy(),
         w_low=w_low,
         w_high=w_high,
-        oracle_calls=U * cfg.oracle_per_update,
-        forward_calls=U * cfg.forward_per_update,
         snapshots=snapshots,
     )

@@ -165,15 +165,21 @@ def _datasets(model, R, n=10, seed=0):
     return out
 
 
+def _copy(item):
+    if isinstance(item, tuple):
+        return tuple(_copy(x) for x in item)
+    return item.copy() if isinstance(item, np.ndarray) else item
+
+
 def _updates(model, datasets, cfg):
-    return [
-        (t, i, aw, None if idx is None else idx.copy(), ws, deltas, stats)
-        for t, i, aw, idx, ws, deltas, stats in lockstep(model, datasets, cfg)
-    ]
+    """``lockstep``'s items, each array copied as it is yielded."""
+    return [_copy(item) for item in lockstep(model, datasets, cfg)]
 
 
 def _assert_lockstep_runs_equal(model, datasets, cfg):
     stacked = _updates(model, datasets, cfg)
+    # every yielded array keeps its value after the loop moves on
+    assert _same(list(lockstep(model, datasets, cfg)), stacked)
     for r, dataset in enumerate(datasets):
         alone = _updates(model, [dataset], cfg)
         assert len(stacked) == len(alone)
@@ -181,7 +187,7 @@ def _assert_lockstep_runs_equal(model, datasets, cfg):
             assert s[:3] == a[:3] and _same(s[3], a[3])
             assert _same(s[4][r], a[4][0])
             assert (s[5] is None) == (a[5] is None) and (s[5] is None or _same(s[5][r], a[5][0]))
-            assert (s[6] is None) == (a[6] is None) and (s[6] is None or s[6][r] == a[6][0])
+            assert (s[6] is None) == (a[6] is None) and (s[6] is None or _same([c[r] for c in s[6]], [c[0] for c in a[6]]))
 
 
 def _lockstep_cfg(algorithm, norm, T=4):

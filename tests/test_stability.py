@@ -70,6 +70,15 @@ def test_make_neighbor_index_range():
     data, _ = _setup()
     with pytest.raises(IndexError):
         make_neighbor(data, data.n, data.sample(0))
+    # True would select every row as a mask, and a float is no row index
+    for bad in (-1, True, False, 2.0, np.float64(2.0), 2.5):
+        for call in (lambda: make_neighbor(data, bad, data.sample(0)), lambda: data.replace_sample(bad, data.sample(0)), lambda: data.sample(bad)):
+            with pytest.raises(IndexError, match="index must be an integer >= 0"):
+                call()
+    pair = make_neighbor(data, np.int64(2), _replacement())
+    assert type(pair.differing_index) is int and pair.differing_index == 2
+    changed = np.nonzero((pair.data_a.X != pair.data_b.X).any(axis=1))[0]
+    assert changed.tolist() == [2] and data.sample(np.int64(2)).y == data.y[2]
 
 
 def test_make_neighbor_single_sample_dataset():
@@ -234,6 +243,23 @@ def test_growth_vanilla_rejects_non_finite_constants(beta, L):
         verify_growth_vanilla(trace, beta, L, 0.3)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -5.0])
+@pytest.mark.parametrize("verifier", ["vanilla", "fast", "free", "stepwise"])
+def test_growth_verifiers_reject_a_non_finite_or_negative_radius(verifier, eps):
+    # a NaN radius compares false against every bound and would read as no violations
+    data, model = _setup()
+    pair = make_neighbor(data, 3, _replacement())
+    fast = TrainConfig("fast", PerturbationSet("l2", 0.3, 5), StepSchedule("vanishing_c_over_t", c=0.5), 6, 5, 5)
+    call = {
+        "vanilla": lambda: verify_growth_vanilla(coupled_run(model, pair, _vanilla_cfg(T=5)), 1.0, 1.0, eps),
+        "fast": lambda: verify_growth_fast(coupled_run(model, pair, fast), 1.0, 1.0, 1.0, eps),
+        "free": lambda: verify_growth_free(coupled_run(model, pair, _free_cfg(T=8)), 1.0, 1.0, 1.0, eps),
+        "stepwise": lambda: verify_stepwise_expectation([coupled_run(model, pair, _free_cfg(T=8))], 1.0, 1.0, 1.0, eps),
+    }[verifier]
+    with pytest.raises(ConfigError, match="eps must be nonnegative"):
+        call()
+
+
 def test_growth_vanilla_rejects_linf_traces():
     data, model = _setup()
     pair = make_neighbor(data, 3, _replacement())
@@ -344,13 +370,14 @@ def test_stepwise_expectation_rejects_a_non_free_or_mixed_family():
         verify_stepwise_expectation([coupled_run(model, pair, _vanilla_cfg(T=4))], *args)
     with pytest.raises(TraceError, match="trace 1: expected a free-rule trace, got 'vanilla'"):
         verify_stepwise_expectation([free, vanilla], *args)
+    cfg = free.cfg
     mismatched = {
         "n": replace(free, n=free.n + 1),
-        "b": replace(free, b=free.b + 1),
-        "m": coupled_run(model, pair, _free_cfg(T=16, m=2)),
+        "cfg.batch_size": replace(free, cfg=replace(cfg, batch_size=cfg.batch_size + 1)),
+        "cfg.inner_steps": coupled_run(model, pair, _free_cfg(T=16, m=2)),
         "n_steps": coupled_run(model, pair, _free_cfg(T=24)),
-        "schedule": replace(free, schedule=StepSchedule("vanishing_c_over_mt", c=0.7, m=4)),
-        "alpha_delta": replace(free, alpha_delta=2.0 * free.alpha_delta),
+        "cfg.schedule": replace(free, cfg=replace(cfg, schedule=StepSchedule("vanishing_c_over_mt", c=0.7, m=4))),
+        "cfg.resolved_attack_lr": replace(free, cfg=replace(cfg, attack_lr=2.0 * cfg.resolved_attack_lr)),
     }
     for name, other in mismatched.items():
         with pytest.raises(TraceError, match=f"trace 2 has {name}="):
@@ -369,7 +396,7 @@ def test_growth_fast_passes_and_reduces():
     assert rep.violations_absent == 0
 
     # zero single-step size collapses the factor to the plain smoothness one
-    rep0 = verify_growth_fast(replace(trace, fast_step=0.0), consts.beta * 1.1, consts.lipschitz * 1.1, psi_hat, cfg.pset.radius)
+    rep0 = verify_growth_fast(replace(trace, cfg=replace(cfg, fast_step=0.0)), consts.beta * 1.1, consts.lipschitz * 1.1, psi_hat, cfg.pset.radius)
     a = trace.alpha_w[0]
     assert (1.0 + a * consts.beta * 1.1 * (1.0 + 0.0)) == pytest.approx(1.0 + a * consts.beta * 1.1, abs=0)
     assert rep0.checked_absent == rep.checked_absent
@@ -408,9 +435,9 @@ def test_verify_growth_equals_the_rule_verifier(algorithm):
     deflated = replace(measured, beta=measured.beta * 0.1, lipschitz=measured.lipschitz * 0.1, lipschitz_w=measured.lipschitz_w * 0.1)
     for k in (measured.inflated(1.1), deflated):
         direct = {
-            "vanilla": lambda: verify_growth_vanilla(tr, k.beta, k.lipschitz, tr.eps),
-            "free": lambda: verify_growth_free(tr, k.beta, k.lipschitz, k.psi, tr.eps),
-            "fast": lambda: verify_growth_fast(tr, k.beta, k.lipschitz, k.psi, tr.eps),
+            "vanilla": lambda: verify_growth_vanilla(tr, k.beta, k.lipschitz, tr.cfg.pset.radius),
+            "free": lambda: verify_growth_free(tr, k.beta, k.lipschitz, k.psi, tr.cfg.pset.radius),
+            "fast": lambda: verify_growth_fast(tr, k.beta, k.lipschitz, k.psi, tr.cfg.pset.radius),
         }[RULES[algorithm]]()
         assert vars(verify_growth(tr, k)) == vars(direct)
 
@@ -561,7 +588,7 @@ def test_coupled_halves_equal_standalone_train(algorithm, kw):
         wb, tr_b = train(model, pair.data_b, cfg, snapshot_at=range(1, T + 1))
         assert np.array_equal(trace.w_final_a, wa)
         assert np.array_equal(trace.w_final_b, wb)
-        m = trace.m
+        m = trace.cfg.inner_steps
         assert trace.d_w[0] == 0.0
         for t in range(1, trace.n_steps + 1):
             assert trace.d_w[t] == np.linalg.norm(tr_a.snapshots[t * m] - tr_b.snapshots[t * m]), t

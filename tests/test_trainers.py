@@ -266,8 +266,8 @@ def test_attack_draws_are_the_addressed_draws(algorithm, seed):
             rows.append(stats)
     w, trace = train(model, data, cfg)
     assert np.array_equal(w, w_ref)
-    for column, name in ((trace.loss, "loss"), (trace.grad_w_norm, "grad_w_norm"), (trace.min_grad_delta, "min_grad_delta_norm")):
-        assert np.array_equal(column, [stats[name] for stats in rows]), name
+    for j, column in enumerate((trace.loss, trace.grad_w_norm, trace.min_grad_delta)):
+        assert np.array_equal(column, [stats[j] for stats in rows]), j
 
 
 def test_lockstep_needs_a_dataset():
@@ -398,7 +398,7 @@ def test_fast_step_stats_come_from_the_start_gradient_and_the_weight_step(norm):
     delta0 = pset.sample_uniform(stream(87, 1), size=6)
     _, _, G0 = model.batch_loss_and_grads(w, X, y, delta0)
     losses, gw, _ = model.batch_loss_and_grads(w, X, y, ascend_rows(delta0, G0, 0.3, pset))
-    want = {"loss": float(losses.mean()), "grad_w_norm": float(np.linalg.norm(gw)), "min_grad_delta_norm": float(np.linalg.norm(G0, axis=1).min())}
+    want = (float(losses.mean()), float(np.linalg.norm(gw)), float(np.linalg.norm(G0, axis=1).min()))
     w2, stats = fast_batch_step(model.attack_oracle(X, y).point(w), w, 0.2, 0.3, pset, delta0)
     assert np.array_equal(w2, w - 0.2 * gw) and stats == want
 
@@ -678,14 +678,14 @@ def test_trace_columns_hold_what_lockstep_yields(algorithm, kw):
     updates = list(lockstep(model, [data], cfg))[1:]
     assert len(trace) == len(updates) == 8
     assert sorted(trace.snapshots) == [2, 8]
-    for u, (t, i, aw, idx, (w,), _, (stats,)) in enumerate(updates):
+    for u, (t, i, aw, idx, (w,), _, (loss, gw, mgd)) in enumerate(updates):
         if u + 1 in trace.snapshots:
             assert np.array_equal(trace.snapshots[u + 1], w)
         assert (trace.step[u], trace.iteration[u], trace.alpha_w[u]) == (t, i, aw)
         assert np.array_equal(trace.batch[u], idx)
-        assert trace.grad_w_norm[u] == stats["grad_w_norm"]
-        assert trace.min_grad_delta[u] == stats["min_grad_delta_norm"]
-        assert trace.loss[u] == stats["loss"]
+        assert trace.grad_w_norm[u] == gw[0]
+        assert trace.min_grad_delta[u] == mgd[0]
+        assert trace.loss[u] == loss[0]
     psi, psi_column = estimate_psi(trace), estimate_psi(trace.min_grad_delta)
     assert (psi.psi, psi.min_norm, psi.degenerate) == (psi_column.psi, psi_column.min_norm, psi_column.degenerate)
     assert np.array_equal(psi.series, psi_column.series)

@@ -11,8 +11,9 @@ each pair's values and then, for each end-to-end metric that the change
 checkout's ``BENCHMARK.json`` declares, both medians, both interquartile
 ranges (quartiles by linear interpolation), the relative change of the
 medians, how many pairs the change won by the metric's direction (a tie
-wins nothing), the metric's declared relative ``bound`` and a verdict
-(``verdict``). Standard library only.
+wins nothing), the metric's declared relative ``bound``, a verdict
+(``verdict``) and whether the change meets the gain rule (``gain``).
+Standard library only.
 """
 
 from __future__ import annotations
@@ -68,6 +69,21 @@ def verdict(before, after, lower: bool, bound: float) -> str:
     return "within"
 
 
+def wins(before, after, lower: bool) -> int:
+    """How many pairs (``after[k]``, ``before[k]``) the change wins by the
+    metric's direction; a tie wins nothing."""
+    return sum((a < b) if lower else (a > b) for a, b in zip(after, before))
+
+
+def gain(before, after, lower: bool) -> bool:
+    """Whether the change meets the gain rule on one metric: it wins at
+    least nine tenths of the pairs run, and its median beats the parent's by
+    more than the parent's interquartile range."""
+    p1, p2, p3 = quartiles(before)
+    c2 = quartiles(after)[1]
+    return 10 * wins(before, after, lower) >= 9 * len(before) and ((p2 - c2) if lower else (c2 - p2)) > p3 - p1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout measured as the baseline")
@@ -92,7 +108,7 @@ def main(argv=None) -> int:
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print(
         f"  {'metric':<14} {'parent median':>14} {'IQR':>10} {'change median':>14} {'IQR':>10} {'change':>8} {'wins':>6}"
-        f" {'bound':>6}  verdict"
+        f" {'bound':>6}  {'verdict':<10}  gain"
     )
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -100,12 +116,12 @@ def main(argv=None) -> int:
         after = [r[name] for r in runs["change"]]
         p1, p2, p3 = quartiles(before)
         c1, c2, c3 = quartiles(after)
-        wins = sum((a < b) if lower else (a > b) for a, b in zip(after, before))
         rel = (c2 - p2) / p2 if p2 else float("nan")
         bound = m["bound"]
         print(
-            f"  {name:<14} {p2:>14.6g} {p3 - p1:>10.4g} {c2:>14.6g} {c3 - c1:>10.4g} {rel:>+8.1%} {wins:>3}/{args.pairs}"
-            f" {bound:>6g}  {verdict(before, after, lower, bound)}"
+            f"  {name:<14} {p2:>14.6g} {p3 - p1:>10.4g} {c2:>14.6g} {c3 - c1:>10.4g} {rel:>+8.1%}"
+            f" {wins(before, after, lower):>3}/{args.pairs} {bound:>6g}  {verdict(before, after, lower, bound):<10}"
+            f"  {'yes' if gain(before, after, lower) else 'no'}"
         )
     return 0
 
