@@ -31,9 +31,12 @@ def _count(value, name: str, least: int, error: type = ConfigError) -> int:
 
 def _int64s(values, name: str, error: type = ValueError) -> np.ndarray:
     """``values`` as an int64 array, or an ``error`` naming ``name`` when
-    the cast would change a value (0.7 is not label 0). An integer array
-    is cast without a check, and not copied when it is int64 already."""
+    the cast would change a value (0.7 is not label 0) or ``values`` are
+    bools, as ``_count`` rejects a bool. An integer array is cast without a
+    check, and not copied when it is int64 already."""
     values = np.asarray(values)
+    if values.dtype.kind == "b":
+        raise error(f"{name} must be integers, got bool")
     if values.dtype.kind in "iu":
         return values.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the comparison rejects

@@ -16,14 +16,16 @@ restart-scoring evaluations when r > 1, while a free update costs one
 carry the oracle-call counts, and ``budget_axis="oracle_calls"`` rescales
 the iteration budget so algorithms match on evaluations instead of updates.
 
-Checkpoint evaluation. Each checkpoint is one attack over the train and test
-rows together (each set drawing its starts from its own stream) plus one
-forward pass. On more than one CPU, ``run_gap_experiment`` forks a process
-pool (``concurrent.futures``) at a trial's first snapshot; its workers
-evaluate the checkpoints while the trial still trains, and the caller
-meanwhile estimates the bound constants, on a stream of their own. On one
-CPU, or where ``fork`` does not exist, the caller evaluates the checkpoints
-in order after training. The reports are the same either way, byte for byte.
+Checkpoint evaluation. ``run_gap_experiment`` binds one ``AttackOracle``
+to the train and test rows together; each checkpoint re-points it, attacks
+through it (each set drawing its starts from its own stream) and scores by
+its forward pass and loss head. On more than one CPU it forks one process
+pool (``concurrent.futures``) at the first snapshot, whose workers evaluate
+every trial's checkpoints on their own copies of the binding while training
+goes on; the caller meanwhile estimates the bound constants, on a stream of
+their own. On one CPU, or where ``fork`` does not exist, the caller
+evaluates each trial's checkpoints after training it. The reports are the
+same either way, byte for byte.
 """
 
 from __future__ import annotations
@@ -32,16 +34,17 @@ import math
 import os
 import signal
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .bounds import BoundInputs, RegionSampler, estimate_constants, estimate_psi
 from .errors import ConfigError, DimensionError, _count
-from .models import Dataset, SmoothModel, make_model
+from .models import SmoothModel, make_model
 from .rng import _check_seed, stream
 from .stability import RULE_FACTS
 from .synth import SyntheticSpec, make_synthetic
-from .threat import AttackConfig, PerturbationSet, empirical_robust_risk, pgd_attack_batch
+from .threat import AttackConfig, PerturbationSet, _attacked_risk, pgd_attack_batch
 from .trainers import FREE_TRADES, TRADES_SEQ, StepSchedule, TrainConfig, TrainTrace, train
 
 __all__ = [
@@ -284,13 +287,13 @@ class GapReport:
         return out
 
 
-def _evaluate(model, w, eval_set, parts, pset, attack, eval_seed, iteration) -> CheckpointStat:
-    """One attack on the train rows followed by the test rows of
-    ``eval_set``, each drawing its starts from its own stream, so each
-    set's numbers are those of attacking it alone."""
-    rngs = [stream(eval_seed, _EVAL_STREAM, iteration, s) for s in range(len(parts))]
-    (train_risk, train_acc), (test_risk, test_acc) = empirical_robust_risk(model, w, eval_set, pset, attack, rngs, parts)
-    return CheckpointStat(iteration=iteration, train_risk=train_risk, train_acc=train_acc, test_risk=test_risk, test_acc=test_acc)
+def _checkpoint(model, oracle, parts, pset, attack, eval_seed, w, mark: int) -> CheckpointStat:
+    """The checkpoint at ``mark`` through ``oracle``, bound to the train
+    rows followed by the test rows and re-pointed at ``w``; each set draws
+    its starts from its own stream, so its numbers are those of it alone."""
+    rngs = [stream(eval_seed, _EVAL_STREAM, mark, s) for s in range(len(parts))]
+    (train_risk, train_acc), (test_risk, test_acc) = _attacked_risk(model, oracle.point(w), pset, attack, rngs, parts)
+    return CheckpointStat(iteration=mark, train_risk=train_risk, train_acc=train_acc, test_risk=test_risk, test_acc=test_acc)
 
 
 def _cores() -> int:
@@ -313,23 +316,23 @@ def _evaluate_in_worker(w: np.ndarray, mark: int):
 
 
 class _Checkpoints:
-    """The evaluation of one trial's checkpoint marks, ``evaluate(w, mark)``
-    each, in mark order.
+    """The evaluation of an experiment's checkpoint marks, ``evaluate(w,
+    mark)`` each, trial after trial, in mark order.
 
     On more than one CPU, a ``ProcessPoolExecutor`` of ``min(_cores(),
-    len(marks))`` workers starts by ``fork`` at the trial's first snapshot
-    and evaluates while training goes on. The workers inherit ``evaluate``
-    (so the model, the data and the attack, never pickled) and the
-    caller's ``np.errstate``. ``put``, given to ``train`` as its
-    ``on_snapshot`` hook, submits each snapshot with its mark. On one CPU,
-    or where ``fork`` does not exist, ``results`` evaluates the marks in
-    order on the calling process.
+    len(marks))`` workers starts by ``fork`` at the first snapshot and
+    evaluates every trial while training goes on. The workers inherit
+    ``evaluate`` (the model, the data, the attack and a binding of their
+    own, never pickled) and the caller's ``np.errstate``. ``put``, given to
+    ``train`` as its ``on_snapshot`` hook, submits each snapshot with its
+    mark. On one CPU, or where ``fork`` does not exist, ``results``
+    evaluates a trial's marks in order on the calling process.
 
-    Either way the failure of the lowest failing mark is raised, as the
-    plain loop would, with a worker's traceback as its cause; a worker that
-    dies raises ``BrokenProcessPool``, a ``RuntimeError``. Used as a context
-    manager: the pool is shut down, its workers joined and its marks not
-    yet handed out cancelled, before the block is left.
+    Either way ``results`` raises the failure of the trial's lowest failing
+    mark, as the plain loop would, with a worker's traceback as its cause;
+    a worker that dies raises ``BrokenProcessPool``, a ``RuntimeError``.
+    Used as a context manager: the pool is shut down, its workers joined
+    and its marks not yet handed out cancelled, before the block is left.
     """
 
     def __init__(self, evaluate, marks: list):
@@ -356,27 +359,26 @@ class _Checkpoints:
             from concurrent.futures import ProcessPoolExecutor
 
             # With the fork context the pool forks all its workers before it
-            # starts its manager thread, and the previous trial's pool was
-            # shut down (its threads joined) on leaving its block, so no
-            # fork copies a running thread of either pool.
+            # starts its manager thread, so no fork copies a running thread.
             ctx = multiprocessing.get_context("fork")
             workers = min(_cores(), len(self.marks))
             self.pool = ProcessPoolExecutor(workers, ctx, initializer=_install_evaluate, initargs=(self.evaluate,))
         self.futures.append(self.pool.submit(_evaluate_in_worker, w, update))
 
     def results(self, snapshots: dict) -> list:
-        """Every mark's result, in mark order, once training has stored
-        ``snapshots``."""
+        """Every mark's result for the trial that stored ``snapshots``, in
+        mark order, once its training is done."""
         if not self.forks:
             return [self.evaluate(snapshots[mk], mk) for mk in self.marks]
         from concurrent.futures import FIRST_EXCEPTION, wait
 
-        wait(self.futures, return_when=FIRST_EXCEPTION)
+        futures, self.futures = self.futures, []
+        wait(futures, return_when=FIRST_EXCEPTION)
         # Only marks not yet handed out can be cancelled, and the pool hands
         # marks out in order, so every mark below a failure still runs.
-        for future in self.futures:
+        for future in futures:
             future.cancel()
-        return [future.result() for future in self.futures]
+        return [future.result() for future in futures]
 
 
 def _checkpoint_marks(tc: TrainConfig, cadence: int) -> list:
@@ -400,33 +402,30 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
         raise ConfigError("gap experiments need at least one training iteration")
     cadence = cfg.resolved_checkpoint()
     report = GapReport(algorithm=tc.algorithm, config=config_to_dict(cfg), trials=[])
-    # both sets in one batch, read by every evaluation worker
-    eval_set = Dataset(np.concatenate([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
-    parts = (train_ds.n, test_ds.n)
+    marks = _checkpoint_marks(tc, cadence)
+    # both sets in one batch, bound once and re-pointed at every mark of
+    # every trial, by the caller or by each worker on its own copy
+    oracle = model.attack_oracle(np.concatenate([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
+    evaluate = partial(_checkpoint, model, oracle, (train_ds.n, test_ds.n), tc.pset, cfg.eval_attack, cfg.eval_seed)
 
-    def evaluate(w, mk):
-        return _evaluate(model, w, eval_set, parts, tc.pset, cfg.eval_attack, cfg.eval_seed, mk)
-
-    for k in range(cfg.trials):
-        trial_cfg = tc.with_seed(tc.seed + k)
-        marks = _checkpoint_marks(trial_cfg, cadence)
-        with _Checkpoints(evaluate, marks) as checkpoints:
+    with _Checkpoints(evaluate, marks) as checkpoints:
+        for k in range(cfg.trials):
+            trial_cfg = tc.with_seed(tc.seed + k)
             _, trace = train(model, train_ds, trial_cfg, snapshot_at=marks, on_snapshot=checkpoints.put)
             if k == 0 and cfg.attach_bounds:
                 # over the envelope of the first trial's run, while its checkpoints are evaluated
                 bounds = _estimate_bounds(model, train_ds, trace, cfg.eval_seed)
-            stats = checkpoints.results(trace.snapshots)
-        min_gd = trace.min_grad_delta_norm()
-        report.trials.append(
-            TrialResult(
-                seed=trial_cfg.seed,
-                checkpoints=stats,
-                oracle_calls=trace.oracle_calls,
-                forward_calls=trace.forward_calls,
-                min_grad_delta_norm=min_gd,
-                grad_degenerate=not (min_gd > 0.0),
+            min_gd = trace.min_grad_delta_norm()
+            report.trials.append(
+                TrialResult(
+                    seed=trial_cfg.seed,
+                    checkpoints=checkpoints.results(trace.snapshots),
+                    oracle_calls=trace.oracle_calls,
+                    forward_calls=trace.forward_calls,
+                    min_grad_delta_norm=min_gd,
+                    grad_degenerate=not (min_gd > 0.0),
+                )
             )
-        )
 
     if cfg.attach_bounds:
         _attach_bounds(report, tc.rule, bounds)

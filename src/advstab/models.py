@@ -16,7 +16,7 @@ gradient back to the per-row input gradient, written over ``U``, and
 ``full_grad(G)`` first writes the total weight gradient into an array of its
 own, then the input gradient. Every loss is built on it, which is what lets
 simultaneous-update algorithms obtain both gradients from one evaluation
-point. ``logits_batch`` and ``loss_batch`` run one forward.
+point. ``logits_batch`` runs one forward.
 ``attack_oracle(X, y, rows)`` binds the plain loss's unchecked oracles, an
 ``AttackOracle``, once: it owns the weights, the rows and their one-hot
 labels, the gradients and the model's views of all of them, so
@@ -24,8 +24,9 @@ labels, the gradients and the model's views of all of them, so
 it is the attack-only oracle: an attack step allocates no array of the
 batch's size and computes no losses unless asked. ``full(D)`` is the full
 oracle; the training steps take both from one binding.
-``batch_loss_and_grads`` is the full oracle of a binding made for the one
-call, and checks its inputs. The TRADES surrogate's oracle (``trainers``)
+Its head is the one loss head: ``batch_loss_and_grads`` and ``loss_batch``
+are the full oracle and the losses of a binding made for the call, after
+their inputs are checked. The TRADES surrogate's oracle (``trainers``)
 binds a second pass for the clean inputs.
 
 Run axis. Every batched operation also accepts a leading run axis: weights
@@ -115,23 +116,21 @@ class Dataset:
         X = self.X.copy()
         y = self.y.copy()
         X[i] = s.x
-        y[i] = s.y
+        y[i] = _int64s(s.y, "replacement label")  # the write alone would make 0.7 label 0
         return Dataset(X, y)
 
 
-def _log_softmax(Z: np.ndarray, out=None) -> np.ndarray:
-    """Log-softmax over the last axis, into ``out`` when given: the arrays
-    of ``_log_softmax_arrays(Z, E)``, written over on every call."""
-    LS, E, m, cols = out or (None, None, None, None)
-    if Z.shape[-1] == 2:
-        # by columns: a max rounds nothing and a sum of two terms rounds once
-        # in any order, so these are the bits of the reductions below
-        z0, z1, e0, e1 = cols or (Z[..., :1], Z[..., 1:], None, None)
+def _log_softmax(Z: np.ndarray, out) -> np.ndarray:
+    """Log-softmax over the last axis into ``out``, the arrays of
+    ``_log_softmax_arrays(Z, E)``, written over on every call."""
+    LS, E, m, cols = out
+    if cols is not None:
+        # two classes, by columns: a max rounds nothing and a sum of two terms
+        # rounds once in any order, so these are the bits of the reductions below
+        z0, z1, e0, e1 = cols
         m = np.maximum(z0, z1, out=m)
         LS = np.subtract(Z, m, out=LS)
-        E = np.exp(LS, out=E)
-        if cols is None:
-            e0, e1 = E[..., :1], E[..., 1:]
+        np.exp(LS, out=E)
         t = np.add(e0, e1, out=m)
     else:
         # the ufunc reductions are what Z.max and .sum call, minus their dispatch
@@ -149,16 +148,8 @@ def _log_softmax_arrays(Z: np.ndarray, E: np.ndarray):
     return np.empty(Z.shape), E, np.empty(Z.shape[:-1] + (1,)), cols
 
 
-def _logit_losses(Z: np.ndarray, y: np.ndarray, bounded: bool) -> np.ndarray:
-    """Per-row cross-entropy of logits ``Z`` (..., B, C) at labels ``y``
-    (..., B), squashed when ``bounded``; a stack is taken as its rows."""
-    LS = _log_softmax(Z).reshape(-1, Z.shape[-1])
-    raw = -LS[np.arange(y.size), y.reshape(-1)].reshape(y.shape)
-    return raw / (1.0 + raw) if bounded else raw
-
-
 class SmoothModel:
-    """Base class: shared loss head, gradient assembly, and conveniences.
+    """Base class: input checks, the bound oracles, and conveniences.
 
     Subclasses set ``kind``, ``input_dim``, ``class_count``, ``param_dim``,
     ``bounded`` and implement ``_bound_pass``, their one forward and
@@ -235,23 +226,25 @@ class SmoothModel:
         """Gaussian init with stddev 1/sqrt(fan_in) per weight matrix, zero biases."""
         return rng.standard_normal(self.param_dim) * self._init_scales()
 
-    def _logits(self, w: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """The logits at ``U``: one forward of a pass bound for the call."""
+    def _bind(self, w, X, y, deltas=None) -> "AttackOracle":
+        """An ``AttackOracle`` bound to the checked rows ``X + deltas`` and
+        labels ``y``, pointed at the checked weights ``w``."""
+        w, U = self._inputs(w, X, deltas)
+        return self.attack_oracle(U, self._check_labels(y, U.shape[:-1])).point(w)
+
+    def logits_batch(self, w: np.ndarray, X: np.ndarray, deltas=None) -> np.ndarray:
+        w, U = self._inputs(w, X, deltas)
         Z, forward, _, _ = self._bound_pass(w, U)
         forward(U)
         return Z
-
-    def logits_batch(self, w: np.ndarray, X: np.ndarray, deltas=None) -> np.ndarray:
-        return self._logits(*self._inputs(w, X, deltas))
 
     def predict_batch(self, w: np.ndarray, X: np.ndarray, deltas=None) -> np.ndarray:
         return self.logits_batch(w, X, deltas).argmax(axis=-1)
 
     def loss_batch(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None) -> np.ndarray:
         """Per-sample loss values, shape (..., B)."""
-        w, U = self._inputs(w, X, deltas)
-        y = self._check_labels(y, U.shape[:-1])
-        return _logit_losses(self._logits(w, U), y, self.bounded)
+        # U + -0.0 is U bit for bit, signed zeros included
+        return self._bind(w, X, y, deltas)._evaluate(-0.0, True)[0]
 
     def batch_loss_and_grads(self, w: np.ndarray, X: np.ndarray, y: np.ndarray, deltas=None):
         """One shared evaluation yielding losses, mean weight gradient, and
@@ -263,10 +256,7 @@ class SmoothModel:
         Returns ``(losses (..., B), mean_grad_w (..., param_dim), grad_delta
         (..., B, d))``; the mean is over the B rows of each run.
         """
-        w, U = self._inputs(w, X, deltas)
-        y = self._check_labels(y, U.shape[:-1])
-        # U + -0.0 is U bit for bit, signed zeros included
-        return self.attack_oracle(U, y).point(w).full(-0.0)
+        return self._bind(w, X, y, deltas).full(-0.0)
 
     def attack_oracle(self, X: np.ndarray, y: np.ndarray, rows: int | None = None) -> "AttackOracle":
         """The attack-only oracle of this model bound to the rows ``X``,
@@ -562,9 +552,10 @@ def finite_diff_report(model: SmoothModel, trials: int, h: float, rng: np.random
     for _ in range(int(trials)):
         w = model.init_params(rng) + 0.5 * rng.standard_normal(model.param_dim)
         delta = 0.3 * rng.standard_normal(model.input_dim)
-        X, y = rng.standard_normal(model.input_dim)[None], [int(rng.integers(model.class_count))]
-        _, gw, gd = model.batch_loss_and_grads(w, X, y, delta[None])
-        fd_w = _central_diff(lambda v: float(model.loss_batch(v, X, y, delta[None])[0]), w, h)
-        fd_d = _central_diff(lambda v: float(model.loss_batch(w, X, y, v[None])[0]), delta, h)
+        X, y = rng.standard_normal(model.input_dim)[None], np.array([int(rng.integers(model.class_count))])
+        oracle = model.attack_oracle(X, y)  # one binding per trial, re-pointed at every probe
+        fd_w = _central_diff(lambda v: float(oracle.point(v)._evaluate(delta[None], True)[0][0]), w, h)
+        fd_d = _central_diff(lambda v: float(oracle.point(w)._evaluate(v[None], True)[0][0]), delta, h)
+        _, gw, gd = oracle.point(w).full(delta[None])
         worst = max(worst, _rel_err(gw, fd_w), _rel_err(gd[0], fd_d))
     return worst

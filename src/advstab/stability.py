@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import ConstantEstimates, _nonnegative, _positive, bound_fast, bound_free, bound_vanilla, closed_form_contraction
-from .errors import ConfigError, DimensionError, TraceError
+from .errors import ConfigError, DimensionError, TraceError, _int64s
 from .models import Dataset, LabeledSample, SmoothModel
 from .rng import stream
 from .threat import AttackConfig, PerturbationSet, _row_norms, pgd_attack_batch
@@ -408,13 +408,13 @@ def estimate_uniform_stability(
     if np.shape(w) != (model.param_dim,) or np.shape(w_prime) != (model.param_dim,):
         raise DimensionError(f"w and w_prime must have shape ({model.param_dim},), got {np.shape(w)} and {np.shape(w_prime)}")
     X = np.stack([p.x for p in pts])
-    y = np.array([p.y for p in pts], dtype=np.int64)
+    y = _int64s([p.y for p in pts], "eval point labels")
     base = int(rng.integers(2**63))
     # both weights as a stack of two runs on the points, broadcast: each run
     # starts each restart from the same draw, so it equals its own attack
     # under stream(base, 0)
-    W = np.stack([w, w_prime])
-    X, y = np.broadcast_to(X, (2,) + X.shape), np.broadcast_to(y, (2,) + y.shape)
-    D = pgd_attack_batch(model, W, X, y, pset, attack, stream(base, 0))
-    la, lb = model.loss_batch(W, X, y, D)
+    oracle = model._bind(np.stack([w, w_prime]), np.broadcast_to(X, (2,) + X.shape), np.broadcast_to(y, (2,) + y.shape))
+    D = pgd_attack_batch(model, oracle.w, oracle.X, oracle.y, pset, attack, stream(base, 0), loss_grad_fn=oracle)
+    # the attacked losses from the same binding's forward and head
+    la, lb = oracle._evaluate(D, True)[0]
     return float(np.abs(la - lb).max())

@@ -20,9 +20,11 @@ per step, all of them from one shared start per restart.
 
 An attack allocates once, not once per step: it binds the model's
 attack-only oracle for its weights and inputs (a training run passes its
-own, bound once per run), owns its iterate (a shared start is copied
-first) and steps it in place through one scratch array. A step asks the
-oracle for the gradient only, not the losses.
+own, bound once per run, and a gap experiment one bound once for all its
+checkpoints), owns its iterate (a shared start is copied first) and steps
+it in place through one scratch array. A step asks the oracle for the
+gradient only, not the losses. ``empirical_robust_risk`` scores the
+attacked points by the forward pass and head of the attack's binding.
 ``ascend_rows``, the step as a new array, is a copy followed by that same
 in-place step. Consecutive parts of the rows may draw their starts from
 generators of their own (``parts``), which lets checkpoint evaluation
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigError, DegenerateGradientError, DimensionError, _count
-from .models import Dataset, SmoothModel, _logit_losses
+from .models import AttackOracle, Dataset, SmoothModel
 
 __all__ = [
     "PerturbationSet",
@@ -277,8 +279,8 @@ def pgd_attack_batch(
     what a training step's attack costs.
     """
     if loss_grad_fn is None:
-        w, X = model._inputs(w, X, None)
-        y = model._check_labels(y, X.shape[:-1])
+        loss_grad_fn = model._bind(w, X, y)
+        X = loss_grad_fn.X
     if X.shape[-1] != pset.dim:
         raise DimensionError(f"perturbation set dimension {pset.dim} does not match inputs {X.shape[-1]}")
     if parts is not None and (sum(parts) != X.shape[-2] or len(parts) != len(rng)):
@@ -288,10 +290,8 @@ def pgd_attack_batch(
     for _ in range(cfg.restarts):
         # the iterate is an array of its own, stepped in place
         D = np.zeros(X.shape) if cfg.init == "zero" else _uniform_start(pset, rng, X.shape, parts)
-        if scratch is None:  # after the first draw, so they reuse its temporaries' memory
+        if scratch is None:  # after the first draw, so it reuses its temporaries' memory
             scratch = np.empty(X.shape)
-            if loss_grad_fn is None:
-                loss_grad_fn = model.attack_oracle(X, y).point(w)
         for _ in range(cfg.steps):
             _ascend_in_place(D, loss_grad_fn(D, losses=False)[1], step, pset, scratch)
         if cfg.restarts == 1:
@@ -341,11 +341,16 @@ def empirical_robust_risk(
     """
     if dataset.n < 1:
         raise DimensionError("dataset must be nonempty")
-    deltas = pgd_attack_batch(model, w, dataset.X, dataset.y, pset, cfg, rng, parts=parts)
-    # one forward pass gives both the losses and the predictions
-    Z = model.logits_batch(w, dataset.X, deltas)
-    losses = _logit_losses(Z, dataset.y, model.bounded)
-    hits = Z.argmax(axis=-1) == dataset.y
+    return _attacked_risk(model, model._bind(w, dataset.X, dataset.y), pset, cfg, rng, parts)
+
+
+def _attacked_risk(model: SmoothModel, oracle: AttackOracle, pset: PerturbationSet, cfg: AttackConfig, rng, parts=None):
+    """``empirical_robust_risk`` of the rows ``oracle`` is bound to, at its
+    weights, unchecked: the attack through it, then one forward pass and
+    head of it, which give both the losses and the predictions."""
+    deltas = pgd_attack_batch(model, oracle.w, oracle.X, oracle.y, pset, cfg, rng, loss_grad_fn=oracle, parts=parts)
+    losses, _ = oracle._evaluate(deltas, True)
+    hits = oracle._Z.argmax(axis=-1) == oracle.y
     if parts is None:
         return float(losses.mean()), float(hits.mean())
     ends = np.cumsum(parts)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import multiprocessing
@@ -27,7 +28,7 @@ from advstab.experiments import (
     run_transfer_experiment,
     run_vs_n_experiment,
 )
-from advstab.models import Dataset, make_model
+from advstab.models import SmoothModel, make_model
 from advstab.reportio import emit_report, load_report, report_to_dict
 from advstab.rng import stream
 from advstab.synth import SyntheticSpec, make_synthetic
@@ -602,7 +603,7 @@ def _lines(path) -> list:
 
 @pytest.mark.parametrize("cores", [1, 4])
 def test_evaluation_failure_raises_the_lowest_failing_mark(monkeypatch, tmp_path, cores):
-    log, evaluate = tmp_path / "started", experiments._evaluate
+    log, evaluate = tmp_path / "started", experiments._checkpoint
 
     def failing(*args):
         iteration = args[-1]
@@ -615,7 +616,7 @@ def test_evaluation_failure_raises_the_lowest_failing_mark(monkeypatch, tmp_path
         time.sleep(0.01)
         return evaluate(*args)
 
-    monkeypatch.setattr(experiments, "_evaluate", failing)
+    monkeypatch.setattr(experiments, "_checkpoint", failing)
     monkeypatch.setattr(experiments, "_cores", lambda: cores)
     with pytest.raises(ValueError, match="^mark 3$"):
         run_gap_experiment(replace(_cfg(T=24, trials=1), checkpoint_every=1))
@@ -629,7 +630,7 @@ def test_evaluation_failure_raises_the_lowest_failing_mark(monkeypatch, tmp_path
 
 def test_caller_errstate_reaches_the_worker_processes(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "_cores", lambda: 4)
-    evaluate = experiments._evaluate
+    evaluate = experiments._checkpoint
 
     def divide(*args):
         try:
@@ -641,7 +642,7 @@ def test_caller_errstate_reaches_the_worker_processes(monkeypatch, tmp_path):
         time.sleep(0.01)
         return evaluate(*args)
 
-    monkeypatch.setattr(experiments, "_evaluate", divide)
+    monkeypatch.setattr(experiments, "_checkpoint", divide)
     with np.errstate(all="raise"):
         run_gap_experiment(replace(_cfg(T=16, trials=1), checkpoint_every=1))
     seen = [path.read_text().split() for path in tmp_path.iterdir()]
@@ -652,14 +653,14 @@ def test_caller_errstate_reaches_the_worker_processes(monkeypatch, tmp_path):
 
 def test_every_mark_is_evaluated_exactly_once(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "_cores", lambda: 8)  # more workers than CPUs
-    log, evaluate = tmp_path / "evaluated", experiments._evaluate
+    log, evaluate = tmp_path / "evaluated", experiments._checkpoint
 
     def logged(*args):
         with open(log, "a") as fh:
             fh.write(f"{args[-1]}\n")
         return evaluate(*args)
 
-    monkeypatch.setattr(experiments, "_evaluate", logged)
+    monkeypatch.setattr(experiments, "_checkpoint", logged)
     report = run_gap_experiment(replace(_cfg(T=300, trials=2), checkpoint_every=1))
     marks = list(range(1, 301))
     assert [c.iteration for t in report.trials for c in t.checkpoints] == marks * 2
@@ -677,7 +678,7 @@ def test_no_worker_outlives_a_call(monkeypatch, cores):
         raise ValueError("evaluation failed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_evaluate", failing)
+        patch.setattr(experiments, "_checkpoint", failing)
         with pytest.raises(ValueError, match="evaluation failed"):
             run_gap_experiment(cfg)
     assert multiprocessing.active_children() == []
@@ -709,7 +710,7 @@ def test_a_worker_failure_carries_its_traceback(monkeypatch):
     def failing(*args):
         raise ValueError("evaluation failed")
 
-    monkeypatch.setattr(experiments, "_evaluate", failing)
+    monkeypatch.setattr(experiments, "_checkpoint", failing)
     with pytest.raises(ValueError, match="evaluation failed") as info:
         run_gap_experiment(_cfg(T=8, trials=1))
     assert "in failing" in str(info.value.__cause__)
@@ -722,12 +723,12 @@ from advstab.synth import SyntheticSpec
 from advstab.threat import AttackConfig, PerturbationSet
 from advstab.trainers import StepSchedule, TrainConfig
 experiments._cores = lambda: 4
-evaluate = experiments._evaluate
+evaluate = experiments._checkpoint
 def dying(*args):
     if args[-1] == 6:
         os._exit(3)
     return evaluate(*args)
-experiments._evaluate = dying
+experiments._checkpoint = dying
 data = SyntheticSpec("two_gaussians", n_train=40, n_test=60, dim=4, noise=1.0, seed=21)
 train = TrainConfig("vanilla", PerturbationSet("l2", 0.3, 4), StepSchedule("constant", c=0.3), batch_size=8, total_iterations=24, seed=100)
 cfg = experiments.ExperimentConfig("mlp", data, train, checkpoint_every=2, trials=1, hidden_dim=6)
@@ -750,8 +751,8 @@ def test_a_dying_worker_raises_and_leaves_no_worker_behind():
 
 
 def test_no_fork_copies_a_running_thread(monkeypatch):
-    """Each trial's workers fork before their pool starts a thread, and
-    after the previous trial's pool has joined its own."""
+    """The experiment's workers fork once, before their pool starts a
+    thread, and serve every trial."""
     monkeypatch.setattr(experiments, "_cores", lambda: 4)
     threads, fork = [], os.fork
 
@@ -763,7 +764,7 @@ def test_no_fork_copies_a_running_thread(monkeypatch):
     before = threading.active_count()
     run_gap_experiment(replace(_cfg(T=24, trials=3), checkpoint_every=2))
     if "fork" in multiprocessing.get_all_start_methods():
-        assert threads == [before] * 12  # four workers per trial
+        assert threads == [before] * 4  # four workers for the three trials
     assert threading.active_count() == before
 
 
@@ -777,11 +778,12 @@ def test_on_snapshot_sees_each_mark_once_in_order():
     assert all(np.array_equal(w, trace.snapshots[u]) for u, w in seen)
 
 
-# -- fused checkpoint evaluation ---------------------------------------------------
+# -- checkpoint evaluation on one binding ----------------------------------------
 
 
 def _two_call_evaluate(model, w, train_ds, test_ds, pset, attack, eval_seed, iteration):
-    """Checkpoint evaluation as two attacks, one per set, each with its own stream."""
+    """Checkpoint evaluation as two fresh ``empirical_robust_risk`` calls,
+    one per set, each with its own stream."""
     train_risk, train_acc = empirical_robust_risk(model, w, train_ds, pset, attack, stream(eval_seed, 7, iteration, 0))
     test_risk, test_acc = empirical_robust_risk(model, w, test_ds, pset, attack, stream(eval_seed, 7, iteration, 1))
     return CheckpointStat(iteration=iteration, train_risk=train_risk, train_acc=train_acc, test_risk=test_risk, test_acc=test_acc)
@@ -790,16 +792,81 @@ def _two_call_evaluate(model, w, train_ds, test_ds, pset, attack, eval_seed, ite
 @pytest.mark.parametrize("bounded", [False, True])
 @pytest.mark.parametrize("kind", ["softmax_linear", "mlp", "scalar_logistic"])
 def test_fused_evaluation_equals_one_attack_per_set_bit_for_bit(kind, bounded):
+    """Marks evaluated in a scrambled order through one binding of both sets
+    give the numbers of fresh per-set evaluations at each mark."""
     train_ds, test_ds = make_synthetic(SyntheticSpec("two_gaussians", n_train=37, n_test=53, dim=5, noise=1.0, seed=41))
-    eval_set = Dataset(np.vstack([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
     model = make_model(kind, input_dim=5, hidden_dim=4, bounded=bounded)
+    oracle = model.attack_oracle(np.vstack([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
     rng = stream(42, 0)
+    marks = []
     for norm, radius in (("l2", 0.6), ("linf", 0.2)):
         pset = PerturbationSet(norm, radius, 5)
         for init, restarts in itertools.product(("zero", "uniform"), (1, 2)):
             attack = AttackConfig(steps=4, step_size=radius / 2, init=init, restarts=restarts)
             for iteration in (3, 8):
-                w = model.init_params(rng) + rng.standard_normal(model.param_dim)
-                got = experiments._evaluate(model, w, eval_set, (37, 53), pset, attack, 777, iteration)
-                want = _two_call_evaluate(model, w, train_ds, test_ds, pset, attack, 777, iteration)
-                assert [float(v).hex() for v in asdict(got).values()] == [float(v).hex() for v in asdict(want).values()]
+                marks.append((pset, attack, iteration, model.init_params(rng) + rng.standard_normal(model.param_dim)))
+    random.Random(43).shuffle(marks)
+    for pset, attack, iteration, w in marks:
+        got = experiments._checkpoint(model, oracle, (37, 53), pset, attack, 777, w, iteration)
+        want = _two_call_evaluate(model, w, train_ds, test_ds, pset, attack, 777, iteration)
+        assert [float(v).hex() for v in asdict(got).values()] == [float(v).hex() for v in asdict(want).values()]
+
+
+def _report_json(cfg) -> str:
+    return json.dumps(report_to_dict(run_gap_experiment(cfg)))
+
+
+def test_one_pool_and_one_evaluation_binding_per_experiment(monkeypatch, tmp_path):
+    """Three trials fork one pool and bind the evaluation rows once, and
+    report what one CPU reports, byte for byte."""
+    cfg = replace(_cfg(T=24, trials=3), checkpoint_every=2)
+    rows = cfg.data.n_train + cfg.data.n_test
+    log, pools = tmp_path / "bound", []
+    attack_oracle, pool = SmoothModel.attack_oracle, concurrent.futures.ProcessPoolExecutor
+
+    def counted(self, X, *args):
+        if X.shape[-2] == rows:
+            with open(log, "a") as fh:  # by the workers too, if they bound
+                fh.write(f"{os.getpid()}\n")
+        return attack_oracle(self, X, *args)
+
+    class CountedPool(pool):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(SmoothModel, "attack_oracle", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    reports = {}
+    for cores in (1, 4):
+        monkeypatch.setattr(experiments, "_cores", lambda: cores)
+        log.unlink(missing_ok=True)
+        reports[cores] = _report_json(cfg)
+        assert _lines(log) == [str(os.getpid())]
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert len(pools) == 1
+    assert reports[1] == reports[4]
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_a_failing_mark_in_a_later_trial_raises_that_trials_lowest(monkeypatch, tmp_path, cores):
+    flag, evaluate = tmp_path / "trial", experiments._checkpoint
+
+    def flagged(model, dataset, cfg, **kwargs):
+        flag.write_text(str(cfg.seed))  # after every mark of the trial before is evaluated
+        return train(model, dataset, cfg, **kwargs)
+
+    def failing(*args):
+        seed, iteration = int(flag.read_text()), args[-1]
+        if seed == 101 and iteration == 3:
+            time.sleep(0.3)  # so that mark 5 fails first
+        if seed == 101 and iteration in (3, 5):
+            raise ValueError(f"trial {seed} mark {iteration}")
+        return evaluate(*args)
+
+    monkeypatch.setattr(experiments, "train", flagged)
+    monkeypatch.setattr(experiments, "_checkpoint", failing)
+    monkeypatch.setattr(experiments, "_cores", lambda: cores)
+    with pytest.raises(ValueError, match="^trial 101 mark 3$"):
+        run_gap_experiment(replace(_cfg(T=24, trials=3), checkpoint_every=1))
+    assert multiprocessing.active_children() == []

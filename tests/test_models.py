@@ -248,6 +248,18 @@ def test_checked_calls_reject_labels_that_are_not_integers(labels):
             call(w, X, labels)
 
 
+def test_bool_labels_are_rejected_as_a_bool_count_is():
+    model = TwoLayerTanhMLP(input_dim=4, hidden_dim=3, class_count=2)
+    rng = stream(8, 1)
+    w, X = model.init_params(rng), rng.standard_normal((2, 4))
+    with pytest.raises(ValueError, match="^labels must be integers, got bool$"):
+        Dataset(X, [True, False])
+    for call in (model.loss_batch, model.batch_loss_and_grads):
+        with pytest.raises(ValueError, match="^labels must be integers, got bool$"):
+            call(w, X[:1], [True])
+    assert np.array_equal(model.loss_batch(w, X[:1], [np.int64(1)]), model.loss_batch(w, X[:1], [1]))
+
+
 def test_an_int64_label_array_passes_uncopied():
     y = np.array([0, 1, 1])
     assert _int64s(y, "labels") is y

@@ -158,6 +158,23 @@ def test_forced_plan_shape_validation():
         coupled_run(model, pair, cfg, batch_plan=plan)
 
 
+def test_a_bool_batch_plan_is_rejected():
+    data, model = _setup()
+    cfg = _vanilla_cfg(T=10)
+    with pytest.raises(ConfigError, match="^batch_plan must be integers, got bool$"):
+        coupled_run(model, make_neighbor(data, 0, _replacement()), cfg, batch_plan=np.zeros((10, cfg.batch_size), dtype=bool))
+
+
+@pytest.mark.parametrize("label", [0.7, True])
+def test_a_replacement_label_is_checked_before_it_is_written(label):
+    data, _ = _setup()
+    x = data.X[0] + 1.0
+    with pytest.raises(ValueError, match="^replacement label must be integers, got "):
+        make_neighbor(data, 2, LabeledSample(x, y=label))
+    pair = make_neighbor(data, 2, LabeledSample(x, y=np.int64(1)))
+    assert pair.data_b.y[2] == 1 and pair.data_b.y.dtype == np.int64
+
+
 def test_encounter_probability_union_bound():
     # empirical Pr(differing sample drawn by t0) <= b*t0/n + 3 SE
     data, model = _setup(n=50, dim=3)
@@ -514,6 +531,15 @@ def test_uniform_stability_rejects_weights_of_another_shape():
     for w_prime in (np.zeros(model.param_dim + 1), np.zeros((2, model.param_dim))):
         with pytest.raises(DimensionError, match="w_prime"):
             estimate_uniform_stability(w, w_prime, model, data.samples()[:3], pset, atk, stream(94, 1))
+
+
+@pytest.mark.parametrize("label", [0.7, True])
+def test_uniform_stability_rejects_labels_that_are_not_integers(label):
+    data, model = _setup()
+    w = np.zeros(model.param_dim)
+    pset, atk = PerturbationSet("l2", 0.3, 5), AttackConfig(steps=2, step_size=1.0)
+    with pytest.raises(ValueError, match="^eval point labels must be integers, got "):
+        estimate_uniform_stability(w, w, model, [LabeledSample(data.X[0], label)], pset, atk, stream(94, 2))
 
 
 def test_stability_trace_serializes_paired_columns():

@@ -6,7 +6,7 @@ import pytest
 from advstab import trainers
 from advstab.bounds import estimate_psi
 from advstab.errors import ConfigError, DimensionError
-from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhMLP
+from advstab.models import Dataset, LabeledSample, SoftmaxLinear, TwoLayerTanhMLP, make_model
 from advstab.rng import stream
 from advstab.stability import coupled_run, make_neighbor
 from advstab.synth import SyntheticSpec, make_synthetic
@@ -792,3 +792,65 @@ def test_trades_oracle_checks_labels(bad):
     D = 0.1 * rng.standard_normal((3, 5))
     with pytest.raises(ValueError, match="label" if len(bad) == 3 else "batch size"):
         trades_batch_loss_and_grads(model, w, X, bad, D, 1.0)
+
+
+# -- the TRADES weight steps on a binding ------------------------------------------
+
+
+def _same_bits(got, want) -> bool:
+    return all(g.shape == x.shape and g.tobytes() == x.tobytes() for g, x in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("kind", ["softmax_linear", "mlp", "scalar_logistic"])
+@pytest.mark.parametrize("algorithm", ["trades_seq", "free_trades"])
+def test_a_trades_binding_gives_the_weight_steps_full_oracle_bit_for_bit(monkeypatch, algorithm, kind, bounded, runs):
+    """The TRADES weight steps could take their full oracle from a binding
+    bound once per run: ``full`` of lockstep's trades_seq binding after the
+    attack, and of a ``rows=b`` surrogate pointed wherever free_trades'
+    plain binding is, equals ``trades_batch_loss_and_grads`` at every update,
+    and so does a second ``full``, which reruns the clean pass."""
+    data = _data(n=12, dim=3)
+    datasets = [data, make_neighbor(data, 2, LabeledSample(x=-data.X[5], y=1 - int(data.y[5]))).data_b][:runs]
+    model = make_model(kind, input_dim=3, hidden_dim=4, bounded=bounded)
+    cfg = TrainConfig(
+        algorithm,
+        PerturbationSet("l2", 0.4, 3),
+        StepSchedule("constant", c=0.3),
+        batch_size=4,
+        total_iterations=6,
+        seed=9,
+        free_steps=3 if algorithm == "free_trades" else 1,
+        trades_lambda=0.5,
+        inner_attack=AttackConfig(steps=3, step_size=0.2),
+    )
+    bind, full_grads, twins, checked = trainers._bind_attack, trainers._full_grads, [], []
+
+    def binding(model, X, y, lam, rows=None):
+        oracle = bind(model, X, y, lam, rows)
+        if lam is not None:  # trades_seq: the attack's own surrogate binding
+            twins.append(oracle)
+            return oracle
+        twin, point = trainers._TradesAttack(model, X, y, cfg.trades_lambda, rows), oracle.point
+
+        def both(w, idx=None):
+            twin.point(w, idx)
+            return point(w, idx)
+
+        oracle.point = both
+        twins.append(twin)
+        return oracle
+
+    def compared(model, w, oracle, D, lam):
+        want = [a.copy() for a in full_grads(model, w, oracle, D, lam)]
+        assert _same_bits(twins[-1].full(D), want)
+        assert _same_bits(twins[-1].full(D), want)
+        checked.append(len(w))
+        return want
+
+    monkeypatch.setattr(trainers, "_bind_attack", binding)
+    monkeypatch.setattr(trainers, "_full_grads", compared)
+    for _ in lockstep(model, datasets, cfg):
+        pass
+    assert checked == [runs] * 6
