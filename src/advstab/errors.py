@@ -1,5 +1,6 @@
-"""Shared exception types, and the integer checks that raise them."""
+"""Shared exception types, and the integer and number checks that raise them."""
 
+import math
 import numbers
 
 import numpy as np
@@ -27,6 +28,19 @@ def _count(value, name: str, least: int, error: type = ConfigError) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float for a range check (the caller keeps ``value``
+    as given), or a ``ConfigError`` naming ``name`` when it is not a real
+    number; a bool is not one, as ``_count`` rejects a bool. An int beyond
+    the float range reads as an infinity."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _int64s(values, name: str, error: type = ValueError) -> np.ndarray:

@@ -16,16 +16,16 @@ restart-scoring evaluations when r > 1, while a free update costs one
 carry the oracle-call counts, and ``budget_axis="oracle_calls"`` rescales
 the iteration budget so algorithms match on evaluations instead of updates.
 
-Checkpoint evaluation. ``run_gap_experiment`` binds one ``AttackOracle``
-to the train and test rows together; each checkpoint re-points it, attacks
-through it (each set drawing its starts from its own stream) and scores by
-its forward pass and loss head. On more than one CPU it forks one process
-pool (``concurrent.futures``) at the first snapshot, whose workers evaluate
-every trial's checkpoints on their own copies of the binding while training
-goes on; the caller meanwhile estimates the bound constants, on a stream of
-their own. On one CPU, or where ``fork`` does not exist, the caller
-evaluates each trial's checkpoints after training it. The reports are the
-same either way, byte for byte.
+Checkpoint evaluation. Each checkpoint re-points an ``AttackOracle``
+bound to the train and test rows together, attacks through it (each set
+drawing its starts from its own stream) and scores by its forward pass and
+loss head. On more than one CPU ``run_gap_experiment`` forks one process
+pool (``concurrent.futures``) at the first snapshot; each worker binds on
+its first mark, keeps the binding for every trial and evaluates while
+training goes on, and the caller binds none but estimates the bound
+constants, on a stream of their own. On one CPU, or where ``fork`` does not
+exist, the caller binds once and evaluates each trial's checkpoints after
+training it. The reports are the same either way, byte for byte.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 import os
 import signal
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -301,44 +301,46 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# a pool worker's ``evaluate``, installed by ``_install_evaluate`` when it forks
-_worker_evaluate = None
+# a pool worker's ``bind``, installed by ``_install_bind`` when it forks
+_worker_bind = None
 
 
-def _install_evaluate(evaluate) -> None:
-    global _worker_evaluate
-    _worker_evaluate = evaluate
+def _install_bind(bind) -> None:
+    global _worker_bind
+    _worker_bind = bind
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's, which shuts the pool down
 
 
 def _evaluate_in_worker(w: np.ndarray, mark: int):
-    return _worker_evaluate(w, mark)
+    return _worker_bind()(w, mark)  # a failure to bind is this mark's
 
 
 class _Checkpoints:
-    """The evaluation of an experiment's checkpoint marks, ``evaluate(w,
-    mark)`` each, trial after trial, in mark order.
+    """The evaluation of an experiment's checkpoint marks, ``bind()(w,
+    mark)`` each, trial after trial, in mark order, where ``bind`` builds
+    the evaluation and its binding once in each process that evaluates.
 
     On more than one CPU, a ``ProcessPoolExecutor`` of ``min(_cores(),
     len(marks))`` workers starts by ``fork`` at the first snapshot and
     evaluates every trial while training goes on. The workers inherit
-    ``evaluate`` (the model, the data, the attack and a binding of their
-    own, never pickled) and the caller's ``np.errstate``. ``put``, given to
-    ``train`` as its ``on_snapshot`` hook, submits each snapshot with its
-    mark. On one CPU, or where ``fork`` does not exist, ``results``
-    evaluates a trial's marks in order on the calling process.
+    ``bind`` (the model, the data and the attack, never pickled) and the
+    caller's ``np.errstate``, and each binds on its first mark, so the
+    caller binds none. ``put``, given to ``train`` as its ``on_snapshot``
+    hook, submits each snapshot with its mark. On one CPU, or where ``fork``
+    does not exist, ``results`` binds on the calling process, once, and
+    evaluates a trial's marks there in order.
 
     Either way ``results`` raises the failure of the trial's lowest failing
-    mark, as the plain loop would, with a worker's traceback as its cause;
-    a worker that dies raises ``BrokenProcessPool``, a ``RuntimeError``.
-    Used as a context manager: the pool is shut down, its workers joined
+    mark (a failure to bind included), as the plain loop would, with a
+    worker's traceback as its cause; a worker that dies raises
+    ``BrokenProcessPool``, a ``RuntimeError``. Used as a context manager: the pool is shut down, its workers joined
     and its marks not yet handed out cancelled, before the block is left.
     """
 
-    def __init__(self, evaluate, marks: list):
+    def __init__(self, bind, marks: list):
         import multiprocessing
 
-        self.evaluate, self.marks = evaluate, marks
+        self.bind, self.marks = cache(bind), marks
         self.forks = _cores() > 1 and "fork" in multiprocessing.get_all_start_methods()
         self.pool, self.futures = None, []
 
@@ -362,14 +364,15 @@ class _Checkpoints:
             # starts its manager thread, so no fork copies a running thread.
             ctx = multiprocessing.get_context("fork")
             workers = min(_cores(), len(self.marks))
-            self.pool = ProcessPoolExecutor(workers, ctx, initializer=_install_evaluate, initargs=(self.evaluate,))
+            self.pool = ProcessPoolExecutor(workers, ctx, initializer=_install_bind, initargs=(self.bind,))
         self.futures.append(self.pool.submit(_evaluate_in_worker, w, update))
 
     def results(self, snapshots: dict) -> list:
         """Every mark's result for the trial that stored ``snapshots``, in
         mark order, once its training is done."""
         if not self.forks:
-            return [self.evaluate(snapshots[mk], mk) for mk in self.marks]
+            evaluate = self.bind()
+            return [evaluate(snapshots[mk], mk) for mk in self.marks]
         from concurrent.futures import FIRST_EXCEPTION, wait
 
         futures, self.futures = self.futures, []
@@ -403,12 +406,13 @@ def run_gap_experiment(cfg: ExperimentConfig) -> GapReport:
     cadence = cfg.resolved_checkpoint()
     report = GapReport(algorithm=tc.algorithm, config=config_to_dict(cfg), trials=[])
     marks = _checkpoint_marks(tc, cadence)
-    # both sets in one batch, bound once and re-pointed at every mark of
-    # every trial, by the caller or by each worker on its own copy
-    oracle = model.attack_oracle(np.concatenate([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
-    evaluate = partial(_checkpoint, model, oracle, (train_ds.n, test_ds.n), tc.pset, cfg.eval_attack, cfg.eval_seed)
 
-    with _Checkpoints(evaluate, marks) as checkpoints:
+    def bind():
+        # both sets in one batch, re-pointed at every mark of every trial
+        oracle = model.attack_oracle(np.concatenate([train_ds.X, test_ds.X]), np.concatenate([train_ds.y, test_ds.y]))
+        return partial(_checkpoint, model, oracle, (train_ds.n, test_ds.n), tc.pset, cfg.eval_attack, cfg.eval_seed)
+
+    with _Checkpoints(bind, marks) as checkpoints:
         for k in range(cfg.trials):
             trial_cfg = tc.with_seed(tc.seed + k)
             _, trace = train(model, train_ds, trial_cfg, snapshot_at=marks, on_snapshot=checkpoints.put)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, _count
+from .errors import ConfigError, DimensionError, _count, _real
 from .models import Dataset, LabeledSample
 from .rng import _check_seed, stream
 
@@ -38,9 +38,9 @@ class SyntheticSpec:
         _count(self.dim, "dim", 1, DimensionError)
         if self.kind == "spiral2d" and self.dim != 2:
             raise ConfigError("spiral2d is two-dimensional")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
+        if not (math.isfinite(_real(self.noise, "noise")) and self.noise >= 0):
             raise ConfigError("noise must be >= 0")
-        if not math.isfinite(self.separation):
+        if not math.isfinite(_real(self.separation, "separation")):
             raise ConfigError(f"separation must be finite, got {self.separation}")
         _check_seed(self.seed, "data.seed")
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigError, DegenerateGradientError, DimensionError, _count
+from .errors import ConfigError, DegenerateGradientError, DimensionError, _count, _real
 from .models import AttackOracle, Dataset, SmoothModel
 
 __all__ = [
@@ -69,7 +69,7 @@ class PerturbationSet:
     def __post_init__(self):
         if self.norm not in (L2, LINF):
             raise ConfigError(f"norm must be {L2!r} or {LINF!r}, got {self.norm!r}")
-        if not (math.isfinite(self.radius) and self.radius >= 0):
+        if not (math.isfinite(_real(self.radius, "radius")) and self.radius >= 0):
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
         _count(self.dim, "dim", 1, DimensionError)
 
@@ -122,7 +122,7 @@ class AttackConfig:
         _count(self.restarts, "attack restarts", 1)
         if self.init not in ("zero", "uniform"):
             raise ConfigError(f"init must be 'zero' or 'uniform', got {self.init!r}")
-        if self.step_size is not None and not (math.isfinite(self.step_size) and self.step_size > 0):
+        if self.step_size is not None and not (math.isfinite(_real(self.step_size, "step_size")) and self.step_size > 0):
             raise ConfigError("step_size must be positive when given")
 
     def resolved_step(self, pset: PerturbationSet) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, _count, _int64s
+from .errors import ConfigError, DimensionError, _count, _int64s, _real
 from .models import AttackOracle, Dataset, SmoothModel, _log_softmax, _log_softmax_arrays
 from .rng import _check_seed, keyed_stream, philox_keys, stream
 from .threat import AttackConfig, PerturbationSet, _row_norms, ascend_rows, pgd_attack_batch
@@ -79,7 +79,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "vanishing_c_over_t", "vanishing_c_over_mt"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if not (math.isfinite(self.c) and self.c > 0):
+        if not (math.isfinite(_real(self.c, "schedule constant c")) and self.c > 0):
             raise ConfigError("schedule constant c must be positive")
         _count(self.m, "schedule m", 1)
 
@@ -128,10 +128,10 @@ class TrainConfig:
         _count(self.total_iterations, "total_iterations", 0)
         _count(self.free_steps, "free_steps", 1)
         _check_seed(self.seed, "train.seed")
-        if self.attack_lr is not None and not (math.isfinite(self.attack_lr) and self.attack_lr >= 0):
-            raise ConfigError(f"attack_lr must be nonnegative, got {self.attack_lr}")
-        if self.fast_step is not None and not (math.isfinite(self.fast_step) and self.fast_step >= 0):
-            raise ConfigError(f"fast_step must be nonnegative, got {self.fast_step}")
+        for name in ("attack_lr", "fast_step"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(_real(value, name)) and value >= 0):
+                raise ConfigError(f"{name} must be nonnegative, got {value}")
         if self.total_iterations % self.inner_steps != 0:
             raise ConfigError(
                 f"total_iterations={self.total_iterations} must be divisible by free_steps={self.free_steps}"
@@ -139,8 +139,10 @@ class TrainConfig:
         if self.rule == FREE and self.schedule.kind == "vanishing_c_over_mt" and self.schedule.m != self.free_steps:
             raise ConfigError(f"c/(m t) schedule m={self.schedule.m} must equal free_steps={self.free_steps}")
         lam = self.trades_lambda
-        if self.algorithm != self.rule and (lam is None or not (math.isfinite(lam) and lam > 0)):
+        if lam is None and self.algorithm != self.rule:
             raise ConfigError("trades_lambda must be a positive float for TRADES variants")
+        if lam is not None and not (math.isfinite(_real(lam, "trades_lambda")) and lam > 0):
+            raise ConfigError(f"trades_lambda must be positive and finite, got {lam}")
 
     @property
     def rule(self) -> str:

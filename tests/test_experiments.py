@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advstab import experiments
 from advstab.errors import ConfigError, DimensionError
@@ -266,6 +268,67 @@ def _spec(**kw):
 def test_counts_and_seeds_must_be_integers(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+# each float field of a config: the name its errors give it, and a function
+# that builds a valid config with that field set to a value
+_FLOAT_FIELDS = {
+    "train.eps": ("radius", lambda v: _cfg(eps=v)),
+    "train.inner_attack.step_size": ("step_size", lambda v: _cfg(train_kw={"inner_attack": AttackConfig(steps=3, step_size=v)})),
+    "eval.attack.step_size": ("step_size", lambda v: replace(_cfg(), eval_attack=AttackConfig(steps=4, step_size=v))),
+    "train.schedule.c": ("schedule constant c", lambda v: _cfg(schedule=StepSchedule("constant", c=v))),
+    "train.attack_lr": ("attack_lr", lambda v: _cfg(train_kw={"attack_lr": v})),
+    "train.fast_step": ("fast_step", lambda v: _cfg(train_kw={"fast_step": v})),
+    "train.trades_lambda": ("trades_lambda", lambda v: _cfg("free", T=32, train_kw={"trades_lambda": v})),
+    "data.noise": ("noise", lambda v: replace(_cfg(), data=replace(_cfg().data, noise=v))),
+    "data.separation": ("separation", lambda v: replace(_cfg(), data=replace(_cfg().data, separation=v))),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("key", list(_FLOAT_FIELDS))
+def test_a_bool_is_not_a_number_in_a_float_field(key, value):
+    name, build = _FLOAT_FIELDS[key]
+    with pytest.raises(ConfigError, match=f"^{name} must be a number, got {type(value).__name__}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("algorithm", ["vanilla", "fast", "free", "trades_seq", "free_trades"])
+@pytest.mark.parametrize("lam", [-5.0, 0.0, float("nan"), float("inf")])
+def test_a_trades_lambda_that_is_set_is_positive_and_finite_under_every_algorithm(algorithm, lam):
+    with pytest.raises(ConfigError, match=f"^trades_lambda must be positive and finite, got {lam}$"):
+        _cfg(algorithm, T=32, train_kw={"trades_lambda": lam})
+
+
+def test_an_int_in_a_float_field_echoes_as_an_int():
+    cfg = _cfg(eps=1, schedule=StepSchedule("constant", c=2), train_kw={"attack_lr": 0, "fast_step": 1})
+    t = config_to_dict(cfg)["train"]
+    echoed = (t["eps"], t["schedule"]["c"], t["attack_lr"], t["fast_step"])
+    assert [(v, type(v)) for v in echoed] == [(1, int), (2, int), (0, int), (1, int)]
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+# what a float field may be handed: bools of both kinds, ints, floats with
+# their infinities, NaN and negatives, and None
+_ANY_NUMBER = st.one_of(st.booleans(), st.booleans().map(np.bool_), st.integers(), st.floats(), st.none())
+
+
+@pytest.mark.parametrize("key", list(_FLOAT_FIELDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(value=_ANY_NUMBER)
+def test_a_float_field_accepts_only_what_its_echo_replays(key, value):
+    """A config built with ``value`` in the field either replays from its
+    JSON echo, equal to itself, or is refused with a ``ConfigError``."""
+    try:
+        cfg = _FLOAT_FIELDS[key][1](value)
+    except ConfigError:
+        return
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+def test_an_int_beyond_the_float_range_is_rejected_as_out_of_range():
+    with pytest.raises(ConfigError, match="^radius must be >= 0"):
+        _cfg(eps=10**400)
 
 
 def test_checkpoint_every_below_one_rejected_at_construction():
@@ -817,16 +880,17 @@ def _report_json(cfg) -> str:
 
 
 def test_one_pool_and_one_evaluation_binding_per_experiment(monkeypatch, tmp_path):
-    """Three trials fork one pool and bind the evaluation rows once, and
-    report what one CPU reports, byte for byte."""
+    """Three trials fork one pool and bind the evaluation rows where they
+    are evaluated: once in the caller on one CPU, else at most once in each
+    worker and never in the caller. Both report the same, byte for byte."""
     cfg = replace(_cfg(T=24, trials=3), checkpoint_every=2)
-    rows = cfg.data.n_train + cfg.data.n_test
+    rows, marks = cfg.data.n_train + cfg.data.n_test, 12
     log, pools = tmp_path / "bound", []
     attack_oracle, pool = SmoothModel.attack_oracle, concurrent.futures.ProcessPoolExecutor
 
     def counted(self, X, *args):
         if X.shape[-2] == rows:
-            with open(log, "a") as fh:  # by the workers too, if they bound
+            with open(log, "a") as fh:  # by the workers too
                 fh.write(f"{os.getpid()}\n")
         return attack_oracle(self, X, *args)
 
@@ -842,10 +906,41 @@ def test_one_pool_and_one_evaluation_binding_per_experiment(monkeypatch, tmp_pat
         monkeypatch.setattr(experiments, "_cores", lambda: cores)
         log.unlink(missing_ok=True)
         reports[cores] = _report_json(cfg)
-        assert _lines(log) == [str(os.getpid())]
+        bound = _lines(log)
+        if cores == 1 or "fork" not in multiprocessing.get_all_start_methods():
+            assert bound == [str(os.getpid())]
+        else:
+            assert str(os.getpid()) not in bound
+            assert 1 <= len(bound) <= min(4, marks) and len(set(bound)) == len(bound)
     if "fork" in multiprocessing.get_all_start_methods():
         assert len(pools) == 1
     assert reports[1] == reports[4]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="evaluation runs inline without fork")
+def test_a_worker_that_cannot_bind_fails_its_mark(monkeypatch):
+    """A worker's failure to bind the evaluation is the failure of the mark
+    it was binding for: the run raises the lowest such mark's, with the
+    worker's traceback as its cause, and leaves no worker behind."""
+    caller, attack_oracle = os.getpid(), SmoothModel.attack_oracle
+
+    def failing(self, *args):
+        if os.getpid() == caller:
+            return attack_oracle(self, *args)
+        frame = sys._getframe()
+        while frame.f_code.co_name != "_evaluate_in_worker":  # the mark the worker is binding for
+            frame = frame.f_back
+        mark = frame.f_locals["mark"]
+        if mark == 1:
+            time.sleep(0.3)  # so that a later mark fails first
+        raise ValueError(f"no binding at mark {mark}")
+
+    monkeypatch.setattr(SmoothModel, "attack_oracle", failing)
+    monkeypatch.setattr(experiments, "_cores", lambda: 4)
+    with pytest.raises(ValueError, match="^no binding at mark 1$") as info:
+        run_gap_experiment(replace(_cfg(T=24, trials=2), checkpoint_every=1))
+    assert "in failing" in str(info.value.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cores", [1, 4])
