@@ -30,13 +30,22 @@ def _count(value, name: str, least: int, error: type = ConfigError) -> int:
     return int(value)
 
 
+def _int_field(check, value, name: str, *args):
+    """``check(value, name, *args)`` (``_count`` or ``rng._check_seed``) for
+    a config field, which JSON echoes: a NumPy integer is not an ``int``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, int):
+        raise ConfigError(f"{name} must be an int, got {type(value).__name__}")
+    return check(value, name, *args)
+
+
 def _real(value, name: str) -> float:
     """``value`` as a float for a range check (the caller keeps ``value``
-    as given), or a ``ConfigError`` naming ``name`` when it is not a real
-    number; a bool is not one, as ``_count`` rejects a bool. An int beyond
-    the float range reads as an infinity."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {type(value).__name__}")
+    as given), or a ``ConfigError`` naming ``name`` unless it is an ``int``
+    or a ``float``, what a config's JSON echo writes: not a bool, as
+    ``_count`` rejects a bool, and no NumPy scalar but ``np.float64``, a
+    float. An int beyond the float range reads as an infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be an int or a float, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError:

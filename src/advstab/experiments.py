@@ -39,7 +39,7 @@ from functools import cache, partial
 import numpy as np
 
 from .bounds import BoundInputs, RegionSampler, estimate_constants, estimate_psi
-from .errors import ConfigError, DimensionError, _count
+from .errors import ConfigError, DimensionError, _count, _int_field
 from .models import SmoothModel, make_model
 from .rng import _check_seed, stream
 from .stability import RULE_FACTS
@@ -83,9 +83,10 @@ class ExperimentConfig:
     attach_bounds: bool = True
 
     def __post_init__(self):
-        _count(self.trials, "trials", 1)
-        _count(self.hidden_dim, "hidden_dim", 1)
-        _count(self.class_count, "class_count", 2)
+        for name, least in (("trials", 1), ("hidden_dim", 1), ("class_count", 2)):
+            _int_field(_count, getattr(self, name), name, least)
+        if not isinstance(self.bounded_loss, bool):
+            raise ConfigError(f"bounded_loss must be a bool, got {type(self.bounded_loss).__name__}")
         every = self.checkpoint_every
         if every is not None and (isinstance(every, bool) or not isinstance(every, int)):
             raise ConfigError(f"checkpoint_every must be an int or None, got {every!r}")
@@ -95,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError("budget_axis must be 'updates' or 'oracle_calls'")
         if self.data.dim != self.train.pset.dim:
             raise DimensionError("data dim and perturbation set dim disagree")
-        _check_seed(self.eval_seed, "eval.seed")
+        _int_field(_check_seed, self.eval_seed, "eval.seed")
         _check_seed(self.train.seed + self.trials - 1, "train.seed + trials - 1")  # the last trial's seed
         self.build_model()  # an unknown or self-contradicting model section fails here
 

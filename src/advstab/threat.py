@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigError, DegenerateGradientError, DimensionError, _count, _real
+from .errors import ConfigError, DegenerateGradientError, DimensionError, _count, _int_field, _real
 from .models import AttackOracle, Dataset, SmoothModel
 
 __all__ = [
@@ -118,8 +118,8 @@ class AttackConfig:
     init: str = "uniform"
 
     def __post_init__(self):
-        _count(self.steps, "attack steps", 1)
-        _count(self.restarts, "attack restarts", 1)
+        _int_field(_count, self.steps, "attack steps", 1)
+        _int_field(_count, self.restarts, "attack restarts", 1)
         if self.init not in ("zero", "uniform"):
             raise ConfigError(f"init must be 'zero' or 'uniform', got {self.init!r}")
         if self.step_size is not None and not (math.isfinite(_real(self.step_size, "step_size")) and self.step_size > 0):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, _count, _int64s, _real
+from .errors import ConfigError, DimensionError, _count, _int64s, _int_field, _real
 from .models import AttackOracle, Dataset, SmoothModel, _log_softmax, _log_softmax_arrays
 from .rng import _check_seed, keyed_stream, philox_keys, stream
 from .threat import AttackConfig, PerturbationSet, _row_norms, ascend_rows, pgd_attack_batch
@@ -81,7 +81,7 @@ class StepSchedule:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if not (math.isfinite(_real(self.c, "schedule constant c")) and self.c > 0):
             raise ConfigError("schedule constant c must be positive")
-        _count(self.m, "schedule m", 1)
+        _int_field(_count, self.m, "schedule m", 1)
 
     @property
     def vanishing(self) -> bool:
@@ -124,10 +124,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in RULES:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        _count(self.batch_size, "batch_size", 1)
-        _count(self.total_iterations, "total_iterations", 0)
-        _count(self.free_steps, "free_steps", 1)
-        _check_seed(self.seed, "train.seed")
+        for name, least in (("batch_size", 1), ("total_iterations", 0), ("free_steps", 1)):
+            _int_field(_count, getattr(self, name), name, least)
+        _int_field(_check_seed, self.seed, "train.seed")
         for name in ("attack_lr", "fast_step"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(_real(value, name)) and value >= 0):
@@ -338,8 +337,8 @@ class _TradesAttack(AttackOracle):
 
 
 def _bind_attack(model, X, y, lam, rows=None) -> AttackOracle:
-    """The inner attack's oracle on the plain loss (``lam`` None) or on the
-    TRADES surrogate, bound to ``X``, ``y`` as ``AttackOracle`` is."""
+    """The oracles of the plain loss (``lam`` None) or of the TRADES
+    surrogate, bound to ``X``, ``y`` as ``AttackOracle`` is."""
     if lam is None:
         return model.attack_oracle(X, y, rows)
     return _TradesAttack(model, X, y, lam, rows)
@@ -353,24 +352,10 @@ def _bind_attack(model, X, y, lam, rows=None) -> AttackOracle:
 # ``(w, X, y)``: one run (``w`` (P,), ``X`` (B, d), ``y`` (B,)) or a stack of
 # runs on the models' run axis (``w`` (R, P), ``X`` (R, B, d), ``y`` (R, B));
 # the perturbations are (B, d) or (R, B, d) to match, and the stats are
-# ``_stats``' arrays, shaped like the run axis. ``lockstep`` binds once per
-# run, always on the run axis, and re-points the binding at every update.
-# Nothing here checks its inputs: they are lockstep's, validated on entry,
-# and the TRADES weight step runs its full oracle with ``checked=False``.
-
-
-def _full_grads(model, w, oracle, D, lam):
-    """``(losses, mean_grad_w, grad_delta)`` at ``(w, X + D)`` on the rows of
-    ``oracle``: the plain loss through ``oracle``, whose gradients live until
-    its next call, or the TRADES surrogate when ``lam`` is set."""
-    if lam is not None:
-        # a surrogate bound for the call, not the binding's own ``full``: the
-        # benchmark's tracer counts oracle calls at trades_batch_loss_and_grads
-        # and at batch_loss_and_grads only, and bench/run.py divides by that
-        # count unguarded, so seq-train would read zero calls and crash
-        # (ROADMAP items 1 and 9)
-        return trades_batch_loss_and_grads(model, w, oracle.X, oracle.y, D, lam, checked=False)
-    return oracle.full(D)
+# ``_stats``' arrays, shaped like the run axis. ``lockstep`` binds the loss
+# each rule descends once per run, on the run axis, and re-points it at every
+# update. Nothing here checks its inputs: they are lockstep's, validated on
+# entry, and trades_seq's one-shot weight step passes ``checked=False``.
 
 
 def _stats(losses, mean_gw, norms):
@@ -390,10 +375,13 @@ def _stats(losses, mean_gw, norms):
 def vanilla_batch_step(model, attack, w, alpha_w, pset, attack_cfg, attack_rng, lam=None):
     """Attack every sample in the batch, then one weight step at the
     attacked points. ``attack`` is the inner attack's oracle
-    (``_bind_attack`` with ``lam``) pointed at ``(w, X, y)``; on the plain
-    loss it also serves the weight step. Returns (new_w, stats)."""
+    (``_bind_attack`` with ``lam``) pointed at ``(w, X, y)``, which the
+    plain loss's weight step also takes. Returns (new_w, stats)."""
     deltas = pgd_attack_batch(model, w, attack.X, attack.y, pset, attack_cfg, attack_rng, loss_grad_fn=attack)
-    losses, mean_gw, Gd = _full_grads(model, w, attack, deltas, lam)
+    if lam is None:
+        losses, mean_gw, Gd = attack.full(deltas)
+    else:  # bound per call until bench/run.py guards its ratios against zero oracle calls (ROADMAP item 1)
+        losses, mean_gw, Gd = trades_batch_loss_and_grads(model, w, attack.X, attack.y, deltas, lam, checked=False)
     return w - alpha_w * mean_gw, _stats(losses, mean_gw, _row_norms(Gd))
 
 
@@ -409,14 +397,14 @@ def fast_batch_step(oracle, w, alpha_w, fast_step_size, pset, delta_start):
     return w - alpha_w * mean_gw, _stats(losses, mean_gw, norms)
 
 
-def free_inner_iteration(model, oracle, w, deltas, alpha_w, alpha_delta, pset, lam=None):
+def free_inner_iteration(oracle, w, deltas, alpha_w, alpha_delta, pset):
     """One simultaneous update: both gradients from a single evaluation at
     the pre-update (w, deltas), then descend w and ascend deltas together.
-    ``oracle`` is the plain loss's binding pointed at ``(w, X, y)``; with
-    ``lam`` set it supplies the rows of the TRADES surrogate.
+    ``oracle`` is the binding of the loss descended, plain or TRADES
+    (``_bind_attack``), pointed at ``(w, X, y)``.
 
     Returns (new_w, new_deltas, stats)."""
-    losses, mean_gw, Gd = _full_grads(model, w, oracle, deltas, lam)
+    losses, mean_gw, Gd = oracle.full(deltas)
     norms = _row_norms(Gd)
     new_w = w - alpha_w * mean_gw
     new_deltas = ascend_rows(deltas, Gd, alpha_delta, pset, norms)
@@ -501,11 +489,11 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
     draw_rng = keyed_stream(keys[-1])
     batch_rng = keyed_stream(keys[0]) if batch_plan is None else None
 
-    # bound once, then re-pointed at each update's weights and rows: the
-    # plain loss's oracles, or the vanilla rule's attack on the TRADES surrogate
+    # the loss each rule descends, plain or TRADES, bound once and re-pointed
+    # at each update's weights and rows
     X_all = np.stack([dataset.X for dataset in datasets])
     y_all = np.stack([dataset.y for dataset in datasets])
-    oracle = _bind_attack(model, X_all, y_all, lam if rule == VANILLA else None, rows=b)
+    oracle = _bind_attack(model, X_all, y_all, lam, rows=b)
     W = np.stack([model.init_params(stream(cfg.seed, STREAM_INIT))] * runs)
     yield 0, 0, 0.0, None, W, None, None
     for t in range(1, n_steps + 1):
@@ -517,7 +505,7 @@ def lockstep(model: SmoothModel, datasets, cfg: TrainConfig, batch_plan: np.ndar
             for i in range(1, m + 1):
                 if i > 1:
                     oracle.point(W)
-                W, D, stats = free_inner_iteration(model, oracle, W, D, aw, cfg.resolved_attack_lr, pset, lam)
+                W, D, stats = free_inner_iteration(oracle, W, D, aw, cfg.resolved_attack_lr, pset)
                 _require_finite(W, (t - 1) * m + i)
                 yield t, i, aw, idx, W, D, stats
             continue

@@ -12,11 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from advstab.models import ScalarLogistic, SoftmaxLinear, TwoLayerTanhMLP, _log_softmax, _log_softmax_arrays
+from advstab.models import ScalarLogistic, SoftmaxLinear, TwoLayerTanhMLP, _log_softmax, _log_softmax_arrays, make_model
 from advstab.rng import sample_uniform_l2_ball, stream
 from advstab.threat import AttackConfig, PerturbationSet, _ascend_in_place, ascend_rows, pgd_attack_batch, project_rows
-from advstab.trainers import _bind_attack, trades_batch_loss_and_grads
+from advstab.trainers import _bind_attack, _TradesAttack, trades_batch_loss_and_grads
 
 # -- reference copies -----------------------------------------------------------
 
@@ -420,6 +422,43 @@ def test_the_bound_full_oracle_equals_the_reference_at_every_point(make, bounded
         direct = model.batch_loss_and_grads(w, X, y, D) if lam is None else trades_batch_loss_and_grads(model, w, X, y, D, lam)
         for got in (_bind_attack(model, X, y, lam).point(w).full(D), direct):
             assert all(np.array_equal(g, r) for g, r in zip(got, want)), (lam, R, B)
+
+
+@st.composite
+def _surrogate_runs(draw):
+    """A model, ``R`` runs of ``n`` rows to bind with ``rows=b``, the
+    surrogate weight, a generator's seed and the number of re-points."""
+    kind = draw(st.sampled_from(["softmax_linear", "mlp", "scalar_logistic"]))
+    classes = 2 if kind == "scalar_logistic" else draw(st.integers(2, 4))
+    d, hidden = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    model = make_model(kind, input_dim=d, class_count=classes, hidden_dim=hidden, bounded=draw(st.booleans()))
+    R, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    b = draw(st.integers(1, n))
+    lam = draw(st.floats(0.01, 100.0))
+    return model, R, n, b, lam, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 4))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(run=_surrogate_runs())
+def test_a_re_pointed_surrogate_binding_equals_a_fresh_one_at_every_point(run):
+    """A ``rows=b`` surrogate binding pointed by ``point(W, idx)`` and then
+    re-pointed by ``point(W)`` any number of times, as ``lockstep`` moves
+    free_trades' binding, gives ``trades_batch_loss_and_grads``' three
+    outputs bit for bit at every point, and so does a second ``full``."""
+    model, R, n, b, lam, seed, repoints = run
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((R, n, model.input_dim))
+    y = rng.integers(model.class_count, size=(R, n))
+    idx = rng.integers(n, size=b)
+    oracle = _TradesAttack(model, X, y, lam, rows=b)
+    for k in range(repoints + 1):
+        W = np.stack([model.init_params(rng) for _ in range(R)])
+        D = 0.5 * rng.standard_normal((R, b, model.input_dim))
+        oracle.point(W, idx if k == 0 else None)
+        want = trades_batch_loss_and_grads(model, W, X[:, idx], y[:, idx], D, lam)
+        for _ in range(2):
+            got = oracle.full(D)
+            assert all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want)), k
 
 
 SIZED_MODELS = [

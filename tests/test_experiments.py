@@ -289,7 +289,7 @@ _FLOAT_FIELDS = {
 @pytest.mark.parametrize("key", list(_FLOAT_FIELDS))
 def test_a_bool_is_not_a_number_in_a_float_field(key, value):
     name, build = _FLOAT_FIELDS[key]
-    with pytest.raises(ConfigError, match=f"^{name} must be a number, got {type(value).__name__}$"):
+    with pytest.raises(ConfigError, match=f"^{name} must be an int or a float, got {type(value).__name__}$"):
         build(value)
 
 
@@ -308,21 +308,100 @@ def test_an_int_in_a_float_field_echoes_as_an_int():
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
+# NumPy's scalars: JSON writes a float64 (a float) and none of the others
+_NUMPY_SCALAR = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+)
 # what a float field may be handed: bools of both kinds, ints, floats with
-# their infinities, NaN and negatives, and None
-_ANY_NUMBER = st.one_of(st.booleans(), st.booleans().map(np.bool_), st.integers(), st.floats(), st.none())
+# their infinities, NaN and negatives, NumPy scalars, and None
+_ANY_NUMBER = st.one_of(st.booleans(), st.booleans().map(np.bool_), st.integers(), st.floats(), _NUMPY_SCALAR, st.none())
+
+
+def _replays_or_is_refused(build, value):
+    """A config built with ``value`` in a field either replays from its
+    JSON echo, equal to itself, or is refused when it is built."""
+    try:
+        cfg = build(value)
+    except (ConfigError, DimensionError):
+        return
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 @pytest.mark.parametrize("key", list(_FLOAT_FIELDS))
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(value=_ANY_NUMBER)
 def test_a_float_field_accepts_only_what_its_echo_replays(key, value):
-    """A config built with ``value`` in the field either replays from its
-    JSON echo, equal to itself, or is refused with a ``ConfigError``."""
-    try:
-        cfg = _FLOAT_FIELDS[key][1](value)
-    except ConfigError:
-        return
+    _replays_or_is_refused(_FLOAT_FIELDS[key][1], value)
+
+
+# each count and seed field of a config: a function that builds a valid
+# config with that field set to a value
+_INT_FIELDS = {
+    "train.batch_size": lambda v: _cfg(train_kw={"batch_size": v}),
+    "train.total_iterations": lambda v: _cfg(T=v),
+    "train.free_steps": lambda v: _cfg(train_kw={"free_steps": v}),
+    "train.seed": lambda v: _cfg(train_kw={"seed": v}),
+    "train.schedule.m": lambda v: _cfg(schedule=StepSchedule("constant", c=0.3, m=v)),
+    "train.inner_attack.steps": lambda v: _cfg(train_kw={"inner_attack": AttackConfig(steps=v)}),
+    "train.inner_attack.restarts": lambda v: _cfg(train_kw={"inner_attack": AttackConfig(restarts=v)}),
+    "eval.attack.steps": lambda v: replace(_cfg(), eval_attack=AttackConfig(steps=v)),
+    "eval.attack.restarts": lambda v: replace(_cfg(), eval_attack=AttackConfig(restarts=v)),
+    "eval.seed": lambda v: replace(_cfg(), eval_seed=v),
+    "eval.checkpoint_every": lambda v: replace(_cfg(), checkpoint_every=v),
+    "data.n_train": lambda v: _cfg(n_train=v),
+    "data.n_test": lambda v: replace(_cfg(), data=_spec(n_test=v)),
+    "data.dim": lambda v: _cfg(dim=v),
+    "data.seed": lambda v: replace(_cfg(), data=_spec(seed=v)),
+    "trials": lambda v: _cfg(trials=v),
+    "model.hidden_dim": lambda v: replace(_cfg(), hidden_dim=v),
+    "model.class_count": lambda v: replace(_cfg(), class_count=v),
+}
+
+# what a count or a seed may be handed: bools of both kinds, ints past both
+# ends of the 64-bit range, whole and other floats, NumPy scalars, and None
+_ANY_INTEGER = st.one_of(
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**65), 2**65),
+    st.integers(-5, 5).map(float),
+    st.floats(),
+    _NUMPY_SCALAR,
+    st.none(),
+)
+
+
+@pytest.mark.parametrize("key", list(_INT_FIELDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(value=_ANY_INTEGER)
+def test_a_count_or_seed_field_accepts_only_what_its_echo_replays(key, value):
+    _replays_or_is_refused(_INT_FIELDS[key], value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _cfg(train_kw={"batch_size": np.int64(8)}), "batch_size must be an int, got int64"),
+        (lambda: _cfg(train_kw={"seed": np.uint64(3)}), "train.seed must be an int, got uint64"),
+        (lambda: AttackConfig(steps=np.int64(3)), "attack steps must be an int, got int64"),
+        (lambda: _spec(n_train=np.int64(50)), "n_train must be an int, got int64"),
+        (lambda: PerturbationSet("l2", np.float32(0.5), 4), "radius must be an int or a float, got float32"),
+        (lambda: replace(_cfg(), bounded_loss=np.True_), "bounded_loss must be a bool, got bool"),
+        (lambda: replace(_cfg(), bounded_loss=1), "bounded_loss must be a bool, got int"),
+    ],
+)
+def test_a_numpy_scalar_in_a_config_field_is_refused_when_the_config_is_built(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_float64_is_a_float_in_a_config_field():
+    cfg = _cfg(eps=np.float64(0.5), train_kw={"trades_lambda": np.float64(2.0)})
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 

@@ -262,7 +262,7 @@ def test_attack_draws_are_the_addressed_draws(algorithm, seed):
             continue
         lr = cfg.resolved_attack_lr
         for _ in range(cfg.inner_steps):
-            w_ref, deltas, stats = free_inner_iteration(model, bind(w_ref), w_ref, deltas, aw, lr, cfg.pset, cfg.lam)
+            w_ref, deltas, stats = free_inner_iteration(bind(w_ref), w_ref, deltas, aw, lr, cfg.pset)
             rows.append(stats)
     w, trace = train(model, data, cfg)
     assert np.array_equal(w, w_ref)
@@ -334,7 +334,7 @@ def test_free_m1_is_one_simultaneous_update_per_step():
         idx = batch_indices(cfg.seed, t, data.n, cfg.batch_size)
         deltas = cfg.pset.sample_uniform(stream(cfg.seed, STREAM_DELTA, t), size=cfg.batch_size)
         oracle = model.attack_oracle(data.X[idx], data.y[idx]).point(w_ref)
-        w_ref, _, _ = free_inner_iteration(model, oracle, w_ref, deltas, 0.3, cfg.resolved_attack_lr, cfg.pset)
+        w_ref, _, _ = free_inner_iteration(oracle, w_ref, deltas, 0.3, cfg.resolved_attack_lr, cfg.pset)
     assert np.array_equal(w, w_ref)
 
 
@@ -346,7 +346,7 @@ def test_free_zero_attack_rate_keeps_deltas_at_init():
     w = model.init_params(rng)
     X, y = data.X[:6], data.y[:6]
     deltas = pset.sample_uniform(stream(77, 1), size=6)
-    w2, new_deltas, _ = free_inner_iteration(model, model.attack_oracle(X, y).point(w), w, deltas, 0.2, 0.0, pset)
+    w2, new_deltas, _ = free_inner_iteration(model.attack_oracle(X, y).point(w), w, deltas, 0.2, 0.0, pset)
     assert np.array_equal(new_deltas, deltas)
     # and the weight update is plain SGD at the perturbed points
     _, gw, _ = model.batch_loss_and_grads(w, X, y, deltas)
@@ -599,7 +599,7 @@ def test_simultaneity_gradients_share_evaluation_point():
     rng = stream(85, 0)
     w = model.init_params(rng)
     deltas = pset.sample_uniform(stream(85, 1), size=6)
-    w2, d2, _ = free_inner_iteration(probe, probe.attack_oracle(data.X[:6], data.y[:6]).point(w), w, deltas, 0.2, 0.5, pset)
+    w2, d2, _ = free_inner_iteration(probe.attack_oracle(data.X[:6], data.y[:6]).point(w), w, deltas, 0.2, 0.5, pset)
     assert len(probe.calls) == 1
     w_seen, d_seen = probe.calls[0]
     assert np.array_equal(w_seen, w) and np.array_equal(d_seen, deltas)
@@ -647,7 +647,7 @@ def test_stored_deltas_stay_feasible_along_free_runs():
     deltas = pset.sample_uniform(stream(86, 1), size=6)
     oracle = model.attack_oracle(data.X[:6], data.y[:6])
     for _ in range(25):
-        w, deltas, _ = free_inner_iteration(model, oracle.point(w), w, deltas, 0.1, 0.8, pset)
+        w, deltas, _ = free_inner_iteration(oracle.point(w), w, deltas, 0.1, 0.8, pset)
         assert (np.linalg.norm(deltas, axis=1) <= pset.radius + 1e-12).all()
 
 
@@ -801,16 +801,9 @@ def _same_bits(got, want) -> bool:
     return all(g.shape == x.shape and g.tobytes() == x.tobytes() for g, x in zip(got, want, strict=True))
 
 
-@pytest.mark.parametrize("runs", [1, 2])
-@pytest.mark.parametrize("bounded", [False, True])
-@pytest.mark.parametrize("kind", ["softmax_linear", "mlp", "scalar_logistic"])
-@pytest.mark.parametrize("algorithm", ["trades_seq", "free_trades"])
-def test_a_trades_binding_gives_the_weight_steps_full_oracle_bit_for_bit(monkeypatch, algorithm, kind, bounded, runs):
-    """The TRADES weight steps could take their full oracle from a binding
-    bound once per run: ``full`` of lockstep's trades_seq binding after the
-    attack, and of a ``rows=b`` surrogate pointed wherever free_trades'
-    plain binding is, equals ``trades_batch_loss_and_grads`` at every update,
-    and so does a second ``full``, which reruns the clean pass."""
+def _trades_run(algorithm, kind, bounded, runs):
+    """A TRADES run of 6 updates on ``runs`` neighboring datasets: the
+    model, the datasets and the config."""
     data = _data(n=12, dim=3)
     datasets = [data, make_neighbor(data, 2, LabeledSample(x=-data.X[5], y=1 - int(data.y[5]))).data_b][:runs]
     model = make_model(kind, input_dim=3, hidden_dim=4, bounded=bounded)
@@ -825,32 +818,59 @@ def test_a_trades_binding_gives_the_weight_steps_full_oracle_bit_for_bit(monkeyp
         trades_lambda=0.5,
         inner_attack=AttackConfig(steps=3, step_size=0.2),
     )
-    bind, full_grads, twins, checked = trainers._bind_attack, trainers._full_grads, [], []
+    return model, datasets, cfg
 
-    def binding(model, X, y, lam, rows=None):
-        oracle = bind(model, X, y, lam, rows)
-        if lam is not None:  # trades_seq: the attack's own surrogate binding
-            twins.append(oracle)
-            return oracle
-        twin, point = trainers._TradesAttack(model, X, y, cfg.trades_lambda, rows), oracle.point
 
-        def both(w, idx=None):
-            twin.point(w, idx)
-            return point(w, idx)
+@pytest.mark.parametrize("runs", [1, 2])
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("kind", ["softmax_linear", "mlp", "scalar_logistic"])
+@pytest.mark.parametrize("algorithm", ["trades_seq", "free_trades"])
+def test_a_trades_binding_gives_the_weight_steps_full_oracle_bit_for_bit(monkeypatch, algorithm, kind, bounded, runs):
+    """``full`` of lockstep's surrogate binding, which free_trades' weight
+    step calls and trades_seq's could call after the attack, equals
+    ``trades_batch_loss_and_grads`` at every update, and so does a second
+    ``full``, which reruns the clean pass."""
+    model, datasets, cfg = _trades_run(algorithm, kind, bounded, runs)
+    bind, one_shot, fulls, checked = trainers._bind_attack, trainers.trades_batch_loss_and_grads, [], []
 
-        oracle.point = both
-        twins.append(twin)
-        return oracle
-
-    def compared(model, w, oracle, D, lam):
-        want = [a.copy() for a in full_grads(model, w, oracle, D, lam)]
-        assert _same_bits(twins[-1].full(D), want)
-        assert _same_bits(twins[-1].full(D), want)
+    def compared(w, X, y, D, lam):
+        want = [a.copy() for a in one_shot(model, w, X, y, D, lam, checked=False)]
+        assert _same_bits(fulls[-1](D), want)
+        assert _same_bits(fulls[-1](D), want)
         checked.append(len(w))
         return want
 
+    def binding(model, X, y, lam, rows=None):
+        oracle = bind(model, X, y, lam, rows)
+        fulls.append(oracle.full)
+        if algorithm == "free_trades":  # the weight step calls the binding's own ``full``
+            oracle.full = lambda D: compared(oracle.w, oracle.X, oracle.y, D, lam)
+        return oracle
+
     monkeypatch.setattr(trainers, "_bind_attack", binding)
-    monkeypatch.setattr(trainers, "_full_grads", compared)
+    # trades_seq's weight step calls the one-shot oracle
+    monkeypatch.setattr(trainers, "trades_batch_loss_and_grads", lambda model, w, X, y, D, lam, checked: compared(w, X, y, D, lam))
     for _ in lockstep(model, datasets, cfg):
         pass
     assert checked == [runs] * 6
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_a_free_trades_run_binds_one_surrogate_and_no_one_shot_oracle(monkeypatch, runs):
+    """lockstep binds free_trades' surrogate once and re-points it at every
+    update and inner iteration; its weight steps call that binding, never
+    ``trades_batch_loss_and_grads``."""
+    model, datasets, cfg = _trades_run("free_trades", "mlp", False, runs)
+    init, built = trainers._TradesAttack.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(args[1].shape)
+        init(self, *args, **kwargs)
+
+    def one_shot(*args, **kwargs):
+        raise AssertionError("a free_trades weight step bound the surrogate for the call")
+
+    monkeypatch.setattr(trainers._TradesAttack, "__init__", counted)
+    monkeypatch.setattr(trainers, "trades_batch_loss_and_grads", one_shot)
+    assert len(list(lockstep(model, datasets, cfg))) == 7
+    assert built == [(runs, 12, 3)]
