@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checks import run_all_checks
-from .errors import ConfigError
+from .errors import ConfigError, _check_seed
 from .experiments import (
     ExperimentConfig,
     bound_inputs,
@@ -34,7 +34,6 @@ from .experiments import (
     run_vs_n_experiment,
 )
 from .reportio import emit_report
-from .rng import _check_seed
 from .stability import RULE_FACTS, coupled_run, make_neighbor
 from .synth import draw_replacement, make_synthetic
 from .trainers import FREE_TRADES, RULES, TRADES_SEQ, train

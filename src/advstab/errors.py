@@ -30,12 +30,26 @@ def _count(value, name: str, least: int, error: type = ConfigError) -> int:
     return int(value)
 
 
-def _int_field(check, value, name: str, *args):
-    """``check(value, name, *args)`` (``_count`` or ``rng._check_seed``) for
-    a config field, which JSON echoes: a NumPy integer is not an ``int``."""
+_U64_MAX = 2**64 - 1
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as an int, or a ``ConfigError`` naming ``name`` when it is
+    not a 64-bit unsigned integer. Configs check their seeds by it when
+    they are built, before any stream is drawn."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed <= _U64_MAX:
+        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
+    return int(seed)
+
+
+def _int_field(value, name: str, least: int | None = None, error: type = ConfigError) -> int:
+    """``value`` as an int for a config field, which JSON echoes, so a
+    NumPy integer is not an ``int``: a count of at least ``least`` by
+    ``_count``, which raises ``error``, or a seed by ``_check_seed`` when
+    ``least`` is None."""
     if isinstance(value, numbers.Integral) and not isinstance(value, int):
-        raise ConfigError(f"{name} must be an int, got {type(value).__name__}")
-    return check(value, name, *args)
+        raise error(f"{name} must be an int, got {type(value).__name__}")
+    return _check_seed(value, name) if least is None else _count(value, name, least, error)
 
 
 def _real(value, name: str) -> float:

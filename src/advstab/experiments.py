@@ -39,9 +39,9 @@ from functools import cache, partial
 import numpy as np
 
 from .bounds import BoundInputs, RegionSampler, estimate_constants, estimate_psi
-from .errors import ConfigError, DimensionError, _count, _int_field
+from .errors import ConfigError, DimensionError, _check_seed, _count, _int_field
 from .models import SmoothModel, make_model
-from .rng import _check_seed, stream
+from .rng import stream
 from .stability import RULE_FACTS
 from .synth import SyntheticSpec, make_synthetic
 from .threat import AttackConfig, PerturbationSet, _attacked_risk, pgd_attack_batch
@@ -84,9 +84,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, least in (("trials", 1), ("hidden_dim", 1), ("class_count", 2)):
-            _int_field(_count, getattr(self, name), name, least)
+            _int_field(getattr(self, name), name, least)
         if not isinstance(self.bounded_loss, bool):
-            raise ConfigError(f"bounded_loss must be a bool, got {type(self.bounded_loss).__name__}")
+            t = type(self.bounded_loss)  # an np.bool_ is named "bool": name its module too
+            name = t.__qualname__ if t.__module__ == "builtins" else f"{t.__module__}.{t.__qualname__}"
+            raise ConfigError(f"bounded_loss must be a bool, got {name}")
         every = self.checkpoint_every
         if every is not None and (isinstance(every, bool) or not isinstance(every, int)):
             raise ConfigError(f"checkpoint_every must be an int or None, got {every!r}")
@@ -96,7 +98,7 @@ class ExperimentConfig:
             raise ConfigError("budget_axis must be 'updates' or 'oracle_calls'")
         if self.data.dim != self.train.pset.dim:
             raise DimensionError("data dim and perturbation set dim disagree")
-        _int_field(_check_seed, self.eval_seed, "eval.seed")
+        _int_field(self.eval_seed, "eval.seed")
         _check_seed(self.train.seed + self.trials - 1, "train.seed + trials - 1")  # the last trial's seed
         self.build_model()  # an unknown or self-contradicting model section fails here
 

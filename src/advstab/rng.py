@@ -17,22 +17,9 @@ are ``stream``'s at the same address, bit for bit; only the cost differs
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-
-_U64_MAX = 2**64 - 1
-
-
-def _check_seed(seed, name: str = "seed") -> int:
-    """``seed`` as an int, or a ``ConfigError`` naming ``name`` when it is
-    not a 64-bit unsigned integer. Configs check their seeds by it when
-    they are built, before any stream is drawn."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed <= _U64_MAX:
-        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {seed!r}")
-    return int(seed)
+from .errors import DimensionError, _check_seed
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, _count, _int_field, _real
+from .errors import ConfigError, DimensionError, _int_field, _real
 from .models import Dataset, LabeledSample
-from .rng import _check_seed, stream
+from .rng import stream
 
 __all__ = ["SyntheticSpec", "make_synthetic", "draw_replacement"]
 
@@ -34,14 +34,14 @@ class SyntheticSpec:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         for name, least in (("n_train", 2), ("n_test", 2), ("dim", 1)):
-            _int_field(_count, getattr(self, name), name, least, DimensionError)
+            _int_field(getattr(self, name), name, least, DimensionError)
         if self.kind == "spiral2d" and self.dim != 2:
             raise ConfigError("spiral2d is two-dimensional")
         if not (math.isfinite(_real(self.noise, "noise")) and self.noise >= 0):
             raise ConfigError("noise must be >= 0")
         if not math.isfinite(_real(self.separation, "separation")):
             raise ConfigError(f"separation must be finite, got {self.separation}")
-        _int_field(_check_seed, self.seed, "data.seed")
+        _int_field(self.seed, "data.seed")
 
 
 def _balanced_labels(n: int) -> np.ndarray:

@@ -118,8 +118,8 @@ class AttackConfig:
     init: str = "uniform"
 
     def __post_init__(self):
-        _int_field(_count, self.steps, "attack steps", 1)
-        _int_field(_count, self.restarts, "attack restarts", 1)
+        _int_field(self.steps, "attack steps", 1)
+        _int_field(self.restarts, "attack restarts", 1)
         if self.init not in ("zero", "uniform"):
             raise ConfigError(f"init must be 'zero' or 'uniform', got {self.init!r}")
         if self.step_size is not None and not (math.isfinite(_real(self.step_size, "step_size")) and self.step_size > 0):

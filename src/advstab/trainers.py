@@ -34,9 +34,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, _count, _int64s, _int_field, _real
+from .errors import ConfigError, DimensionError, _int64s, _int_field, _real
 from .models import AttackOracle, Dataset, SmoothModel, _log_softmax, _log_softmax_arrays
-from .rng import _check_seed, keyed_stream, philox_keys, stream
+from .rng import keyed_stream, philox_keys, stream
 from .threat import AttackConfig, PerturbationSet, _row_norms, ascend_rows, pgd_attack_batch
 
 __all__ = [
@@ -81,7 +81,7 @@ class StepSchedule:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if not (math.isfinite(_real(self.c, "schedule constant c")) and self.c > 0):
             raise ConfigError("schedule constant c must be positive")
-        _int_field(_count, self.m, "schedule m", 1)
+        _int_field(self.m, "schedule m", 1)
 
     @property
     def vanishing(self) -> bool:
@@ -125,8 +125,8 @@ class TrainConfig:
         if self.algorithm not in RULES:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         for name, least in (("batch_size", 1), ("total_iterations", 0), ("free_steps", 1)):
-            _int_field(_count, getattr(self, name), name, least)
-        _int_field(_check_seed, self.seed, "train.seed")
+            _int_field(getattr(self, name), name, least)
+        _int_field(self.seed, "train.seed")
         for name in ("attack_lr", "fast_step"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(_real(value, name)) and value >= 0):

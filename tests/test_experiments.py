@@ -322,12 +322,13 @@ _NUMPY_SCALAR = st.one_of(
 _ANY_NUMBER = st.one_of(st.booleans(), st.booleans().map(np.bool_), st.integers(), st.floats(), _NUMPY_SCALAR, st.none())
 
 
-def _replays_or_is_refused(build, value):
+def _replays_or_is_refused(build, value, refusal):
     """A config built with ``value`` in a field either replays from its
-    JSON echo, equal to itself, or is refused when it is built."""
+    JSON echo, equal to itself, or is refused with a ``refusal`` when it is
+    built: any other exception fails the test."""
     try:
         cfg = build(value)
-    except (ConfigError, DimensionError):
+    except refusal:
         return
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
@@ -336,7 +337,7 @@ def _replays_or_is_refused(build, value):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(value=_ANY_NUMBER)
 def test_a_float_field_accepts_only_what_its_echo_replays(key, value):
-    _replays_or_is_refused(_FLOAT_FIELDS[key][1], value)
+    _replays_or_is_refused(_FLOAT_FIELDS[key][1], value, ConfigError)
 
 
 # each count and seed field of a config: a function that builds a valid
@@ -361,6 +362,8 @@ _INT_FIELDS = {
     "model.hidden_dim": lambda v: replace(_cfg(), hidden_dim=v),
     "model.class_count": lambda v: replace(_cfg(), class_count=v),
 }
+# the fields that refuse a value with a DimensionError: SyntheticSpec's sizes
+_DIMENSION_FIELDS = {"data.n_train", "data.n_test", "data.dim"}
 
 # what a count or a seed may be handed: bools of both kinds, ints past both
 # ends of the 64-bit range, whole and other floats, NumPy scalars, and None
@@ -380,24 +383,28 @@ _ANY_INTEGER = st.one_of(
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(value=_ANY_INTEGER)
 def test_a_count_or_seed_field_accepts_only_what_its_echo_replays(key, value):
-    _replays_or_is_refused(_INT_FIELDS[key], value)
+    _replays_or_is_refused(_INT_FIELDS[key], value, DimensionError if key in _DIMENSION_FIELDS else ConfigError)
 
 
 @pytest.mark.parametrize(
-    "build, message",
+    "build, error, message",
     [
-        (lambda: _cfg(train_kw={"batch_size": np.int64(8)}), "batch_size must be an int, got int64"),
-        (lambda: _cfg(train_kw={"seed": np.uint64(3)}), "train.seed must be an int, got uint64"),
-        (lambda: AttackConfig(steps=np.int64(3)), "attack steps must be an int, got int64"),
-        (lambda: _spec(n_train=np.int64(50)), "n_train must be an int, got int64"),
-        (lambda: PerturbationSet("l2", np.float32(0.5), 4), "radius must be an int or a float, got float32"),
-        (lambda: replace(_cfg(), bounded_loss=np.True_), "bounded_loss must be a bool, got bool"),
-        (lambda: replace(_cfg(), bounded_loss=1), "bounded_loss must be a bool, got int"),
+        (lambda: _cfg(train_kw={"batch_size": np.int64(8)}), ConfigError, "batch_size must be an int, got int64"),
+        (lambda: _cfg(train_kw={"seed": np.uint64(3)}), ConfigError, "train.seed must be an int, got uint64"),
+        (lambda: AttackConfig(steps=np.int64(3)), ConfigError, "attack steps must be an int, got int64"),
+        (lambda: _spec(n_train=np.int64(50)), DimensionError, "n_train must be an int, got int64"),
+        (lambda: _spec(seed=np.int64(21)), ConfigError, "data.seed must be an int, got int64"),
+        (lambda: PerturbationSet("l2", np.float32(0.5), 4), ConfigError, "radius must be an int or a float, got float32"),
+        (lambda: replace(_cfg(), bounded_loss=np.True_), ConfigError, f"bounded_loss must be a bool, got numpy.{type(np.True_).__qualname__}"),
+        (lambda: replace(_cfg(), bounded_loss=1), ConfigError, "bounded_loss must be a bool, got int"),
     ],
 )
-def test_a_numpy_scalar_in_a_config_field_is_refused_when_the_config_is_built(build, message):
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+def test_a_numpy_scalar_in_a_config_field_is_refused_when_the_config_is_built(build, error, message):
+    """Refused with the error its field gives any other bad value: a
+    SyntheticSpec size a DimensionError, every other field a ConfigError."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
         build()
+    assert type(raised.value) is error
 
 
 def test_a_float64_is_a_float_in_a_config_field():
